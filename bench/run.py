@@ -4,10 +4,12 @@
 
 Run from a checkout; the program is imported from its ``src/``.  The run
 builds the workload's inputs from the seed (set-up, repeated and timed),
-then runs passes until ``--seconds`` have gone by.  A pass is every command
-of the workload in one fresh worker process; passes run one at a time, each
-under another PYTHONHASHSEED, so a cache kept across passes cannot help and
-output that depends on the hash seed shows up as a failure.
+then runs passes for ``--seconds``, starting none that would end past it.
+A pass is every command of the workload in one fresh worker process; passes
+run one at a time, each under another PYTHONHASHSEED, so a cache kept
+across passes cannot help and output that depends on the hash seed shows up
+as a failure.  Pass and command times are normalised to the host's speed
+(speed.py): the shared host's own drift would otherwise swamp them.
 
 The last stdout line is one JSON object: ``correct``, ``attempted`` and
 ``failed`` (commands run over all passes, and those the checker or the
@@ -31,6 +33,7 @@ from time import perf_counter
 BENCH = Path(__file__).resolve().parent
 sys.path.insert(0, str(BENCH))
 
+import speed  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 
@@ -39,7 +42,7 @@ SRC = ROOT / "src"
 WORK = ROOT / ".bench_work"
 # least number of set-ups per run; one runs before the passes and one after
 # each pass, so that their median sees the same machine as the passes do
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 # a run must end within 180 s: every child is killed at this deadline, and
 # no new pass starts once the passes have used LAST_START_S
 RUN_LIMIT_S = 170
@@ -48,15 +51,18 @@ LAST_START_S = 120
 
 def setup(workload: str, seed: int, work: Path, deadline: float
           ) -> tuple[workloads.Plan, float]:
-    """Time one set-up: build and write the inputs, then import the program
-    in a fresh interpreter."""
-    t0 = perf_counter()
-    plan = workloads.make_plan(workload, seed)
-    plan.write(work)
-    subprocess.run([sys.executable, "-c",
-                    f"import sys; sys.path.insert(0, {str(SRC)!r}); import facebalance.cli"],
-                   check=True, timeout=deadline - perf_counter())
-    return plan, perf_counter() - t0
+    """Time one set-up, normalised to the host's speed: build and write the
+    inputs, then import the program in a fresh interpreter."""
+    def build():
+        plan = workloads.make_plan(workload, seed)
+        plan.write(work)
+        return plan
+
+    plan, build_s = speed.measure(build)
+    proc = subprocess.run([sys.executable, str(BENCH / "worker.py"), str(SRC), "--import"],
+                          capture_output=True, text=True, check=True,
+                          timeout=deadline - perf_counter())
+    return plan, build_s + json.loads(proc.stdout.splitlines()[-1])["import_s"]
 
 
 def run_pass(work: Path, hash_seed: int, trace_out: Path | None,
@@ -93,14 +99,17 @@ def tally(passes: list[dict]) -> tuple[int, list[str]]:
 
 
 def end_to_end(passes: list[dict], setups: list[float]) -> dict:
+    """Set-up time, memory, and the speed-normalised times of speed.py."""
     latencies = {}
     for p in passes:
         for c in p["commands"]:
-            latencies.setdefault(c["id"], []).append(c["latency_s"])
+            latencies.setdefault(c["id"], []).append(c["norm_s"])
+    per_command = [statistics.median(xs) for xs in latencies.values()]
     return {
         "setup_s": (statistics.median(setups), "s"),
-        "wall_s": (statistics.median(p["pass_ns"] / 1e9 for p in passes), "s"),
-        "slowest_cmd_s": (max(statistics.median(xs) for xs in latencies.values()), "s"),
+        "pass_s": (statistics.median(p["pass_norm_s"] for p in passes), "s"),
+        "cmd_p50_s": (statistics.median(per_command), "s"),
+        "slowest_cmd_s": (max(per_command), "s"),
         "peak_rss_mb": (statistics.median(p["peak_rss_mb"] for p in passes), "MB"),
     }
 
@@ -117,17 +126,20 @@ def basis_size_problems(plan: workloads.Plan, runs: list[dict]) -> list[str]:
             and m["polynomials.standard_monomials"] != want]
 
 
-def per_layer(untraced: list[dict], runs: list[dict]) -> dict:
+def per_layer(untraced: list[dict], traced: list[tuple], runs: list[dict]) -> dict:
     m = tracer.median_metrics(runs)
-    plain = statistics.median(p["pass_ns"] for p in untraced)
-    m["trace.overhead_ratio"] = m["trace.pass_s"] * 1e9 / plain - 1
+    m["trace.raw_pass_s"] = statistics.median(
+        (p["pass_ns"] - p["samples_ns"]) / 1e9 for p in untraced)
+    m["trace.slowdown"] = statistics.median(p["slowdown"] for p in untraced)
+    m["trace.overhead_ratio"] = (statistics.median(p["pass_norm_s"] for p, _ in traced)
+                                 / statistics.median(p["pass_norm_s"] for p in untraced) - 1)
     return {k: (v, unit_of(k)) for k, v in m.items()}
 
 
 def unit_of(name: str) -> str:
     if name.endswith("_s") or name.endswith(".s"):
         return "s"
-    return "ratio" if name.endswith("ratio") else "count"
+    return "ratio" if name.endswith(("ratio", "slowdown")) else "count"
 
 
 def main() -> int:
@@ -163,8 +175,10 @@ def main() -> int:
             k += 1
             setups.append(setup(args.workload, args.seed, work, deadline)[1])
             elapsed = perf_counter() - started
+            # stop before a pass that would end past --seconds
+            projected = elapsed * (k + 1) / k
             enough = untraced and (traced or not args.trace) and k >= 2
-            if enough and (elapsed >= args.seconds or elapsed >= LAST_START_S):
+            if enough and (projected > args.seconds or elapsed >= LAST_START_S):
                 break
         while len(setups) < SETUP_REPEATS:
             setups.append(setup(args.workload, args.seed, work, deadline)[1])
@@ -177,7 +191,7 @@ def main() -> int:
     reasons += basis_size_problems(plan, runs)
     for line in reasons:
         print(f"FAILED {line}")
-    metrics = (per_layer(untraced, runs) if args.trace
+    metrics = (per_layer(untraced, traced, runs) if args.trace
                else end_to_end(untraced, setups))
     failed = len(reasons)
     print(json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed,

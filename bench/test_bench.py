@@ -1,4 +1,5 @@
-"""Tests of the benchmark's own code: generators, checker and span arithmetic."""
+"""Tests of the benchmark's own code: generators, checker, span arithmetic
+and speed normalisation."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import json
 import pytest
 
 import check
+import speed
 import tracer
 import workloads as W
 
@@ -143,9 +145,66 @@ def test_outermost_skips_recursive_calls():
 
 def test_layer_self_times_sum_to_the_pass():
     trace = {"names": ["cli.main", "homology.x", "linalg.y", "classify.z"],
-             "spans": SPANS, "counters": {}}
+             "spans": SPANS, "counters": {}, "samples": []}
     m = tracer.layer_metrics(trace, pass_ns=130)
     layers = sum(m[f"layer.{x}.self_s"] for x in tracer.LAYERS)
     assert m["layer.linalg.self_s"] == pytest.approx(30e-9)
     assert m["trace.harness_s"] == pytest.approx(30e-9)
     assert layers + m["trace.harness_s"] == pytest.approx(m["trace.pass_s"])
+
+
+# one sample in each of: before every span, cli.main itself, a linalg span,
+# the nested linalg span, between spans of one command, after every span
+SAMPLES = [[-5, -3], [2, 4], [16, 18], [36, 38], [62, 64], [110, 112]]
+
+
+def test_samples_find_their_innermost_span():
+    assert tracer.sample_parents(SPANS, SAMPLES) == [-1, 0, 2, 4, 0, -1]
+
+
+def test_sample_time_moves_from_its_span_to_the_harness():
+    trace = {"names": ["cli.main", "homology.x", "linalg.y", "classify.z"],
+             "spans": SPANS, "counters": {}, "samples": SAMPLES}
+    m = tracer.layer_metrics(trace, pass_ns=130)
+    layers = sum(m[f"layer.{x}.self_s"] for x in tracer.LAYERS)
+    assert m["layer.linalg.self_s"] == pytest.approx(26e-9)
+    assert m["layer.cli.self_s"] == pytest.approx(26e-9)
+    assert m["trace.harness_s"] == pytest.approx(38e-9)
+    assert layers + m["trace.harness_s"] == pytest.approx(m["trace.pass_s"])
+
+
+STARTS, DURATIONS = [0.0, 1.0, 2.0, 3.0], [0.1, 0.1, 0.1, 0.1]
+
+
+def test_normalised_leaves_out_the_samples_and_scales_by_speed():
+    at_nominal = [speed.NOMINAL_S] * 4
+    assert speed.normalised(STARTS, DURATIONS, at_nominal, 0.5, 2.5) == pytest.approx(1.8)
+    # twice the nominal sample time: the host ran at half speed
+    slow = [2 * speed.NOMINAL_S] * 4
+    assert speed.normalised(STARTS, DURATIONS, slow, 0.5, 2.5) == pytest.approx(0.9)
+    # a gap runs at the mean of the local speeds on its two sides
+    mixed = [speed.NOMINAL_S, speed.NOMINAL_S, 3 * speed.NOMINAL_S, 3 * speed.NOMINAL_S]
+    assert speed.normalised(STARTS, DURATIONS, mixed, 0.1, 3.0) == pytest.approx(
+        0.9 + 0.9 / 2 + 0.9 / 3)
+
+
+def test_normalised_rejects_intervals_outside_the_samples():
+    with pytest.raises(ValueError):
+        speed.normalised(STARTS, DURATIONS, DURATIONS, -0.5, 1.5)
+    with pytest.raises(ValueError):
+        speed.normalised(STARTS, DURATIONS, DURATIONS, 1.5, 3.5)
+
+
+def test_sampler_samples_during_work_and_stops():
+    sampler = speed.Sampler()
+    sampler.start()
+    t0 = speed.perf_counter()
+    while speed.perf_counter() - t0 < 0.1:
+        sum(range(1000))
+    t1 = speed.perf_counter()
+    sampler.stop()
+    assert len(sampler.starts) >= 4
+    at_nominal = [speed.NOMINAL_S] * len(sampler.starts)
+    inside = sum(sampler.durations[1:-1])
+    assert speed.normalised(sampler.starts, sampler.durations, at_nominal, t0, t1) \
+        == pytest.approx(t1 - t0 - inside)

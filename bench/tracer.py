@@ -253,6 +253,26 @@ def outermost(spans) -> list[bool]:
     return out
 
 
+def sample_parents(spans, samples) -> list[int]:
+    """The innermost span around each sample, or -1 outside every span.
+
+    A sample runs in a signal handler, between two bytecodes, so it lies
+    wholly inside or outside each span.  Spans are in start order and
+    nested, so the open ones form a stack as the sweep goes forward in time.
+    """
+    out, chain, j = [], [], 0
+    for start, _ in samples:
+        while j < len(spans) and spans[j][1] <= start:
+            while chain and spans[chain[-1]][2] <= spans[j][1]:
+                chain.pop()
+            chain.append(j)
+            j += 1
+        while chain and spans[chain[-1]][2] <= start:
+            chain.pop()
+        out.append(chain[-1] if chain else -1)
+    return out
+
+
 def _ratio(num, den) -> float:
     return num / den if den else 0.0
 
@@ -261,6 +281,13 @@ def layer_metrics(trace: dict, pass_ns: int) -> dict[str, float]:
     """Per-layer metrics of one traced pass, by the names in BENCHMARK.json."""
     names, spans, counters = trace["names"], trace["spans"], trace["counters"]
     selfs = self_times(spans)
+    # speed.py's samples are bench time: out of their span, into the harness
+    sampled = 0
+    samples = trace["samples"]
+    for (start, end), parent in zip(samples, sample_parents(spans, samples)):
+        if parent >= 0:
+            selfs[parent] -= end - start
+            sampled += end - start
     outer = outermost(spans)
     incl, calls, self_by = Counter(), Counter(), Counter()
     layer_self = Counter()
@@ -350,7 +377,7 @@ def layer_metrics(trace: dict, pass_ns: int) -> dict[str, float]:
         "cli.parse.s": s(incl["cli.parse"]),
         "cli.overhead.self_s": s(layer_self["cli"]),
         "trace.pass_s": s(pass_ns),
-        "trace.harness_s": s(pass_ns - roots),
+        "trace.harness_s": s(pass_ns - roots + sampled),
     }
     for layer in LAYERS:
         m[f"layer.{layer}.self_s"] = s(layer_self[layer])

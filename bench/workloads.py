@@ -115,18 +115,14 @@ def _distances(adj: dict, s) -> dict:
     return dist
 
 
-def random_pg_member(rng: random.Random, tag: str):
-    """A connected pendant/cycle-class graph made of random units.
+def random_pg_member(rng: random.Random, tag: str, j: int, l: int):
+    """A connected pendant/cycle-class graph of j pentagons and l pendant
+    edges, joined at random.
 
-    Units (pentagons and pendant edges) are joined by bridges along a random
-    tree.  A pentagon vertex takes a bridge only if neither ring neighbour
-    has one, so every ring stays basic; a pendant edge takes bridges at its
-    non-leaf end only.  Returns the graph and its (cycles, pendants) counts.
+    The units are joined by bridges along a random tree.  A pentagon
+    vertex takes a bridge only if neither ring neighbour has one, so every
+    ring stays basic; a pendant edge takes bridges at its non-leaf end only.
     """
-    while True:
-        j, l = rng.randint(0, 2), rng.randint(0, 3)
-        if j + l:
-            break
     units = []
     verts, edges = [], []
     for k in range(j):
@@ -154,25 +150,25 @@ def random_pg_member(rng: random.Random, tag: str):
     for child in range(1, len(units)):
         parent = units[rng.randrange(child)]
         edges.append((port(parent), port(units[child])))
-    return (verts, edges), (j, l)
+    return verts, edges
 
 
-def random_not_well_covered(rng: random.Random, tag: str):
-    """A connected girth >= 5 graph with a vertex carrying two leaves.
+def random_not_well_covered(rng: random.Random, tag: str, m: int, tries: int):
+    """A connected girth >= 5 graph with a vertex carrying two leaves, on a
+    base of m vertices with up to ``tries`` extra edges.
 
     With leaves u1, u2 on v, a maximal independent set through v loses v and
     gains both leaves when v is swapped out, so two sizes occur.  The base
     is a random tree plus edges whose endpoints are at distance >= 4, which
     keeps every cycle at length 5 or more.
     """
-    m = rng.randint(2, 9)
     verts = [f"{tag}_{i}" for i in range(m)]
     edges = [(verts[rng.randrange(i)], verts[i]) for i in range(1, m)]
     adj = {v: set() for v in verts}
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    for _ in range(rng.randint(0, 4)):
+    for _ in range(tries):
         a, b = rng.sample(verts, 2)
         if _distances(adj, a).get(b, 0) >= 4:
             edges.append((a, b))
@@ -359,6 +355,12 @@ BALANCE_CHAINS = ((2, 2), (3, 0))
 
 GRAPH_CHAINS = ((4, 0), (4, 2), (5, 0))
 GRAPH_COUNTS = {"K1": 5, "PG": 80, "Exceptional": 20, "NotWellCovered": 95}
+# the random graphs' sizes cycle through fixed lists, so that a seed changes
+# their structure but not how much work they make: (pentagons, pendant
+# edges) of a pendant/cycle member, and (base vertices, extra-edge tries) of
+# a graph that is not well-covered
+PG_SHAPES = tuple((j, l) for j in range(3) for l in range(4) if j + l)
+NWC_SHAPES = tuple((m, m % 5) for m in range(2, 10))
 
 
 def _cm_command(plan: Plan, cid: str, verts, facets, rng, expect_face=None,
@@ -461,7 +463,8 @@ def build_graphs(plan: Plan, rng: random.Random):
         _graph_commands(plan, f"k1_{k}", ([f"solo{k}"], []), rng,
                         {"verdict": "K1"}, embed=True)
     for k in range(GRAPH_COUNTS["PG"]):
-        graph, (j, l) = random_pg_member(rng, f"u{k}")
+        j, l = PG_SHAPES[k % len(PG_SHAPES)]
+        graph = random_pg_member(rng, f"u{k}", j, l)
         _graph_commands(plan, f"pg_{k}", graph, rng,
                         {"verdict": "PG", "cycles": j, "pendants": l},
                         embed=True, shuffle=True)
@@ -472,7 +475,8 @@ def build_graphs(plan: Plan, rng: random.Random):
                         {"verdict": "Exceptional", "name": name}, embed=False,
                         shuffle=True)
     for k in range(GRAPH_COUNTS["NotWellCovered"]):
-        _graph_commands(plan, f"nwc_{k}", random_not_well_covered(rng, f"w{k}"),
+        m, tries = NWC_SHAPES[k % len(NWC_SHAPES)]
+        _graph_commands(plan, f"nwc_{k}", random_not_well_covered(rng, f"w{k}", m, tries),
                         rng, {"verdict": "NotWellCovered"}, embed=False,
                         shuffle=True)
     for j, l in GRAPH_CHAINS:
