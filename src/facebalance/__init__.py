@@ -1,21 +1,20 @@
 """Exact face-number invariants, Cohen-Macaulay tests, and d-colorable
 multicomplex witnesses for simplicial complexes at desk scale."""
 
-from .complexes import (ComplexError, Graph, SimplicialComplex, clique_complex,
-                        convolve, empty_complex, f_from_h, find_colorable_complex,
-                        h_from_f, independence_complex, is_balanced,
-                        is_full_dimensional_subcomplex, maximal_independent_sets,
-                        parse_complex, parse_graph, proper_coloring)
+from .complexes import (ComplexError, Graph, SimplicialComplex, VerificationError,
+                        clique_complex, convolve, empty_complex, f_from_h,
+                        find_colorable_complex, h_from_f, independence_complex,
+                        is_balanced, is_full_dimensional_subcomplex,
+                        maximal_independent_sets, parse_complex, parse_graph,
+                        proper_coloring)
 from .homology import (BettiProfile, CMViolation, boundary_rank, cm_report,
                        is_cohen_macaulay, reduced_betti)
 from .polynomials import (LinearAutomorphism, Multicomplex, Specialization,
                           StandardBasisOverflow, TermOrder, apply_automorphism,
-                          f_vector_of_multicomplex, initial_ideal_by_degree,
-                          revlex_compare, specialization_stream,
-                          stanley_reisner_generators, standard_monomial_basis,
-                          support_part)
+                          initial_ideal_by_degree, specialization_stream,
+                          stanley_reisner_generators, standard_monomial_basis)
 from .balancing import (BalancedWitness, BalancingPair, CoverError,
-                        VerificationError, balanced_witness, base_pair_points,
+                        balanced_witness, base_pair_points,
                         base_pair_near_bipartite, compose_pairs, factor_complex,
                         inherit_to_subcomplex, join_of_factors,
                         kind_kleinschmidt, parse_cover)

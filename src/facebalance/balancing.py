@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .complexes import (ComplexError, Graph, SimplicialComplex, h_from_f,
+from .complexes import (ComplexError, Graph, SimplicialComplex,
+                        VerificationError, h_from_f,
                         is_full_dimensional_subcomplex, is_proper)
 from .homology import is_cohen_macaulay
 from .linalg import bareiss_rank, invert
@@ -29,10 +30,6 @@ from .polynomials import (DEFAULT_SEED, LinearAutomorphism, Multicomplex,
 
 class CoverError(ComplexError):
     """The cover or the complex violates a pipeline hypothesis."""
-
-
-class VerificationError(RuntimeError):
-    """A witness check failed after exhausting specialization retries."""
 
 
 @dataclass(frozen=True)
@@ -58,9 +55,6 @@ class BalancingPair:
 
     def inverse_matrix(self) -> LinearAutomorphism:
         return self.matrix.inverse()
-
-    def block_index(self) -> dict[str, int]:
-        return {v: i for i, b in enumerate(self.blocks) for v in b}
 
     def to_json_obj(self) -> dict:
         return {"order": list(self.order.variables), "tail": list(self.order.tail()),
@@ -144,7 +138,7 @@ def base_pair_near_bipartite(graph: Graph, removed_edge: Optional[Sequence[str]]
         raise CoverError("graph factor minus the chosen edge is still odd")
     same = next((s for s in sides if y in s), ())
     if z not in same:
-        raise AssertionError("edge endpoints split across the 2-coloring")
+        raise VerificationError("edge endpoints split across the 2-coloring")
     class_a = tuple(v for v in graph.vertices if v in set(same))
     class_b = tuple(v for v in graph.vertices if v not in set(same))
     ordered = class_b + tuple(v for v in class_a if v not in (y, z)) + (y, z)
@@ -277,8 +271,6 @@ def _base_pairs_for(factor: dict, spec: Specialization) -> list[BalancingPair]:
     if factor["type"] == "points" or not factor["edges"]:
         return [base_pair_points(factor["vertices"])]
     g = Graph(factor["vertices"], factor["edges"])
-    if not g.is_triangle_free():
-        raise CoverError("graph factor contains a triangle")
     sides = g.bipartition()
     if sides is not None:
         return [base_pair_points(side) for side in sides if side]
@@ -319,7 +311,7 @@ class BalancedWitness:
 
 
 CHECK_NAMES = ("kind_kleinschmidt", "squarefree", "block_degree",
-               "divisibility_closure", "f_matches_h")
+               "divisibility_closure", "f_matches_h", "proper_coloring")
 
 
 def _padded(seq: Sequence[int], length: int) -> tuple[int, ...]:
@@ -327,8 +319,7 @@ def _padded(seq: Sequence[int], length: int) -> tuple[int, ...]:
 
 
 def balanced_witness(delta: SimplicialComplex, cover: Sequence[dict],
-                     seed: int = DEFAULT_SEED, retries: int = 8,
-                     require_cm: bool = True) -> BalancedWitness:
+                     seed: int = DEFAULT_SEED, retries: int = 8) -> BalancedWitness:
     """Build and verify the witness for a full-dimensional CM subcomplex of a
     join of admissible factors.
 
@@ -342,12 +333,11 @@ def balanced_witness(delta: SimplicialComplex, cover: Sequence[dict],
     if not is_full_dimensional_subcomplex(delta, gamma):
         raise CoverError("complex is not a full-dimensional subcomplex of the "
                          "cover join")
-    if require_cm:
-        cm, violation = is_cohen_macaulay(delta)
-        if not cm:
-            raise CoverError(
-                f"complex is not Cohen-Macaulay: link of {list(violation.face)!r} "
-                f"has homology in degree {violation.degree}")
+    cm, violation = is_cohen_macaulay(delta)
+    if not cm:
+        raise CoverError(
+            f"complex is not Cohen-Macaulay: link of {list(violation.face)!r} "
+            f"has homology in degree {violation.degree}")
     d = delta.dim + 1
     h = h_from_f(delta.f_vector())
     failures = []
@@ -372,11 +362,12 @@ def balanced_witness(delta: SimplicialComplex, cover: Sequence[dict],
             checks["divisibility_closure"] = basis.is_divisibility_closed()
             checks["f_matches_h"] = (_padded(basis.f_vector(), d + 1)
                                      == _padded(h, d + 1))
+            # only a squarefree basis is a complex that can be colored
+            witness_complex = basis.to_complex() if checks["squarefree"] else None
+            coloring = {v: i for i, b in enumerate(pair.blocks) for v in b}
+            checks["proper_coloring"] = (witness_complex is not None
+                                         and is_proper(witness_complex, coloring))
             if all(checks.values()):
-                witness_complex = basis.to_complex()
-                coloring = {v: i for i, b in enumerate(pair.blocks) for v in b}
-                assert is_proper(witness_complex, coloring), \
-                    "block coloring is not proper on the witness"
                 return BalancedWitness(pair, basis, witness_complex, coloring,
                                        h, checks, spec, seed)
             failed = sorted(k for k, v in checks.items() if not v)

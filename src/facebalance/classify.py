@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import (ComplexError, Graph, SimplicialComplex,
-                        independence_complex, maximal_independent_sets)
+                        VerificationError, independence_complex,
+                        maximal_independent_sets)
 
 INFINITE = math.inf
 
@@ -301,14 +302,15 @@ def classify_girth5(g: Graph) -> Verdict:
         return Verdict("K1")
     for name, h in sorted(exceptional_catalog().items()):
         if is_isomorphic(g, h):
-            dec = pg_decomposition(g)
-            assert dec is None, "catalog graph also decomposes"
+            if pg_decomposition(g) is not None:
+                raise VerificationError("catalog graph also decomposes")
             return Verdict("Exceptional", name=name)
     dec = pg_decomposition(g)
     if dec is None:
-        raise AssertionError(
+        raise VerificationError(
             "well-covered girth >= 5 graph is neither exceptional nor decomposable")
-    assert dec.beta == beta(g), "decomposition size disagrees with beta"
+    if dec.beta != beta(g):
+        raise VerificationError("decomposition size disagrees with beta")
     return Verdict("PG", decomposition=dec)
 
 
@@ -355,10 +357,10 @@ def embed_in_join(g: Graph) -> tuple[list[dict], dict]:
                 + (f": {verdict.name}" if verdict.name else "") + ")")
     expected_d = sum(2 * c["basic_cycles"] + c["pendant_edges"] + (c["kind"] == "K1")
                      for c in per_component)
-    ind = independence_complex(g)
+    # Ind(g)'s facets are the maximal independent sets, so its dim + 1 is beta
     certificate = {"components": per_component,
                    "expected_tail": expected_d,
-                   "dim_matches": ind.dim + 1 == expected_d}
+                   "dim_matches": beta(g) == expected_d}
     return factors, certificate
 
 

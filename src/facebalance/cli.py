@@ -4,8 +4,8 @@ Every subcommand prints a run report: the command echo, sha256 digests of the
 inputs, the seed, and a results object.  With ``--json`` the report is a
 single canonical JSON line (sorted keys, no whitespace), which is
 byte-identical across replays of the same inputs and seed; the human format
-adds the elapsed time.  Exit codes: 0 ok, 1 verification mismatch, 2 input
-error.
+adds the elapsed time.  Exit codes: 0 ok, 1 verification mismatch (including
+a failed internal invariant), 2 input error.
 """
 
 from __future__ import annotations

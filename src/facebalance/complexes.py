@@ -19,6 +19,10 @@ class ComplexError(ValueError):
     """Malformed complex, graph, or input file."""
 
 
+class VerificationError(RuntimeError):
+    """A property the program claims failed its re-check on exact data."""
+
+
 # ---------------------------------------------------------------------------
 # f/h-vector calculus
 # ---------------------------------------------------------------------------
@@ -170,10 +174,7 @@ class SimplicialComplex:
         """True iff every clique of the 1-skeleton is a face."""
         if self.dim <= 0:
             return True
-        adj = {i: set() for i in range(len(self.vertices))}
-        for a, b in self.faces(1):
-            adj[a].add(b)
-            adj[b].add(a)
+        adj = self.one_skeleton().adjacency()
         for clique in _bron_kerbosch(set(adj), adj):
             if not self.has_face(clique):
                 return False
@@ -228,7 +229,8 @@ class SimplicialComplex:
         facets = [self.labels(f) + other.labels(g)
                   for f in self.facets for g in other.facets]
         out = SimplicialComplex(facets, vertices=self.vertices + other.vertices)
-        assert out.f_vector() == convolve(self.f_vector(), other.f_vector())
+        if out.f_vector() != convolve(self.f_vector(), other.f_vector()):
+            raise VerificationError("join f-vector is not the convolution")
         return out
 
     # -- serialization -------------------------------------------------------
@@ -473,10 +475,7 @@ def proper_coloring(delta: SimplicialComplex, k: int) -> Optional[dict[str, int]
     if delta.dim == -1:
         return {}
     n = len(delta.vertices)
-    adj = {i: set() for i in range(n)}
-    for a, b in delta.faces(1):
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = delta.one_skeleton().adjacency()
     order = sorted(range(n), key=lambda i: (-len(adj[i]), i))
     color: dict[int, int] = {}
 
@@ -594,9 +593,7 @@ def find_colorable_complex(f: Sequence[int], d: int
         all_faces = [(i,) for i in range(n)]
         for k in range(1, top + 1):
             all_faces.extend(sorted(chosen.get(k, ())))
-        maximal = [face for face in all_faces
-                   if not any(set(face) < set(g) for g in all_faces)]
-        delta = SimplicialComplex([[names[v] for v in face] for face in maximal],
+        delta = SimplicialComplex([[names[v] for v in face] for face in all_faces],
                                   vertices=names)
         coloring = {names[i]: kappa[i] for i in range(n)}
         if delta.f_vector() != f or not is_proper(delta, coloring):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, VerificationError
 from .linalg import sparse_rank
 
 
@@ -75,16 +75,38 @@ def reduced_betti(delta: SimplicialComplex) -> BettiProfile:
     f = delta.f_vector()
     euler_faces = sum((-1) ** i * f[i + 1] for i in range(-1, d + 1))
     euler_betti = sum((-1) ** i * profile.degree(i) for i in range(-1, d + 1))
-    assert euler_betti == euler_faces, "Euler characteristic mismatch"
+    if euler_betti != euler_faces:
+        raise VerificationError("Euler characteristic mismatch")
     return profile
 
 
-def _first_violation(link: SimplicialComplex) -> Optional[tuple[int, BettiProfile]]:
-    betti = reduced_betti(link)
-    for i in range(-1, link.dim):
-        if betti.degree(i) != 0:
-            return i, betti
-    return None
+def _first_gap(betti: BettiProfile) -> Optional[int]:
+    """Lowest degree below the top with nonzero reduced homology."""
+    return next((i for i in range(-1, betti.dim) if betti.degree(i)), None)
+
+
+def _link_vanishing(delta: SimplicialComplex
+                    ) -> tuple[BettiProfile, Optional[CMViolation]]:
+    """Global Betti numbers and the first face whose link fails to vanish.
+
+    Faces are visited the empty one first, then by dimension and
+    lexicographic order.  The empty face's link is the complex itself, so
+    its Betti numbers are the global ones.
+    """
+    betti = reduced_betti(delta)
+    degree = _first_gap(betti)
+    if degree is not None:
+        return betti, CMViolation((), degree, betti)
+    for k in range(delta.dim + 1):
+        for tau in delta.faces(k):
+            labels = delta.labels(tau)
+            link_betti = reduced_betti(delta.link(labels))
+            degree = _first_gap(link_betti)
+            if degree is not None:
+                return betti, CMViolation(labels, degree, link_betti)
+    if not delta.is_pure():
+        raise VerificationError("link-vanishing passed on a non-pure complex")
+    return betti, None
 
 
 def is_cohen_macaulay(delta: SimplicialComplex
@@ -95,19 +117,13 @@ def is_cohen_macaulay(delta: SimplicialComplex
     order) must have a link with vanishing reduced homology below its top
     dimension.  Returns the first failing face as a certificate.
     """
-    for tau in delta.all_faces():
-        link = delta.link(delta.labels(tau))
-        hit = _first_violation(link)
-        if hit is not None:
-            degree, betti = hit
-            return False, CMViolation(delta.labels(tau), degree, betti)
-    assert delta.is_pure(), "link-vanishing passed on a non-pure complex"
-    return True, None
+    _, violation = _link_vanishing(delta)
+    return violation is None, violation
 
 
 def cm_report(delta: SimplicialComplex) -> dict:
     """JSON-ready report: verdict, global Betti numbers, violation if any."""
-    verdict, violation = is_cohen_macaulay(delta)
-    return {"cm": verdict,
-            "betti": list(reduced_betti(delta)),
+    betti, violation = _link_vanishing(delta)
+    return {"cm": violation is None,
+            "betti": list(betti),
             "violation": None if violation is None else violation.to_json_obj()}

@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Dense routines (determinant, rank, inverse) use fraction-free Bareiss
-elimination on integer-scaled copies, so no rational blow-up occurs in the
-pivoting loop.  The sparse echelon form used for boundary maps and Macaulay
-matrices keeps rows as integer dicts and reduces by cross-multiplication
-followed by content stripping, which is the same fraction-free scheme in
-sparse form.
+The dense rank uses fraction-free Bareiss elimination on an integer-scaled
+copy, so no rational blow-up occurs in the pivoting loop; the dense inverse
+is Gauss-Jordan over Fractions.  The sparse echelon form used for boundary
+maps and Macaulay matrices keeps rows as integer dicts and reduces by
+cross-multiplication followed by content stripping, which is the same
+fraction-free scheme in sparse form.
 """
 
 from __future__ import annotations
@@ -52,39 +52,6 @@ def bareiss_rank(rows) -> int:
     return rank
 
 
-def bareiss_det(rows) -> Fraction:
-    """Exact determinant of a square matrix of rationals."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    m = []
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("determinant of a non-square matrix")
-        denom = 1
-        for x in row:
-            f = Fraction(x)
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        scale /= denom
-        m.append([int(Fraction(x) * denom) for x in row])
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = (m[c][c] * m[i][j] - m[i][c] * m[c][j]) // prev
-            m[i][c] = 0
-        prev = m[c][c]
-    return scale * sign * m[n - 1][n - 1]
-
-
 def invert(rows):
     """Exact inverse as a tuple of tuples of Fractions.
 
@@ -108,16 +75,6 @@ def invert(rows):
                 f = aug[i][c]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def mat_mul(a, b):
-    """Product of two dense matrices of rationals (tuple-of-tuples result)."""
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch")
-    bt = list(zip(*b)) if b else []
-    return tuple(tuple(sum(Fraction(x) * Fraction(y) for x, y in zip(row, col))
-                       for col in bt)
-                 for row in a)
 
 
 def _strip_content(row: dict) -> dict:
@@ -172,9 +129,9 @@ class SparseEchelon:
         return set(self.pivots)
 
 
-def sparse_rank(rows, column_rank=None) -> int:
+def sparse_rank(rows) -> int:
     """Rank of an iterable of sparse rows (dicts column->int)."""
-    ech = SparseEchelon(column_rank or (lambda c: c))
+    ech = SparseEchelon(lambda c: c)
     for row in rows:
         ech.add_row(row)
     return ech.rank

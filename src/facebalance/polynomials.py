@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .complexes import SimplicialComplex
-from .linalg import SparseEchelon, bareiss_det, invert
+from .complexes import SimplicialComplex, VerificationError
+from .linalg import SparseEchelon, invert
 
 Monomial = tuple  # exponent tuple aligned with a TermOrder's variables
 
@@ -87,33 +87,13 @@ class TermOrder:
         """Ascending revlex key: bigger exponent at the last difference sorts first."""
         return (sum(m), tuple(-e for e in reversed(m)))
 
-    def monomials_of_degree(self, i: int, support: Optional[Sequence[int]] = None):
-        """All degree-``i`` exponent tuples, optionally on a support subset."""
-        idxs = list(range(self.n)) if support is None else list(support)
-        for combo in itertools.combinations_with_replacement(idxs, i):
+    def monomials_of_degree(self, i: int):
+        """All degree-``i`` exponent tuples."""
+        for combo in itertools.combinations_with_replacement(range(self.n), i):
             m = [0] * self.n
             for j in combo:
                 m[j] += 1
             yield tuple(m)
-
-
-def revlex_compare(m1: Monomial, m2: Monomial, order: TermOrder) -> int:
-    """-1, 0, or 1 as m1 precedes, equals, or follows m2."""
-    if len(m1) != len(m2) or len(m1) != order.n:
-        raise ValueError("monomials over different variable universes")
-    d1, d2 = sum(m1), sum(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    for e1, e2 in zip(reversed(m1), reversed(m2)):
-        if e1 != e2:
-            return -1 if e1 > e2 else 1
-    return 0
-
-
-def support_part(m: Monomial, support: Iterable[int], order: TermOrder) -> Monomial:
-    """The divisor of ``m`` supported on the given variable indices."""
-    keep = set(support)
-    return tuple(e if i in keep else 0 for i, e in enumerate(m))
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -156,12 +136,6 @@ def poly_scale_to_int(p: dict) -> dict:
     return {m: v // g for m, v in ints.items()} if g > 1 else ints
 
 
-def leading_monomial(p: dict, order: TermOrder) -> Monomial:
-    if not p:
-        raise ValueError("zero polynomial has no leading monomial")
-    return max(p, key=order.sort_key)
-
-
 @dataclass(frozen=True)
 class LinearAutomorphism:
     """Invertible matrix acting on the degree-1 span of a variable sequence.
@@ -183,9 +157,6 @@ class LinearAutomorphism:
         n = len(variables)
         return cls(tuple(variables),
                    tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
-    def determinant(self) -> Fraction:
-        return bareiss_det(self.matrix)
 
     def inverse(self) -> "LinearAutomorphism":
         return LinearAutomorphism(self.variables, invert(self.matrix))
@@ -357,10 +328,6 @@ class Multicomplex:
     def is_squarefree(self) -> bool:
         return all(e <= 1 for m in self.monomials for e in m)
 
-    def support(self) -> set[str]:
-        return {self.variables[i] for m in self.monomials
-                for i, e in enumerate(m) if e}
-
     def max_degree_in(self, indices: Iterable[int]) -> int:
         idx = list(indices)
         if not self.monomials:
@@ -384,12 +351,6 @@ class Multicomplex:
                 "F": list(self.f_vector())}
 
 
-def f_vector_of_multicomplex(mc: Multicomplex) -> tuple[int, ...]:
-    if not mc.is_divisibility_closed():
-        raise ValueError("not divisibility-closed")
-    return mc.f_vector()
-
-
 def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
                             order: TermOrder,
                             max_degree: Optional[int] = None) -> Multicomplex:
@@ -400,7 +361,9 @@ def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
     with no standard monomials appears; divisibility closure makes everything
     above empty as well.  If the sweep passes ``max_degree`` (default: one
     more than the tail size) the tail is not a linear system of parameters
-    for this twist and :class:`StandardBasisOverflow` is raised.
+    for this twist and :class:`StandardBasisOverflow` is raised.  A basis
+    that touches the tail or is not divisibility-closed raises
+    :class:`VerificationError`.
     """
     if g.variables != order.variables:
         raise ValueError("matrix and order disagree on the variable sequence")
@@ -425,10 +388,11 @@ def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
                 f"variables are not a linear system of parameters for this "
                 f"twist/specialization")
     tail_idx = range(order.n - d, order.n)
-    assert all(all(m[i] == 0 for i in tail_idx) for m in collected), \
-        "standard monomial touches the parameter tail"
+    if any(m[i] for m in collected for i in tail_idx):
+        raise VerificationError("standard monomial touches the parameter tail")
     basis = Multicomplex(order.variables, frozenset(collected) | {order.unit()})
-    assert basis.is_divisibility_closed(), "standard set not divisibility-closed"
+    if not basis.is_divisibility_closed():
+        raise VerificationError("standard set not divisibility-closed")
     return basis
 
 

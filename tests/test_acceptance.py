@@ -120,7 +120,7 @@ def test_criterion_4_pentagon_pipeline():
     assert witness.checks == {"kind_kleinschmidt": True, "squarefree": True,
                               "block_degree": True,
                               "divisibility_closure": True,
-                              "f_matches_h": True}
+                              "f_matches_h": True, "proper_coloring": True}
     assert witness.specialization.attempt == 0  # the default specialization
     assert time.perf_counter() - started < 5
     _announce("4 (pentagon pipeline)", started)

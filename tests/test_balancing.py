@@ -94,7 +94,7 @@ def test_near_bipartite_pair_matrices():
 def test_near_bipartite_block_squares_lead():
     # for a variable in the small color-class block, the twisted difference
     # of its products with the two tail variables leads with its square
-    from facebalance.polynomials import apply_automorphism, leading_monomial
+    from facebalance.polynomials import apply_automorphism
 
     pair = base_pair_near_bipartite(_pentagram(), None, Specialization())
     order = pair.order
@@ -110,7 +110,7 @@ def test_near_bipartite_block_squares_lead():
         else:
             diff.pop(m, None)
     square = order.monomial_of((x1_block, x1_block))
-    assert leading_monomial(diff, order) == square
+    assert max(diff, key=order.sort_key) == square
     # after reduction, every free square is a degree-2 leading monomial
     from facebalance.polynomials import (initial_ideal_by_degree,
                                          stanley_reisner_generators)
@@ -284,7 +284,7 @@ def test_witness_for_pentagon():
     assert all(witness.checks.values())
     assert set(witness.checks) == {"kind_kleinschmidt", "squarefree",
                                    "block_degree", "divisibility_closure",
-                                   "f_matches_h"}
+                                   "f_matches_h", "proper_coloring"}
     assert is_proper(witness.complex, witness.coloring)
     assert witness.complex.f_vector() == (1, 3, 1)
 
@@ -321,13 +321,15 @@ def test_witness_rejects_non_cm_subcomplex():
         balanced_witness(two_edges, [_graph_factor(square)])
 
 
-def test_witness_cm_check_can_be_waived():
+def test_witness_cm_check_can_be_waived(monkeypatch):
+    import facebalance.balancing as balancing
+
     square = cycle_graph(4, "c")
     two_edges = SimplicialComplex([("c1", "c2"), ("c3", "c4")])
+    monkeypatch.setattr(balancing, "is_cohen_macaulay", lambda delta: (True, None))
     # h = (1, 2, -1) cannot match a monomial count, so verification must fail
     with pytest.raises(VerificationError, match="f_matches_h"):
-        balanced_witness(two_edges, [_graph_factor(square)], require_cm=False,
-                         retries=1)
+        balanced_witness(two_edges, [_graph_factor(square)], retries=1)
 
 
 def test_witness_rejects_triangle_factor():
@@ -354,7 +356,7 @@ def test_witness_json_fields():
     assert len(obj["basis"]) == 5
     assert obj["checks"] == {"block_degree": True, "divisibility_closure": True,
                              "f_matches_h": True, "kind_kleinschmidt": True,
-                             "squarefree": True}
+                             "proper_coloring": True, "squarefree": True}
     assert sorted(obj["coloring"]) == sorted(v for b in obj["blocks"] for v in b)
     assert obj["twist"]["variables"] == obj["order"]
     assert all("/" in entry for row in obj["twist"]["matrix"] for entry in row)

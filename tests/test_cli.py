@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import cycle_graph
+from facebalance.balancing import CHECK_NAMES
 from facebalance.cli import main
 from facebalance.complexes import independence_complex
 from facebalance.samples import pg_sample_graph
@@ -63,6 +64,8 @@ def test_balance_subcommand(tmp_path, pentagon_file, capsys):
     assert code == 0
     report = _json_out(capsys)
     assert report["results"]["F"] == [1, 3, 1]
+    assert report["checks"] == report["results"]["checks"]
+    assert set(report["checks"]) == set(CHECK_NAMES)
     assert all(report["checks"].values())
 
 

@@ -143,6 +143,18 @@ def test_cm_matches_bruteforce_on_random_complexes():
         assert ok == bf.is_cm(faces)
 
 
+def test_cm_report_agrees_with_its_parts_on_random_complexes():
+    rng = random.Random(67)
+    for _ in range(25):
+        cx = _random_complex(rng, 5)
+        ok, violation = is_cohen_macaulay(cx)
+        assert cm_report(cx) == {
+            "cm": ok, "betti": list(reduced_betti(cx)),
+            "violation": None if ok else violation.to_json_obj()}
+        if violation is not None:
+            assert violation.link_betti == reduced_betti(cx.link(violation.face))
+
+
 def test_cm_implies_pure_on_random_complexes():
     rng = random.Random(59)
     seen_cm = 0
