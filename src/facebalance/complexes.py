@@ -10,7 +10,6 @@ vertices).  The complex containing only the empty face is allowed (dimension
 from __future__ import annotations
 
 import itertools
-import json
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -138,9 +137,6 @@ class SimplicialComplex:
         fs = set(face)
         return any(fs <= set(g) for g in self.facets)
 
-    def face_count(self) -> int:
-        return sum(len(self.faces(k)) for k in range(-1, self.dim + 1))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SimplicialComplex)
                 and self.vertices == other.vertices
@@ -234,11 +230,6 @@ class SimplicialComplex:
         return out
 
     # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {"f": list(self.f_vector()), "h": list(self.h_vector()),
-                   "dim": self.dim}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def to_file_text(self) -> str:
         if self.dim == -1:

@@ -71,13 +71,9 @@ def reduced_betti(delta: SimplicialComplex) -> BettiProfile:
     entries = [1 - ranks[0]]
     for i in range(d + 1):
         entries.append(len(delta.faces(i)) - ranks[i] - ranks[i + 1])
-    profile = BettiProfile(tuple(entries))
-    f = delta.f_vector()
-    euler_faces = sum((-1) ** i * f[i + 1] for i in range(-1, d + 1))
-    euler_betti = sum((-1) ** i * profile.degree(i) for i in range(-1, d + 1))
-    if euler_betti != euler_faces:
-        raise VerificationError("Euler characteristic mismatch")
-    return profile
+    if min(entries) < 0:
+        raise VerificationError(f"negative Betti number in {entries}")
+    return BettiProfile(tuple(entries))
 
 
 def _first_gap(betti: BettiProfile) -> Optional[int]:

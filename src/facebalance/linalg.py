@@ -1,55 +1,43 @@
 """Exact linear algebra over the rationals.
 
-The dense rank uses fraction-free Bareiss elimination on an integer-scaled
-copy, so no rational blow-up occurs in the pivoting loop; the dense inverse
-is Gauss-Jordan over Fractions.  The sparse echelon form used for boundary
-maps and Macaulay matrices keeps rows as integer dicts and reduces by
-cross-multiplication followed by content stripping, which is the same
-fraction-free scheme in sparse form.
+Every rank and pivot set comes from one elimination, :class:`SparseEchelon`:
+rows are integer dicts keyed by integer column, reduced by
+cross-multiplication followed by content stripping (fraction-free, so no
+rational blow-up occurs).  A dense rational matrix is ranked by clearing
+each row to integers with :func:`integer_row` and feeding it to the same
+elimination.  The dense inverse is Gauss-Jordan over Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def _scaled_int_rows(rows):
-    """Copy rows as lists of ints, clearing denominators row by row."""
-    out = []
-    for row in rows:
-        denom = 1
-        for x in row:
-            f = Fraction(x)
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        out.append([int(Fraction(x) * denom) for x in row])
-    return out
+def _strip_content(row: dict) -> dict:
+    """Divide an integer row by the gcd of its entries; raises TypeError on a
+    non-integer entry."""
+    g = gcd(*row.values())
+    if g > 1:
+        return {k: v // g for k, v in row.items()}
+    return row
+
+
+def integer_row(row: dict) -> dict:
+    """The rational row scaled to integers with content 1; zeros dropped."""
+    row = {k: Fraction(v) for k, v in row.items() if v}
+    denom = lcm(*(v.denominator for v in row.values()))
+    return _strip_content({k: int(v * denom) for k, v in row.items()})
 
 
 def bareiss_rank(rows) -> int:
-    """Exact rank of a matrix given as an iterable of rows of rationals."""
-    m = _scaled_int_rows(rows)
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        rank += 1
-        if r == nrows:
-            break
-    return rank
+    """Exact rank of a dense matrix given as an iterable of rows of rationals.
+
+    Each row is cleared to integers and ranked by :func:`sparse_rank`.  The
+    name is kept because the benchmark's tracer (``bench/tracer.py``) wraps
+    it by name.
+    """
+    return sparse_rank(integer_row(dict(enumerate(r))) for r in rows)
 
 
 def invert(rows):
@@ -77,40 +65,25 @@ def invert(rows):
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def _strip_content(row: dict) -> dict:
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v))
-        if g == 1:
-            return row
-    if g > 1:
-        return {k: v // g for k, v in row.items()}
-    return row
-
-
 class SparseEchelon:
-    """Incremental integer row echelon keyed by a fixed column order.
+    """Incremental integer row echelon over integer columns.
 
-    Columns are any sortable keys; ``column_rank`` maps a key to its pivot
-    priority (lower = eliminated first).  Rows are dicts column->int.  The
-    pivot column set is invariant under the order rows are fed in.
+    Rows are dicts column->int; a row's lowest column leads, so lower
+    columns are eliminated first.  A non-integer entry raises TypeError.
+    The pivot column set is invariant under the order rows are fed in.
     """
 
-    def __init__(self, column_rank):
-        self.column_rank = column_rank
+    def __init__(self):
         self.pivots: dict = {}
-
-    def _leading(self, row: dict):
-        return min(row, key=self.column_rank)
 
     def add_row(self, row: dict) -> bool:
         """Reduce ``row`` against current pivots; returns True if independent."""
-        row = {c: int(v) for c, v in row.items() if v != 0}
+        row = _strip_content({c: v for c, v in row.items() if v})
         while row:
-            lead = self._leading(row)
+            lead = min(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                self.pivots[lead] = _strip_content(row)
+                self.pivots[lead] = row
                 return True
             a, b = piv[lead], row[lead]
             new = {}
@@ -125,13 +98,10 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def pivot_columns(self):
-        return set(self.pivots)
-
 
 def sparse_rank(rows) -> int:
     """Rank of an iterable of sparse rows (dicts column->int)."""
-    ech = SparseEchelon(lambda c: c)
+    ech = SparseEchelon()
     for row in rows:
         ech.add_row(row)
     return ech.rank

@@ -15,11 +15,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .complexes import SimplicialComplex, VerificationError
-from .linalg import SparseEchelon, invert
+from .linalg import SparseEchelon, integer_row, invert
 
 Monomial = tuple  # exponent tuple aligned with a TermOrder's variables
 
@@ -119,21 +118,6 @@ def poly_mul(a: dict, b: dict) -> dict:
             else:
                 out.pop(m, None)
     return out
-
-
-def poly_scale_to_int(p: dict) -> dict:
-    """Clear denominators and strip integer content; zero stays zero."""
-    if not p:
-        return {}
-    denom = 1
-    for c in p.values():
-        c = Fraction(c)
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = {m: int(Fraction(c) * denom) for m, c in p.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
-    return {m: v // g for m, v in ints.items()} if g > 1 else ints
 
 
 @dataclass(frozen=True)
@@ -257,7 +241,7 @@ def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
         if len(p) == 1:
             mono_gens.append(next(iter(p)))
         else:
-            poly_gens.append(poly_scale_to_int(p))
+            poly_gens.append(integer_row(p))
 
     # variables that are themselves generators cover in one exponent check
     var_gens = {next(i for i, e in enumerate(mg) if e)
@@ -274,9 +258,9 @@ def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
     if not working:
         return leading, set()
 
-    rank_of = {m: r for r, m in
-               enumerate(sorted(working, key=order.sort_key, reverse=True))}
-    ech = SparseEchelon(rank_of.__getitem__)
+    columns = sorted(working, key=order.sort_key, reverse=True)
+    rank_of = {m: r for r, m in enumerate(columns)}
+    ech = SparseEchelon()
     for p in poly_gens:
         dp = sum(next(iter(p)))
         if dp > degree:
@@ -286,12 +270,12 @@ def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
                 continue
             row = {}
             for t, c in p.items():
-                m = monomial_mul(mult, t)
-                if m not in leading:
-                    row[m] = c
+                r = rank_of.get(monomial_mul(mult, t))
+                if r is not None:
+                    row[r] = c
             if row:
                 ech.add_row(row)
-    pivots = ech.pivot_columns()
+    pivots = {columns[c] for c in ech.pivots}
     leading |= pivots
     standard = {m for m in working if m not in pivots}
     return leading, standard
@@ -352,17 +336,16 @@ class Multicomplex:
 
 
 def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
-                            order: TermOrder,
-                            max_degree: Optional[int] = None) -> Multicomplex:
+                            order: TermOrder) -> Multicomplex:
     """Monomials outside the initial ideal of the twisted face ideal plus tail.
 
     Generators are the images under ``g`` of the Stanley-Reisner generators
     together with the tail variables.  Degrees are swept upward until a degree
     with no standard monomials appears; divisibility closure makes everything
-    above empty as well.  If the sweep passes ``max_degree`` (default: one
-    more than the tail size) the tail is not a linear system of parameters
-    for this twist and :class:`StandardBasisOverflow` is raised.  A basis
-    that touches the tail or is not divisibility-closed raises
+    above empty as well.  If standard monomials persist past degree ``d + 1``
+    (one more than the tail size) the tail is not a linear system of
+    parameters for this twist and :class:`StandardBasisOverflow` is raised.
+    A basis that touches the tail or is not divisibility-closed raises
     :class:`VerificationError`.
     """
     if g.variables != order.variables:
@@ -370,7 +353,7 @@ def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
     d = order.d
     if d != delta.dim + 1:
         raise ValueError(f"tail size {d} but the complex needs {delta.dim + 1}")
-    cap = max_degree if max_degree is not None else d + 1
+    cap = d + 1
     gens: list[dict] = [{order.variable(t): Fraction(1)} for t in order.tail()]
     for nu in stanley_reisner_generators(delta, order):
         gens.append(apply_automorphism(g, {nu: Fraction(1)}))

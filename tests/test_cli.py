@@ -161,6 +161,7 @@ def test_json_stable_across_hash_seeds(tmp_path, pg_graph_file):
     import subprocess
     import sys
 
+    import facebalance
     from facebalance.classify import embed_in_join
 
     ind = independence_complex(pg_sample_graph())
@@ -168,9 +169,12 @@ def test_json_stable_across_hash_seeds(tmp_path, pg_graph_file):
     cx_path.write_text(ind.to_file_text())
     cover_path = tmp_path / "cover.json"
     cover_path.write_text(json.dumps(embed_in_join(pg_sample_graph())[0]))
+    # the child imports the package from the same source tree, installed or not
+    src = os.path.dirname(os.path.dirname(facebalance.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = []
     for hash_seed in ("1", "77"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         for argv in (["embed", "--graph", pg_graph_file],
                      ["cm", str(cx_path)],
                      ["balance", "--complex", str(cx_path),

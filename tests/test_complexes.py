@@ -386,8 +386,3 @@ def test_parse_graph_rejects_malformed():
         parse_graph("a b c\n")
     with pytest.raises(ComplexError):
         Graph(["a"], [("a", "a")])
-
-
-def test_canonical_json():
-    cx = SimplicialComplex([["a", "b"]])
-    assert cx.to_json() == '{"dim":1,"f":[1,2,1],"h":[1,0,0]}'

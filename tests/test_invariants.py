@@ -56,14 +56,14 @@ def test_one_verification_error_class():
 # homology
 # ---------------------------------------------------------------------------
 
-def test_euler_characteristic_mismatch(monkeypatch):
-    # the Betti numbers come from the face lists and the Euler sum from the
-    # f-vector, so an f-vector off by one face breaks the identity
-    real = SimplicialComplex.f_vector
-    monkeypatch.setattr(SimplicialComplex, "f_vector",
-                        lambda self: real(self)[:-1] + (real(self)[-1] + 1,))
+def test_negative_betti_number(monkeypatch):
+    # an over-reported rank could hide homology; on the hollow triangle a
+    # rank of 3 in degree 1 leaves b_0 = 3 - 1 - 3 = -1
+    real = homology.boundary_rank
+    monkeypatch.setattr(homology, "boundary_rank",
+                        lambda cx, i: 3 if i == 1 else real(cx, i))
     hollow = SimplicialComplex([["a", "b"], ["b", "c"], ["a", "c"]])
-    with pytest.raises(VerificationError, match="Euler characteristic"):
+    with pytest.raises(VerificationError, match="negative Betti number"):
         reduced_betti(hollow)
 
 

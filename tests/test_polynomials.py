@@ -12,7 +12,7 @@ from facebalance.polynomials import (LinearAutomorphism, Multicomplex,
                                      StandardBasisOverflow, TermOrder,
                                      apply_automorphism,
                                      initial_ideal_by_degree,
-                                     monomial_divides, poly_scale_to_int,
+                                     monomial_divides,
                                      specialization_stream,
                                      stanley_reisner_generators,
                                      standard_monomial_basis)
@@ -337,14 +337,6 @@ def test_specialization_stream_is_deterministic():
     assert a == b
     assert a[0] == Specialization()
     assert all(s.values[0] * s.values[3] != s.values[1] * s.values[2] for s in a)
-
-
-def test_poly_scale_to_int():
-    p = {(1, 0): Fraction(1, 2), (0, 1): Fraction(-3, 4)}
-    scaled = poly_scale_to_int(p)
-    assert scaled == {(1, 0): 2, (0, 1): -3}
-    order = TermOrder(("x", "y"), 0)
-    assert max(p, key=order.sort_key) == max(scaled, key=order.sort_key)
 
 
 def test_monomial_divides():
