@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import (ComplexError, Graph, SimplicialComplex,
-                        VerificationError, independence_complex,
-                        maximal_independent_sets)
+                        VerificationError, maximal_independent_sets)
 
 INFINITE = math.inf
 
@@ -49,10 +48,9 @@ def girth(g: Graph):
 
 
 def beta(g: Graph) -> int:
-    """Independence number."""
-    if not g.vertices:
-        return 0
-    return max(len(s) for s in maximal_independent_sets(g))
+    """Independence number, summed over the components."""
+    return sum(max(len(s) for s in maximal_independent_sets(g.subgraph(c)))
+               for c in g.components())
 
 
 def is_well_covered(g: Graph) -> bool:
@@ -80,26 +78,26 @@ def basic_5_cycles(g: Graph) -> list[tuple[str, ...]]:
     """Induced 5-cycles with no adjacent pair of degree >= 3 vertices.
 
     Each cycle is returned in traversal order starting at its smallest
-    vertex, toward its smaller neighbor; the list is sorted.
+    vertex, toward its smaller neighbor; the list is sorted.  The cycles are
+    walked as induced paths s-a-b-c closed by a common neighbour e of c and
+    s, with every vertex above s and a < e; each vertex added misses the
+    earlier path vertices it is not next to.  That is O(n * D^4) set
+    operations for maximum degree D, and pruning the path as it grows keeps
+    dense graphs cheap too.
     """
-    n = len(g.vertices)
     adj = g.adjacency()
-    deg = {i: len(adj[i]) for i in range(n)}
+    high = {i for i in adj if len(adj[i]) >= 3}
     out = []
-    for combo in itertools.combinations(range(n), 5):
-        inside = {i: adj[i] & set(combo) for i in combo}
-        if any(len(inside[i]) != 2 for i in combo):
-            continue
-        # 2-regular on 5 vertices is a single 5-cycle
-        if any(deg[u] >= 3 and deg[w] >= 3 for u in combo for w in inside[u]):
-            continue
-        start = combo[0]
-        prev, cur = start, min(inside[start])
-        walk = [start]
-        while cur != start:
-            walk.append(cur)
-            prev, cur = cur, next(x for x in inside[cur] if x != prev)
-        out.append(g.labels(walk))
+    for s in adj:
+        up = {v for v in adj if v > s}
+        for a in adj[s] & up:
+            for b in (adj[a] & up) - adj[s]:
+                for c in (adj[b] & up) - adj[s] - adj[a]:
+                    for e in (adj[c] & adj[s]) - adj[a] - adj[b]:
+                        cyc = (s, a, b, c, e)
+                        if a < e and not any(u in high and w in high
+                                             for u, w in zip(cyc, cyc[1:] + cyc[:1])):
+                            out.append(g.labels(cyc))
     return sorted(out)
 
 
@@ -338,8 +336,9 @@ def embed_in_join(g: Graph) -> tuple[list[dict], dict]:
         elif verdict.kind == "PG":
             dec = verdict.decomposition
             for cyc in dec.basic_cycles:
-                cyc_graph = g.subgraph(cyc)
-                pentagon = independence_complex(cyc_graph).one_skeleton()
+                # the complement of an induced 5-cycle is the pentagon of
+                # Ind(C5)'s edges
+                pentagon = g.subgraph(cyc).complement()
                 factors.append({"type": "graph", "vertices": list(pentagon.vertices),
                                 "edges": [list(e) for e in pentagon.edge_labels()],
                                 "removed_edge": None})

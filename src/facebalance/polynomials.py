@@ -243,14 +243,8 @@ def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
         else:
             poly_gens.append(integer_row(p))
 
-    # variables that are themselves generators cover in one exponent check
-    var_gens = {next(i for i, e in enumerate(mg) if e)
-                for mg in mono_gens if sum(mg) == 1}
-    big_gens = [mg for mg in mono_gens if sum(mg) > 1]
-
     def covered(m: Monomial) -> bool:
-        return (any(m[i] for i in var_gens)
-                or any(monomial_divides(mg, m) for mg in big_gens))
+        return any(monomial_divides(mg, m) for mg in mono_gens)
 
     all_monomials = list(order.monomials_of_degree(degree))
     leading = {m for m in all_monomials if covered(m)}
@@ -339,14 +333,17 @@ def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
                             order: TermOrder) -> Multicomplex:
     """Monomials outside the initial ideal of the twisted face ideal plus tail.
 
-    Generators are the images under ``g`` of the Stanley-Reisner generators
-    together with the tail variables.  Degrees are swept upward until a degree
-    with no standard monomials appears; divisibility closure makes everything
-    above empty as well.  If standard monomials persist past degree ``d + 1``
-    (one more than the tail size) the tail is not a linear system of
-    parameters for this twist and :class:`StandardBasisOverflow` is raised.
-    A basis that touches the tail or is not divisibility-closed raises
-    :class:`VerificationError`.
+    The tail is quotiented out rather than carried as generators: the sweep
+    runs over the free variables only, on the images under ``g`` of the
+    Stanley-Reisner generators with the tail set to zero.  This is exact,
+    since the initial ideal of I + (tail) is in(I with tail = 0) + (tail), so
+    the standard monomials are the free ones, padded with zero tail
+    exponents.  Degrees are swept upward until a degree with no standard
+    monomials appears; divisibility closure makes everything above empty as
+    well.  If standard monomials persist past degree ``d + 1`` (one more than
+    the tail size) the tail is not a linear system of parameters for this
+    twist and :class:`StandardBasisOverflow` is raised.  A basis that is not
+    divisibility-closed raises :class:`VerificationError`.
     """
     if g.variables != order.variables:
         raise ValueError("matrix and order disagree on the variable sequence")
@@ -354,25 +351,24 @@ def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
     if d != delta.dim + 1:
         raise ValueError(f"tail size {d} but the complex needs {delta.dim + 1}")
     cap = d + 1
-    gens: list[dict] = [{order.variable(t): Fraction(1)} for t in order.tail()]
+    free = TermOrder(order.free(), 0)
+    gens: list[dict] = []
     for nu in stanley_reisner_generators(delta, order):
-        gens.append(apply_automorphism(g, {nu: Fraction(1)}))
+        image = apply_automorphism(g, {nu: Fraction(1)})
+        gens.append({m[:free.n]: c for m, c in image.items() if not any(m[free.n:])})
     collected = set()
     degree = 0
     while True:
-        _, std = initial_ideal_by_degree(gens, order, degree)
+        _, std = initial_ideal_by_degree(gens, free, degree)
         if not std:
             break
-        collected |= std
+        collected |= {m + (0,) * d for m in std}
         degree += 1
         if degree > cap:
             raise StandardBasisOverflow(
                 f"standard monomials persist past degree {cap}: the tail "
                 f"variables are not a linear system of parameters for this "
                 f"twist/specialization")
-    tail_idx = range(order.n - d, order.n)
-    if any(m[i] for m in collected for i in tail_idx):
-        raise VerificationError("standard monomial touches the parameter tail")
     basis = Multicomplex(order.variables, frozenset(collected) | {order.unit()})
     if not basis.is_divisibility_closed():
         raise VerificationError("standard set not divisibility-closed")

@@ -160,3 +160,34 @@ def macaulay_standard(gens, variables, degree, key_desc):
         pivots.add(columns[c])
         r += 1
     return {m for m in columns if m not in pivots}
+
+
+def basic_5_cycles(vertices, edges):
+    """Basic 5-cycles by testing every 5-vertex subset.
+
+    A subset qualifies when it induces a 2-regular graph (on five vertices,
+    a single 5-cycle) in which no two adjacent vertices both have degree at
+    least three in the whole graph.  Each cycle is listed from its earliest
+    vertex in ``vertices`` toward its earlier neighbour; the list is sorted.
+    """
+    pos = {v: i for i, v in enumerate(vertices)}
+    nbrs = {v: set() for v in vertices}
+    for u, w in edges:
+        nbrs[u].add(w)
+        nbrs[w].add(u)
+    out = []
+    for combo in itertools.combinations(vertices, 5):
+        inside = {v: nbrs[v] & set(combo) for v in combo}
+        if any(len(inside[v]) != 2 for v in combo):
+            continue
+        if any(len(nbrs[u]) >= 3 and len(nbrs[w]) >= 3
+               for u in combo for w in inside[u]):
+            continue
+        start = combo[0]
+        prev, cur = start, min(inside[start], key=pos.__getitem__)
+        walk = [start]
+        while cur != start:
+            walk.append(cur)
+            prev, cur = cur, next(x for x in inside[cur] if x != prev)
+        out.append(tuple(walk))
+    return sorted(out)

@@ -54,13 +54,17 @@ def test_beta_and_well_covered():
 
 
 def test_beta_against_bruteforce():
+    # disjoint unions of one to three random parts: beta adds over components
     rng = random.Random(67)
     for _ in range(20):
-        n = rng.randint(1, 8)
-        verts = [f"v{i}" for i in range(n)]
-        edges = [e for e in itertools.combinations(verts, 2) if rng.random() < 0.35]
-        g = Graph(verts, edges)
-        assert beta(g) == max(len(s) for s in bf.independent_subsets(verts, edges))
+        parts = []
+        for k in range(rng.randint(1, 3)):
+            verts = [f"c{k}v{i}" for i in range(rng.randint(1, 4))]
+            parts.append(Graph(verts, [e for e in itertools.combinations(verts, 2)
+                                       if rng.random() < 0.35]))
+        g = disjoint_union(*parts)
+        assert beta(g) == max(len(s) for s in
+                              bf.independent_subsets(g.vertices, g.edge_labels()))
 
 
 def test_pendant_edges():
@@ -114,6 +118,40 @@ def test_adjacent_branch_vertices_break_basicness():
 
 def test_second_bridge_destroys_one_basic_pentagon():
     assert len(basic_5_cycles(overlinked_pentagon_graph())) == 1
+
+
+def _check_against_subsets(g):
+    found = basic_5_cycles(g)
+    assert found == bf.basic_5_cycles(g.vertices, g.edge_labels())
+    return found
+
+
+def test_basic_5_cycles_match_subsets_on_pentagon_unions():
+    rng = random.Random(73)
+    with_cycle = 0
+    for trial in range(300):
+        parts = [cycle_graph(5, f"c{k}_") for k in range(rng.randint(1, 3))]
+        parts.append(Graph([f"i{k}" for k in range(rng.randint(0, 3))], []))
+        base = disjoint_union(*parts)
+        verts = list(base.vertices)
+        extra = [tuple(rng.sample(verts, 2)) for _ in range(rng.randint(0, 6))]
+        rng.shuffle(verts)
+        g = Graph(verts, base.edge_labels() + extra)
+        with_cycle += bool(_check_against_subsets(g))
+    # the extra edges destroy some basic cycles but not all of them
+    assert 100 < with_cycle < 300
+
+
+def test_basic_5_cycles_match_subsets_on_random_graphs():
+    rng = random.Random(79)
+    for trial in range(200):
+        n = rng.randint(0, 11)
+        p = rng.choice([0.15, 0.3, 0.5, 0.8])
+        verts = [f"v{i}" for i in range(n)]
+        rng.shuffle(verts)
+        _check_against_subsets(
+            Graph(verts, [e for e in itertools.combinations(verts, 2)
+                          if rng.random() < p]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +321,24 @@ def test_embed_two_disjoint_edges():
     ind = independence_complex(g)
     # the independence complex is the whole join (a 4-cycle complex)
     assert ind.f_vector() == join_of_factors(cover).f_vector() == (1, 4, 4)
+
+
+def test_embed_finds_beta_one_component_at_a_time(monkeypatch):
+    # beta over the whole graph would enumerate the product of the
+    # components' maximal independent sets: 11^8 for eight pentagons
+    import facebalance.classify as classify
+    from facebalance.complexes import maximal_independent_sets
+
+    def connected_only(g):
+        if not g.is_connected():
+            pytest.fail("maximal independent sets of a disconnected graph")
+        return maximal_independent_sets(g)
+
+    monkeypatch.setattr(classify, "maximal_independent_sets", connected_only)
+    g = disjoint_union(*(cycle_graph(5, f"c{k}_") for k in range(8)))
+    cover, cert = embed_in_join(g)
+    assert len(cover) == 8
+    assert cert["expected_tail"] == 16 and cert["dim_matches"]
 
 
 def test_embed_rejects_exceptional_components():

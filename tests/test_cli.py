@@ -175,7 +175,8 @@ def test_json_stable_across_hash_seeds(tmp_path, pg_graph_file):
     outs = []
     for hash_seed in ("1", "77"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
-        for argv in (["embed", "--graph", pg_graph_file],
+        for argv in (["classify", "--graph", pg_graph_file],
+                     ["embed", "--graph", pg_graph_file],
                      ["cm", str(cx_path)],
                      ["balance", "--complex", str(cx_path),
                       "--cover", str(cover_path)]):

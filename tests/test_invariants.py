@@ -13,8 +13,7 @@ import facebalance.complexes as complexes
 import facebalance.homology as homology
 import facebalance.polynomials as polynomials
 from conftest import cycle_graph
-from facebalance.balancing import (balanced_witness, base_pair_near_bipartite,
-                                   base_pair_points)
+from facebalance.balancing import balanced_witness, base_pair_near_bipartite
 from facebalance.classify import PGDecomposition, catalog_graph, classify_girth5
 from facebalance.cli import main
 from facebalance.complexes import (Graph, SimplicialComplex, VerificationError,
@@ -87,23 +86,6 @@ def test_join_f_vector_mismatch(monkeypatch):
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
-
-def test_standard_monomial_on_the_tail(monkeypatch):
-    pair = base_pair_points(("a", "b", "c"))
-    tail = pair.order.variable(pair.order.tail()[0])
-    real = polynomials.initial_ideal_by_degree
-
-    def with_tail(gens, order, degree):
-        leading, standard = real(gens, order, degree)
-        if degree == 1:
-            standard = standard | {tail}
-        return leading, standard
-
-    monkeypatch.setattr(polynomials, "initial_ideal_by_degree", with_tail)
-    points = SimplicialComplex([["a"], ["b"], ["c"]])
-    with pytest.raises(VerificationError, match="parameter tail"):
-        standard_monomial_basis(points, pair.matrix, pair.order)
-
 
 def test_standard_set_missing_a_divisor(monkeypatch):
     pentagon = independence_complex(cycle_graph(5))

@@ -16,7 +16,7 @@ from facebalance.polynomials import (LinearAutomorphism, Multicomplex,
                                      specialization_stream,
                                      stanley_reisner_generators,
                                      standard_monomial_basis)
-from conftest import cycle_graph
+from conftest import cycle_graph, disjoint_union, path_graph
 
 
 from hypothesis import given, strategies as st
@@ -345,22 +345,29 @@ def test_monomial_divides():
 
 
 def test_pipeline_generators_match_dense_oracle():
-    # the real generator sets carry tail-variable monomials; the fast path
-    # must agree with the dense no-shortcut Macaulay matrix on each degree
-    from facebalance.balancing import base_pair_near_bipartite
-    from facebalance.polynomials import Specialization
+    # the basis sweeps the free variables with the tail set to zero; the
+    # dense no-shortcut Macaulay matrix over all n variables, with the tail
+    # variables as generators, must give the same standard monomials
+    from facebalance.balancing import base_pair_near_bipartite, compose_pairs
 
     pentagon = independence_complex(cycle_graph(5))
-    pair = base_pair_near_bipartite(pentagon.one_skeleton(), None,
-                                    Specialization())
-    order = pair.order
-    gens = [{order.variable(t): Fraction(1)} for t in order.tail()]
-    for nu in stanley_reisner_generators(pentagon, order):
-        gens.append(apply_automorphism(pair.matrix, {nu: Fraction(1)}))
+    pentagon_pair = base_pair_near_bipartite(pentagon.one_skeleton(), None,
+                                             Specialization())
+    cases = [
+        (pentagon, pentagon_pair),
+        (SimplicialComplex([["a"], ["b"], ["c"]]), base_pair_points(("a", "b", "c"))),
+        (independence_complex(disjoint_union(cycle_graph(5), path_graph(2))),
+         compose_pairs(pentagon_pair, base_pair_points(("p1", "p2")))),
+    ]
     key_desc = lambda m: tuple(-k for k in
                                ((sum(m),) + tuple(-e for e in reversed(m))))
-    for degree in (1, 2, 3):
-        _, standard = initial_ideal_by_degree(gens, order, degree)
-        expected = bf.macaulay_standard(gens, order.variables, degree, key_desc)
-        assert standard == expected
-    assert len(initial_ideal_by_degree(gens, order, 2)[1]) == 1  # h_2 = 1
+    for delta, pair in cases:
+        order = pair.order
+        gens = [{order.variable(t): Fraction(1)} for t in order.tail()]
+        for nu in stanley_reisner_generators(delta, order):
+            gens.append(apply_automorphism(pair.matrix, {nu: Fraction(1)}))
+        expected = set()
+        for degree in range(order.d + 2):
+            expected |= bf.macaulay_standard(gens, order.variables, degree, key_desc)
+        basis = standard_monomial_basis(delta, pair.matrix, order)
+        assert basis.monomials == expected
