@@ -94,8 +94,12 @@ class SimplicialComplex:
         self.vertices = vertices
         self._index = {v: i for i, v in enumerate(vertices)}
         idx_facets = {tuple(sorted(self._index[v] for v in f)) for f in facet_sets}
-        self.facets = frozenset(f for f in idx_facets
-                                if not any(set(f) < set(g) for g in idx_facets))
+        # a strict subset is shorter, so a facet is tested against longer ones only
+        sets = {f: frozenset(f) for f in idx_facets}
+        longer = {n: [g for g in sets.values() if len(g) > n]
+                  for n in {len(f) for f in idx_facets}}
+        self.facets = frozenset(f for f, fs in sets.items()
+                                if not any(fs < g for g in longer[len(f)]))
         self._faces_by_dim: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     # -- basic structure ----------------------------------------------------
@@ -204,8 +208,7 @@ class SimplicialComplex:
         taus = set(tau)
         rest = [tuple(sorted(set(f) - taus)) for f in self.facets if taus <= set(f)]
         return SimplicialComplex([self.labels(f) for f in rest],
-                                 vertices=[v for i, v in enumerate(self.vertices)
-                                           if any(i in f for f in rest)] or None)
+                                 vertices=self.labels(sorted(set().union(*rest))) or None)
 
     def skeleton(self, k: int) -> "SimplicialComplex":
         """Subcomplex of all faces of dimension at most ``k``."""
@@ -326,7 +329,8 @@ class Graph:
         return Graph(self.vertices, edges)
 
     def subgraph(self, keep_labels: Iterable[str]) -> "Graph":
-        keep = [v for v in self.vertices if v in set(keep_labels)]
+        keep_set = set(keep_labels)
+        keep = [v for v in self.vertices if v in keep_set]
         ki = {self._index[v] for v in keep}
         edges = [self.labels(e) for e in self.edges if set(e) <= ki]
         return Graph(keep, edges)

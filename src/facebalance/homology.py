@@ -3,7 +3,14 @@
 Chains are augmented: the empty face spans the (-1)-st chain group, so the
 boundary of a vertex is the empty face and the Betti numbers are reduced.
 Faces are oriented by their sorted vertex order with alternating signs, and
-all ranks are exact.
+all rational ranks are exact.
+
+The Cohen-Macaulay test ranks each boundary matrix over GF(2) first.  An
+integer matrix has rank over GF(2) at most its rank over Q, so every Betti
+number over GF(2) is at least the rational one (the universal coefficient
+theorem).  When the GF(2) numbers vanish below the top degree, the rational
+ones provably vanish too; only a complex where GF(2) sees homology (say,
+torsion, as in the real projective plane) is ranked again over Q.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import SimplicialComplex, VerificationError
-from .linalg import sparse_rank
+from .linalg import gf2_rank, sparse_rank
 
 
 @dataclass(frozen=True)
@@ -44,35 +51,65 @@ class CMViolation:
         return {"face": list(self.face), "degree": self.degree}
 
 
+def _boundary_rows(delta: SimplicialComplex, i: int) -> list[list[int]]:
+    """For each ``i``-face, the positions in ``faces(i - 1)`` of its
+    codimension-1 faces, by the position of the deleted vertex."""
+    below = {f: k for k, f in enumerate(delta.faces(i - 1))}
+    return [[below[face[:pos] + face[pos + 1:]] for pos in range(len(face))]
+            for face in delta.faces(i)]
+
+
 def boundary_rank(delta: SimplicialComplex, i: int) -> int:
     """Exact rank of the boundary map from ``i``-chains to ``(i-1)``-chains."""
     if i < 0 or i > delta.dim:
         raise ValueError(f"no boundary map in degree {i}")
     if i == 0:
         return 1 if delta.faces(0) else 0
-    below = {f: k for k, f in enumerate(delta.faces(i - 1))}
-    rows = []
-    for face in delta.faces(i):
-        row = {}
-        for pos in range(len(face)):
-            sub = face[:pos] + face[pos + 1:]
-            row[below[sub]] = 1 if pos % 2 == 0 else -1
-        rows.append(row)
-    return sparse_rank(rows)
+    return sparse_rank([{k: 1 if pos % 2 == 0 else -1
+                         for pos, k in enumerate(cols)}
+                        for cols in _boundary_rows(delta, i)])
 
 
-def reduced_betti(delta: SimplicialComplex) -> BettiProfile:
-    """Reduced rational Betti numbers of the complex."""
+def _gf2_boundary_rank(delta: SimplicialComplex, i: int) -> int:
+    """Rank over GF(2) of the boundary map from ``i``-chains."""
+    if i == 0:
+        return 1 if delta.faces(0) else 0
+    return gf2_rank(sum(1 << k for k in cols) for cols in _boundary_rows(delta, i))
+
+
+def _betti_entries(delta: SimplicialComplex, rank) -> list[int]:
+    """``(b_-1, ..., b_dim)`` from the boundary ranks ``rank(delta, i)``.
+
+    The entries sum, with alternating signs, to the reduced Euler
+    characteristic whatever the ranks are; an over-reported rank makes an
+    entry negative, which raises.
+    """
     d = delta.dim
-    if d == -1:
-        return BettiProfile((1,))
-    ranks = {i: boundary_rank(delta, i) for i in range(d + 1)}
-    ranks[d + 1] = 0
+    ranks = [rank(delta, i) for i in range(d + 1)] + [0]
     entries = [1 - ranks[0]]
     for i in range(d + 1):
         entries.append(len(delta.faces(i)) - ranks[i] - ranks[i + 1])
     if min(entries) < 0:
         raise VerificationError(f"negative Betti number in {entries}")
+    return entries
+
+
+def reduced_betti(delta: SimplicialComplex) -> BettiProfile:
+    """Reduced rational Betti numbers of the complex."""
+    return BettiProfile(tuple(_betti_entries(delta, boundary_rank)))
+
+
+def _certified_betti(delta: SimplicialComplex) -> BettiProfile:
+    """Reduced rational Betti numbers, certified over GF(2) where it can be.
+
+    If the GF(2) Betti numbers vanish below the top degree, the rational
+    ones do too, and the top entry is then the reduced Euler characteristic
+    up to sign, the same over every field.  Otherwise the rational numbers
+    are computed exactly by :func:`reduced_betti`.
+    """
+    entries = _betti_entries(delta, _gf2_boundary_rank)
+    if any(entries[:-1]):
+        return reduced_betti(delta)
     return BettiProfile(tuple(entries))
 
 
@@ -87,16 +124,19 @@ def _link_vanishing(delta: SimplicialComplex
 
     Faces are visited the empty one first, then by dimension and
     lexicographic order.  The empty face's link is the complex itself, so
-    its Betti numbers are the global ones.
+    its Betti numbers are the global ones.  A face of dimension at least
+    ``dim - 1`` has a link of dimension at most 0, which is ``{()}`` or a
+    nonempty set of points; neither has homology below its top, so those
+    faces are not visited.
     """
-    betti = reduced_betti(delta)
+    betti = _certified_betti(delta)
     degree = _first_gap(betti)
     if degree is not None:
         return betti, CMViolation((), degree, betti)
-    for k in range(delta.dim + 1):
+    for k in range(delta.dim - 1):
         for tau in delta.faces(k):
             labels = delta.labels(tau)
-            link_betti = reduced_betti(delta.link(labels))
+            link_betti = _certified_betti(delta.link(labels))
             degree = _first_gap(link_betti)
             if degree is not None:
                 return betti, CMViolation(labels, degree, link_betti)

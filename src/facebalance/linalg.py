@@ -1,11 +1,13 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and ranks over GF(2).
 
-Every rank and pivot set comes from one elimination, :class:`SparseEchelon`:
-rows are integer dicts keyed by integer column, reduced by
-cross-multiplication followed by content stripping (fraction-free, so no
-rational blow-up occurs).  A dense rational matrix is ranked by clearing
-each row to integers with :func:`integer_row` and feeding it to the same
-elimination.  The dense inverse is Gauss-Jordan over Fractions.
+Every rational rank and pivot set comes from one elimination,
+:class:`SparseEchelon`: rows are integer dicts keyed by integer column,
+reduced by cross-multiplication followed by content stripping
+(fraction-free, so no rational blow-up occurs).  A dense rational matrix is
+ranked by clearing each row to integers with :func:`integer_row` and feeding
+it to the same elimination.  The dense inverse is Gauss-Jordan over
+Fractions.  :func:`gf2_rank` is the one elimination over another field: it
+ranks bitmask rows over GF(2) by XOR.
 """
 
 from __future__ import annotations
@@ -105,3 +107,20 @@ def sparse_rank(rows) -> int:
     for row in rows:
         ech.add_row(row)
     return ech.rank
+
+
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of rows given as int bitmasks (bit k is column k).
+
+    A row is reduced by XOR against the pivot that shares its highest set
+    bit until it vanishes or leads a new pivot.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            piv = pivots.get(row.bit_length())
+            if piv is None:
+                pivots[row.bit_length()] = row
+                break
+            row ^= piv
+    return len(pivots)

@@ -72,6 +72,24 @@ def dense_rank(rows) -> int:
     return rank
 
 
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of int bitmask rows (bit c is column c), by dense
+    elimination on lists of 0/1 entries."""
+    ncols = max((r.bit_length() for r in rows), default=0)
+    m = [[r >> c & 1 for c in range(ncols)] for r in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def betti(faces) -> tuple[int, ...]:
     """Reduced Betti numbers (b_-1, b_0, ..., b_dim) of a face list."""
     by_dim: dict[int, list] = {}

@@ -9,7 +9,7 @@ import random
 import time
 
 import bruteforce as bf
-from conftest import cycle_graph, path_graph
+from conftest import all_complexes_on, cycle_graph, path_graph
 from facebalance.balancing import balanced_witness, join_of_factors
 from facebalance.classify import (beta, classify_girth5,
                                   count_triangles, embed_in_join, girth,
@@ -190,22 +190,6 @@ def test_criterion_6_flag_sphere():
 # 7. property suites
 # ---------------------------------------------------------------------------
 
-def _all_complexes_on(n: int):
-    """Every complex whose support is exactly the n given vertices."""
-    verts = [f"v{i}" for i in range(n)]
-    subsets = [tuple(c) for r in range(1, n + 1)
-               for c in itertools.combinations(verts, r)]
-    for mask in range(1, 2 ** len(subsets)):
-        family = [subsets[i] for i in range(len(subsets)) if mask >> i & 1]
-        maximal = [f for f in family
-                   if not any(set(f) < set(g) for g in family)]
-        if sorted(maximal) != sorted(family):
-            continue  # not an antichain: same complex appears elsewhere
-        if set().union(*map(set, family)) != set(verts):
-            continue  # smaller support: enumerated at the smaller n
-        yield SimplicialComplex(family)
-
-
 def _random_connected_girth5(rng):
     n = rng.randint(2, 12)
     verts = [str(i) for i in range(n)]
@@ -294,7 +278,7 @@ def test_criterion_7_property_suites():
     assert ok_empty == bf.is_cm([()])
     checked = 1
     for n in range(1, 5):
-        for cx in _all_complexes_on(n):
+        for cx in all_complexes_on(n):
             faces = bf.faces_from_facets(cx.facet_labels())
             ok, _ = is_cohen_macaulay(cx)
             assert ok == bf.is_cm(faces)

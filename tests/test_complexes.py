@@ -68,6 +68,8 @@ def test_full_triangle_f_vector():
 def test_facet_normalization_drops_contained():
     c = SimplicialComplex([["a", "b"], ["a"], ["a", "b"]])
     assert c.facet_labels() == [("a", "b")]
+    mixed = SimplicialComplex([["a", "b", "c"], ["a", "b"], ["d"], ["c", "d"], ["b"]])
+    assert mixed.facet_labels() == [("a", "b", "c"), ("c", "d")]
 
 
 def test_empty_complex_conventions():
@@ -131,8 +133,11 @@ def test_link_matches_bruteforce_filter():
         faces = bf.faces_from_facets(cx.facet_labels())
         tau = faces[rng.randrange(len(faces))]
         expected = bf.link_faces(faces, tau)
-        got = bf.faces_from_facets(cx.link(tau).facet_labels())
-        assert got == expected
+        link = cx.link(tau)
+        assert bf.faces_from_facets(link.facet_labels()) == expected
+        # the link keeps the complex's vertex order
+        assert link.vertices == tuple(v for v in cx.vertices
+                                      if any(v in f for f in expected))
 
 
 def test_skeleton():
@@ -282,6 +287,14 @@ def test_maximal_independent_sets_against_bruteforce():
                           if not any(set(s) < set(t) for t in all_ind))
         assert maximal_independent_sets(g) == expected
         assert ind_set  # sanity: the empty set is always independent
+
+
+def test_subgraph_accepts_a_one_shot_iterable():
+    path = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    for keep in (["b", "a"], iter(["b", "a"])):
+        sub = path.subgraph(keep)
+        assert sub.vertices == ("a", "b")
+        assert sub.edge_labels() == [("a", "b")]
 
 
 # ---------------------------------------------------------------------------

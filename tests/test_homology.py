@@ -4,9 +4,11 @@ import random
 import pytest
 
 import bruteforce as bf
-from conftest import cycle_graph
-from facebalance.complexes import (SimplicialComplex, empty_complex,
-                                   independence_complex)
+from conftest import all_complexes_on, cycle_graph
+from facebalance import homology, linalg
+from facebalance.classify import exceptional_catalog
+from facebalance.complexes import (SimplicialComplex, VerificationError,
+                                   empty_complex, independence_complex)
 from facebalance.homology import (boundary_rank, cm_report, is_cohen_macaulay,
                                   reduced_betti)
 
@@ -188,13 +190,104 @@ def test_cm_report_shape():
     assert report == {"cm": True, "betti": [0, 0, 1], "violation": None}
 
 
-def test_projective_plane_is_rationally_trivial_and_cm():
+def _projective_plane():
     # the 6-vertex non-orientable surface: chi = 1, so no rational homology
-    # at all, and over the rationals the link-vanishing test passes
+    # at all, but H_1 has 2-torsion, so over GF(2) it has b_1 = b_2 = 1
     faces = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
              (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5)]
-    cx = SimplicialComplex([[str(v) for v in f] for f in faces])
+    return SimplicialComplex([[str(v) for v in f] for f in faces])
+
+
+def test_projective_plane_is_rationally_trivial_and_cm():
+    # over the rationals the link-vanishing test passes
+    cx = _projective_plane()
     assert cx.f_vector() == (1, 6, 15, 10)
     assert tuple(reduced_betti(cx)) == (0, 0, 0, 0)
     ok, _ = is_cohen_macaulay(cx)
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# the GF(2) certificate in front of the rational scan
+# ---------------------------------------------------------------------------
+
+def _exact_scan(cx, monkeypatch):
+    """cm_report and the violation with every Betti number ranked over Q."""
+    with monkeypatch.context() as m:
+        m.setattr(homology, "_certified_betti", reduced_betti)
+        return cm_report(cx), is_cohen_macaulay(cx)[1]
+
+
+def test_gf2_scan_agrees_with_the_exact_scan(monkeypatch):
+    rng = random.Random(71)
+    cases = [cx for n in range(1, 5) for cx in all_complexes_on(n)]
+    for _ in range(120):
+        n = rng.randint(5, 6)
+        cases.append(SimplicialComplex(
+            [rng.sample([f"v{i}" for i in range(n)], rng.randint(1, n))
+             for _ in range(rng.randint(1, 4))]))
+    cases += [independence_complex(g) for g in exceptional_catalog().values()]
+    cases += [empty_complex(), _projective_plane()]
+    seen_cm = seen_not = 0
+    for cx in cases:
+        report, violation = _exact_scan(cx, monkeypatch)
+        assert cm_report(cx) == report, cx
+        fast = is_cohen_macaulay(cx)[1]
+        assert (fast is None) == (violation is None), cx
+        if violation is not None:
+            assert fast.link_betti == violation.link_betti, cx
+            seen_not += 1
+        else:
+            seen_cm += 1
+    assert seen_cm > 100 and seen_not > 100
+
+
+def test_torsion_sends_only_the_projective_planes_to_q(monkeypatch):
+    rp2 = _projective_plane()
+    suspension = rp2.join(SimplicialComplex([["n"], ["s"]]))
+    assert tuple(reduced_betti(suspension)) == (0, 0, 0, 0, 0)
+    ranked_over_q = []
+
+    def counting(delta):
+        ranked_over_q.append(delta)
+        return reduced_betti(delta)
+
+    monkeypatch.setattr(homology, "reduced_betti", counting)
+    # every other link is a circle, a suspended circle or a set of points
+    for cx, expected in ((rp2, [rp2]), (suspension, [suspension, rp2, rp2])):
+        ranked_over_q.clear()
+        ok, violation = is_cohen_macaulay(cx)
+        assert ok and violation is None
+        assert ranked_over_q == expected
+    assert suspension.link(["n"]) == suspension.link(["s"]) == rp2
+
+
+def test_over_reported_gf2_rank_is_caught(monkeypatch):
+    monkeypatch.setattr(homology, "gf2_rank", lambda rows: linalg.gf2_rank(rows) + 1)
+    with pytest.raises(VerificationError, match="negative Betti number"):
+        cm_report(independence_complex(cycle_graph(5)))
+    with pytest.raises(VerificationError, match="negative Betti number"):
+        is_cohen_macaulay(SimplicialComplex([["a", "b", "c"]]))
+
+
+def test_links_of_dimension_at_most_zero_are_not_built(monkeypatch):
+    built = []
+    original = SimplicialComplex.link
+
+    def counting(self, face_labels):
+        face_labels = tuple(face_labels)
+        built.append(len(face_labels) - 1)
+        return original(self, face_labels)
+
+    monkeypatch.setattr(SimplicialComplex, "link", counting)
+    octahedron_join_edge = SimplicialComplex(
+        [[a, b, c, "x", "y"] for a in "aA" for b in "bB" for c in "cC"])
+    for cx in (octahedron_join_edge, independence_complex(cycle_graph(5))):
+        built.clear()
+        assert is_cohen_macaulay(cx)[0]
+        assert built == [k for k in range(cx.dim - 1) for _ in cx.faces(k)]
+    # a triangle and an edge sharing a vertex: the link of c is disconnected
+    built.clear()
+    ok, violation = is_cohen_macaulay(SimplicialComplex([["a", "b", "c"], ["c", "d"]]))
+    assert not ok and violation.face == ("c",) and violation.degree == 0
+    assert built == [0, 0, 0]

@@ -1,4 +1,4 @@
-"""The one exact elimination against the dense rational oracle."""
+"""The exact rational elimination and the GF(2) rank against dense oracles."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import bruteforce as bf
-from facebalance.linalg import SparseEchelon, bareiss_rank, integer_row, sparse_rank
+from facebalance.linalg import (SparseEchelon, bareiss_rank, gf2_rank,
+                                integer_row, sparse_rank)
 from facebalance.polynomials import TermOrder
 
 
@@ -53,6 +54,23 @@ def test_sparse_rank_matches_dense_oracle():
     for _ in range(300):
         rows = _random_sparse_rows(rng)
         assert sparse_rank(rows) == bf.dense_rank(_dense(rows)), rows
+
+
+def test_gf2_rank_matches_dense_oracle():
+    rng = random.Random(14)
+    for _ in range(300):
+        width = rng.randint(0, 12)
+        rows = [rng.getrandbits(width) if rng.random() < 0.8 else 0
+                for _ in range(rng.randint(0, 10))]
+        # low-rank row sets: append sums of earlier rows
+        for _ in range(rng.randint(0, 3) if rows else 0):
+            rows.append(rng.choice(rows) ^ rng.choice(rows))
+        assert gf2_rank(rows) == bf.gf2_rank(rows), rows
+    assert gf2_rank([]) == bf.gf2_rank([]) == 0
+    assert gf2_rank([0, 0]) == bf.gf2_rank([0, 0]) == 0
+    # over GF(2) the rows 0b011, 0b101, 0b110 sum to zero; over Q they do not
+    assert gf2_rank([0b011, 0b101, 0b110]) == 2
+    assert sparse_rank([{0: 1, 1: 1}, {0: 1, 2: 1}, {1: 1, 2: 1}]) == 3
 
 
 def _pivot_columns(rows):
