@@ -4,7 +4,7 @@ multicomplex witnesses for simplicial complexes at desk scale."""
 from .complexes import (ComplexError, Graph, SimplicialComplex, VerificationError,
                         clique_complex, convolve, empty_complex, f_from_h,
                         find_colorable_complex, h_from_f, independence_complex,
-                        is_balanced, is_full_dimensional_subcomplex,
+                        is_full_dimensional_subcomplex,
                         maximal_independent_sets, parse_complex, parse_graph,
                         proper_coloring)
 from .homology import (BettiProfile, CMViolation, boundary_rank, cm_report,
@@ -19,12 +19,11 @@ from .balancing import (BalancedWitness, BalancingPair, CoverError,
                         inherit_to_subcomplex, join_of_factors,
                         kind_kleinschmidt, parse_cover)
 from .classify import (PGDecomposition, Verdict, basic_5_cycles, beta,
-                       catalog_graph, classify_girth5, count_triangles,
-                       embed_in_join, exceptional_catalog, girth,
-                       independent_facet_transversal, induced_cycle_lengths,
-                       is_isomorphic, is_well_covered, max_k4_free_edges,
-                       pendant_edges, pendant_perfect_matching,
-                       pg_decomposition, turan_graph)
-from .samples import flag_sphere_graph, overlinked_pentagon_graph, pg_sample_graph
+                       classify_girth5, count_triangles, embed_in_join,
+                       exceptional_catalog, girth,
+                       independent_facet_transversal, is_isomorphic,
+                       is_well_covered, pendant_edges, pg_decomposition,
+                       turan_graph)
+from .samples import flag_sphere_graph, pg_sample_graph
 
 __version__ = "0.1.0"

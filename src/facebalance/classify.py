@@ -65,15 +65,6 @@ def pendant_edges(g: Graph) -> list[tuple[str, str]]:
     return sorted(g.labels(e) for e in g.edges if deg[e[0]] == 1 or deg[e[1]] == 1)
 
 
-def pendant_perfect_matching(g: Graph) -> bool:
-    """True iff every vertex lies in exactly one pendant edge."""
-    count = {v: 0 for v in g.vertices}
-    for u, w in pendant_edges(g):
-        count[u] += 1
-        count[w] += 1
-    return all(c == 1 for c in count.values())
-
-
 def basic_5_cycles(g: Graph) -> list[tuple[str, ...]]:
     """Induced 5-cycles with no adjacent pair of degree >= 3 vertices.
 
@@ -99,30 +90,6 @@ def basic_5_cycles(g: Graph) -> list[tuple[str, ...]]:
                                              for u, w in zip(cyc, cyc[1:] + cyc[:1])):
                             out.append(g.labels(cyc))
     return sorted(out)
-
-
-def induced_cycle_lengths(g: Graph) -> set[int]:
-    """Lengths of all chordless cycles (exhaustive over vertex subsets)."""
-    n = len(g.vertices)
-    adj = g.adjacency()
-    lengths = set()
-    for r in range(3, n + 1):
-        for combo in itertools.combinations(range(n), r):
-            cset = set(combo)
-            inside = {i: adj[i] & cset for i in combo}
-            if any(len(inside[i]) != 2 for i in combo):
-                continue
-            seen = {combo[0]}
-            stack = [combo[0]]
-            while stack:
-                u = stack.pop()
-                for w in inside[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) == r:
-                lengths.add(r)
-    return lengths
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +174,6 @@ def exceptional_catalog() -> dict[str, Graph]:
 
 
 CATALOG_ALIASES = {"Q14": "Q13"}
-
-
-def catalog_graph(name: str) -> Graph:
-    table = exceptional_catalog()
-    return table[CATALOG_ALIASES.get(name, name)]
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +363,3 @@ def count_triangles(g: Graph) -> int:
     adj = g.adjacency()
     return sum(1 for a, b, c in itertools.combinations(range(len(g.vertices)), 3)
                if b in adj[a] and c in adj[a] and c in adj[b])
-
-
-def max_k4_free_edges(n: int) -> int:
-    """Largest edge count of an n-vertex graph with no 4-clique."""
-    return len(turan_graph(n, 3).edges)
-
-
-def has_k4(g: Graph) -> bool:
-    adj = g.adjacency()
-    return any(all(b in adj[a] for a, b in itertools.combinations(q, 2))
-               for q in itertools.combinations(range(len(g.vertices)), 4))

@@ -19,11 +19,12 @@ from pathlib import Path
 
 from .balancing import (CoverError, VerificationError, balanced_witness,
                         parse_cover)
-from .classify import (CATALOG_ALIASES, classify_girth5, count_triangles,
-                       embed_in_join, exceptional_catalog, girth,
-                       independent_facet_transversal, turan_graph)
+from .classify import (CATALOG_ALIASES, _cycle_graph, classify_girth5,
+                       count_triangles, embed_in_join, exceptional_catalog,
+                       girth, independent_facet_transversal, is_isomorphic,
+                       turan_graph)
 from .complexes import (ComplexError, clique_complex, f_from_h,
-                        find_colorable_complex, independence_complex,
+                        find_colorable_complex, h_from_f, independence_complex,
                         parse_complex, parse_graph, proper_coloring)
 from .homology import cm_report, is_cohen_macaulay, reduced_betti
 from .polynomials import DEFAULT_SEED
@@ -38,14 +39,13 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _report(args, inputs: dict, results: dict, checks=None, exit_code: int = 0):
+def _report(args, inputs: dict, results: dict, checks=None):
     report = {"command": args.echo, "inputs": inputs,
               "seed": getattr(args, "seed", DEFAULT_SEED), "results": results}
-    if checks is not None:
-        report["checks"] = checks
-        if not all(checks.values()):
-            exit_code = 1
-    return report, exit_code
+    if checks is None:
+        return report, 0
+    report["checks"] = checks
+    return report, 0 if all(checks.values()) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +147,6 @@ def cmd_golden(args):
         if detail is not None:
             details[name] = detail
 
-    from .complexes import Graph, h_from_f
-
     record("h_of_flag_sphere", h_from_f((1, 10, 24, 16)) == (1, 7, 7, 1))
     record("h_of_seven_vertex_example", h_from_f((1, 7, 16, 11)) == (1, 4, 5, 1))
 
@@ -157,13 +155,10 @@ def cmd_golden(args):
     record("turan_triangles", count_triangles(t73) == 12, count_triangles(t73))
 
     catalog = exceptional_catalog()
-    pentagon = Graph([str(i) for i in range(1, 6)],
-                     [(str(i), str(i % 5 + 1)) for i in range(1, 6)])
+    pentagon = _cycle_graph(5)
     cm5, _ = is_cohen_macaulay(independence_complex(pentagon))
     record("pentagon_independence_cm", cm5)
-    heptagon = Graph([str(i) for i in range(1, 8)],
-                     [(str(i), str(i % 7 + 1)) for i in range(1, 8)])
-    heptagon_skel = independence_complex(heptagon).one_skeleton()
+    heptagon_skel = independence_complex(_cycle_graph(7)).one_skeleton()
     for name, graph in sorted(catalog.items()):
         cm, violation = is_cohen_macaulay(independence_complex(graph))
         record(f"{name}_independence_not_cm", not cm)
@@ -173,7 +168,6 @@ def cmd_golden(args):
             record(f"{name}_homology_witness",
                    violation is not None and violation.face == ()
                    and violation.degree == 3)
-    from .classify import is_isomorphic
 
     link10 = independence_complex(catalog["P10"]).link(["5"])
     record("P10_link_is_heptagon_complex",

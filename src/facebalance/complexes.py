@@ -70,7 +70,7 @@ class SimplicialComplex:
     of the facets.
     """
 
-    __slots__ = ("vertices", "_index", "facets", "_faces_by_dim")
+    __slots__ = ("vertices", "_index", "facets", "dim", "_faces_by_dim")
 
     def __init__(self, facets: Iterable[Iterable[str]],
                  vertices: Optional[Sequence[str]] = None):
@@ -100,13 +100,10 @@ class SimplicialComplex:
                   for n in {len(f) for f in idx_facets}}
         self.facets = frozenset(f for f, fs in sets.items()
                                 if not any(fs < g for g in longer[len(f)]))
+        self.dim = max(len(f) for f in self.facets) - 1
         self._faces_by_dim: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     # -- basic structure ----------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return max(len(f) for f in self.facets) - 1
 
     def facet_labels(self) -> list[tuple[str, ...]]:
         return [self.labels(f) for f in sorted(self.facets)]
@@ -131,11 +128,6 @@ class SimplicialComplex:
                     found.update(itertools.combinations(f, k + 1))
             self._faces_by_dim[k] = tuple(sorted(found))
         return self._faces_by_dim[k]
-
-    def all_faces(self):
-        """All faces including the empty one, by increasing dimension."""
-        for k in range(-1, self.dim + 1):
-            yield from self.faces(k)
 
     def has_face(self, face: Iterable[int]) -> bool:
         fs = set(face)
@@ -170,16 +162,6 @@ class SimplicialComplex:
         edges = [self.labels(e) for e in self.faces(1)]
         return Graph(verts, edges)
 
-    def is_flag(self) -> bool:
-        """True iff every clique of the 1-skeleton is a face."""
-        if self.dim <= 0:
-            return True
-        adj = self.one_skeleton().adjacency()
-        for clique in _bron_kerbosch(set(adj), adj):
-            if not self.has_face(clique):
-                return False
-        return True
-
     def minimal_nonfaces(self) -> list[tuple[int, ...]]:
         """Inclusion-minimal index sets that are not faces."""
         out = []
@@ -203,22 +185,14 @@ class SimplicialComplex:
     def link(self, face_labels: Iterable[str]) -> "SimplicialComplex":
         """Link of a face: faces disjoint from it whose union with it is a face."""
         tau = self.index_face(face_labels)
-        if not self.has_face(tau):
-            raise ComplexError(f"{self.labels(tau)!r} is not a face")
         taus = set(tau)
-        rest = [tuple(sorted(set(f) - taus)) for f in self.facets if taus <= set(f)]
+        # facets are sorted, so each remainder is too
+        rest = [tuple(v for v in f if v not in taus)
+                for f in self.facets if taus.issubset(f)]
+        if not rest:
+            raise ComplexError(f"{self.labels(tau)!r} is not a face")
         return SimplicialComplex([self.labels(f) for f in rest],
                                  vertices=self.labels(sorted(set().union(*rest))) or None)
-
-    def skeleton(self, k: int) -> "SimplicialComplex":
-        """Subcomplex of all faces of dimension at most ``k``."""
-        if k < -1 or k > self.dim:
-            raise ComplexError(f"skeleton dimension {k} out of range")
-        if k == -1:
-            return SimplicialComplex([[]])
-        keep = [self.labels(f) for f in self.faces(k)]
-        keep += [self.labels(f) for f in self.facets if len(f) - 1 < k]
-        return SimplicialComplex(keep)
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         """Simplicial join; vertex labels must be disjoint."""
@@ -490,13 +464,6 @@ def proper_coloring(delta: SimplicialComplex, k: int) -> Optional[dict[str, int]
     if not assign(0):
         return None
     return {delta.vertices[i]: color[i] for i in range(n)}
-
-
-def is_balanced(delta: SimplicialComplex) -> bool:
-    """True iff the complex has a proper (dim+1)-coloring."""
-    if delta.dim == -1:
-        return True
-    return proper_coloring(delta, delta.dim + 1) is not None
 
 
 def is_proper(delta: SimplicialComplex, coloring: dict[str, int]) -> bool:

@@ -5,12 +5,12 @@ boundary of a vertex is the empty face and the Betti numbers are reduced.
 Faces are oriented by their sorted vertex order with alternating signs, and
 all rational ranks are exact.
 
-The Cohen-Macaulay test ranks each boundary matrix over GF(2) first.  An
-integer matrix has rank over GF(2) at most its rank over Q, so every Betti
-number over GF(2) is at least the rational one (the universal coefficient
-theorem).  When the GF(2) numbers vanish below the top degree, the rational
-ones provably vanish too; only a complex where GF(2) sees homology (say,
-torsion, as in the real projective plane) is ranked again over Q.
+Every boundary matrix is ranked over GF(2) first.  An integer matrix has
+rank over GF(2) at most its rank over Q, so every Betti number over GF(2) is
+at least the rational one (the universal coefficient theorem).  When the
+GF(2) numbers vanish below the top degree, the rational ones provably vanish
+too; only a complex where GF(2) sees homology (say, torsion, as in the real
+projective plane) is ranked again over Q.
 """
 
 from __future__ import annotations
@@ -95,21 +95,16 @@ def _betti_entries(delta: SimplicialComplex, rank) -> list[int]:
 
 
 def reduced_betti(delta: SimplicialComplex) -> BettiProfile:
-    """Reduced rational Betti numbers of the complex."""
-    return BettiProfile(tuple(_betti_entries(delta, boundary_rank)))
-
-
-def _certified_betti(delta: SimplicialComplex) -> BettiProfile:
-    """Reduced rational Betti numbers, certified over GF(2) where it can be.
+    """Reduced rational Betti numbers of the complex.
 
     If the GF(2) Betti numbers vanish below the top degree, the rational
     ones do too, and the top entry is then the reduced Euler characteristic
     up to sign, the same over every field.  Otherwise the rational numbers
-    are computed exactly by :func:`reduced_betti`.
+    are computed from exact boundary ranks over Q.
     """
     entries = _betti_entries(delta, _gf2_boundary_rank)
     if any(entries[:-1]):
-        return reduced_betti(delta)
+        entries = _betti_entries(delta, boundary_rank)
     return BettiProfile(tuple(entries))
 
 
@@ -129,14 +124,14 @@ def _link_vanishing(delta: SimplicialComplex
     nonempty set of points; neither has homology below its top, so those
     faces are not visited.
     """
-    betti = _certified_betti(delta)
+    betti = reduced_betti(delta)
     degree = _first_gap(betti)
     if degree is not None:
         return betti, CMViolation((), degree, betti)
     for k in range(delta.dim - 1):
         for tau in delta.faces(k):
             labels = delta.labels(tau)
-            link_betti = _certified_betti(delta.link(labels))
+            link_betti = reduced_betti(delta.link(labels))
             degree = _first_gap(link_betti)
             if degree is not None:
                 return betti, CMViolation(labels, degree, link_betti)

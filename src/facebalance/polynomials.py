@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, VerificationError
 from .linalg import SparseEchelon, integer_row, invert
@@ -136,12 +136,6 @@ class LinearAutomorphism:
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise ValueError("matrix shape does not match the variable count")
 
-    @classmethod
-    def identity(cls, variables: Sequence[str]) -> "LinearAutomorphism":
-        n = len(variables)
-        return cls(tuple(variables),
-                   tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
     def inverse(self) -> "LinearAutomorphism":
         return LinearAutomorphism(self.variables, invert(self.matrix))
 
@@ -192,8 +186,7 @@ def apply_automorphism(g: LinearAutomorphism, p: dict) -> dict:
 # Stanley-Reisner generators
 # ---------------------------------------------------------------------------
 
-def stanley_reisner_generators(delta: SimplicialComplex,
-                               order: Optional[TermOrder] = None
+def stanley_reisner_generators(delta: SimplicialComplex, order: TermOrder
                                ) -> list[Monomial]:
     """Squarefree monomials of the minimal non-faces of ``delta``.
 
@@ -201,8 +194,6 @@ def stanley_reisner_generators(delta: SimplicialComplex,
     missing vertex contributes its degree-1 monomial (the vertex is a minimal
     non-face in the larger universe).
     """
-    if order is None:
-        order = TermOrder(delta.vertices, 0)
     gens = []
     present = set(delta.vertices)
     for v in order.variables:

@@ -4,13 +4,6 @@ from __future__ import annotations
 
 from .complexes import Graph
 
-_PENTAGON_PAIR_EDGES = [
-    ("A", "B"), ("B", "C"), ("A", "D"), ("D", "E"), ("E", "C"),
-    ("F", "G"), ("G", "H"), ("F", "I"), ("I", "J"), ("J", "H"),
-    ("E", "I"), ("H", "K"), ("K", "L"),
-]
-
-
 def pg_sample_graph() -> Graph:
     """A 12-vertex member of the pendant/cycle class.
 
@@ -18,17 +11,11 @@ def pg_sample_graph() -> Graph:
     vertices: girth 5, well-covered with independence number 5, and every
     induced cycle has length 5.
     """
-    return Graph(list("ABCDEFGHIJKL"), _PENTAGON_PAIR_EDGES)
-
-
-def overlinked_pentagon_graph() -> Graph:
-    """The same two pentagons with a second bridge between them.
-
-    The extra bridge puts two adjacent degree-3 vertices on the second
-    pentagon, so it is no longer basic and the graph is not well-covered
-    (maximal independent sets of sizes 4 and 5 both occur).
-    """
-    return Graph(list("ABCDEFGHIJKL"), _PENTAGON_PAIR_EDGES + [("B", "G")])
+    return Graph(list("ABCDEFGHIJKL"), [
+        ("A", "B"), ("B", "C"), ("A", "D"), ("D", "E"), ("E", "C"),
+        ("F", "G"), ("G", "H"), ("F", "I"), ("I", "J"), ("J", "H"),
+        ("E", "I"), ("H", "K"), ("K", "L"),
+    ])
 
 
 def flag_sphere_graph() -> Graph:

@@ -209,3 +209,41 @@ def basic_5_cycles(vertices, edges):
             prev, cur = cur, next(x for x in inside[cur] if x != prev)
         out.append(tuple(walk))
     return sorted(out)
+
+
+def is_flag(faces) -> bool:
+    """True iff every minimal non-face on the faces' vertices is a pair."""
+    vertices = {v for f in faces for v in f}
+    return all(len(nf) == 2 for nf in minimal_nonfaces(vertices, faces))
+
+
+def has_k4(vertices, edges) -> bool:
+    """True iff some four vertices are pairwise adjacent."""
+    edge_set = {frozenset(e) for e in edges}
+    return any(all(frozenset(p) in edge_set for p in itertools.combinations(q, 2))
+               for q in itertools.combinations(vertices, 4))
+
+
+def induced_cycle_lengths(vertices, edges) -> set[int]:
+    """Lengths of all chordless cycles, by testing every vertex subset.
+
+    A subset qualifies when it induces a connected 2-regular graph.
+    """
+    nbrs = {v: set() for v in vertices}
+    for u, w in edges:
+        nbrs[u].add(w)
+        nbrs[w].add(u)
+    lengths = set()
+    for r in range(3, len(vertices) + 1):
+        for combo in itertools.combinations(vertices, r):
+            inside = {v: nbrs[v] & set(combo) for v in combo}
+            if any(len(inside[v]) != 2 for v in combo):
+                continue
+            seen, stack = {combo[0]}, [combo[0]]
+            while stack:
+                for w in inside[stack.pop()] - seen:
+                    seen.add(w)
+                    stack.append(w)
+            if len(seen) == r:
+                lengths.add(r)
+    return lengths

@@ -1,10 +1,13 @@
 import itertools
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from facebalance.complexes import Graph, SimplicialComplex
+from facebalance.polynomials import LinearAutomorphism
+from facebalance.samples import pg_sample_graph
 
 
 def cycle_graph(n: int, prefix: str = "") -> Graph:
@@ -24,6 +27,24 @@ def disjoint_union(*graphs: Graph) -> Graph:
         verts.extend(g.vertices)
         edges.extend(g.edge_labels())
     return Graph(verts, edges)
+
+
+def identity_automorphism(variables) -> LinearAutomorphism:
+    n = len(variables)
+    return LinearAutomorphism(
+        tuple(variables),
+        tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+
+
+def overlinked_pentagon_graph() -> Graph:
+    """The two pentagons of ``pg_sample_graph`` with a second bridge.
+
+    The extra bridge puts two adjacent degree-3 vertices on the second
+    pentagon, so it is no longer basic and the graph is not well-covered
+    (maximal independent sets of sizes 4 and 5 both occur).
+    """
+    g = pg_sample_graph()
+    return Graph(g.vertices, g.edge_labels() + [("B", "G")])
 
 
 def all_complexes_on(n: int):

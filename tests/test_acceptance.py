@@ -13,7 +13,7 @@ from conftest import all_complexes_on, cycle_graph, path_graph
 from facebalance.balancing import balanced_witness, join_of_factors
 from facebalance.classify import (beta, classify_girth5,
                                   count_triangles, embed_in_join, girth,
-                                  exceptional_catalog, has_k4,
+                                  exceptional_catalog,
                                   independent_facet_transversal, is_isomorphic,
                                   pendant_edges, turan_graph)
 from facebalance.complexes import (Graph, SimplicialComplex, clique_complex,
@@ -69,7 +69,7 @@ def test_criterion_2_turan_uniqueness():
                for quad in quadruple_pairs):
             g = Graph(verts, [p for i, p in enumerate(all_pairs)
                               if i not in removed])
-            assert not has_k4(g)
+            assert not bf.has_k4(g.vertices, g.edge_labels())
             assert is_isomorphic(g, t73)
             k4_free_found += 1
     assert k4_free_found > 0
@@ -170,7 +170,8 @@ def test_criterion_6_flag_sphere():
     assert sphere.f_vector() == (1, 10, 24, 16)
     assert sphere.h_vector() == (1, 7, 7, 1)
     assert sphere.one_skeleton() == g
-    assert sphere.is_flag() and sphere.is_pure()
+    faces = bf.faces_from_facets(sphere.facet_labels())
+    assert bf.is_flag(faces) and sphere.is_pure()
     cm, _ = is_cohen_macaulay(sphere)
     assert cm
     assert tuple(reduced_betti(sphere)) == (0, 0, 0, 1)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cycle_graph, disjoint_union
+from conftest import cycle_graph, disjoint_union, identity_automorphism
 from facebalance.balancing import (BalancingPair, CoverError, EMPTY_PAIR,
                                    VerificationError, balanced_witness,
                                    base_pair_near_bipartite, base_pair_points,
@@ -38,7 +38,7 @@ def _points_factor(labels) -> dict:
 
 def test_pair_validation():
     order = TermOrder(("a", "b"), 1)
-    g = LinearAutomorphism.identity(("a", "b"))
+    g = identity_automorphism(("a", "b"))
     with pytest.raises(ValueError):
         BalancingPair(order, g, ())  # wrong number of blocks
     with pytest.raises(ValueError):
@@ -47,7 +47,7 @@ def test_pair_validation():
 
 def test_kind_kleinschmidt_identity_cases():
     order = TermOrder(("a", "b", "c"), 1)
-    pair = BalancingPair(order, LinearAutomorphism.identity(order.variables),
+    pair = BalancingPair(order, identity_automorphism(order.variables),
                          (("a", "b"),))
     on_tail = SimplicialComplex([["c"]])
     ok, _ = kind_kleinschmidt(on_tail, pair)
@@ -238,7 +238,7 @@ def test_inherit_to_facet_deleted_subcomplex():
 
 def test_inherit_rejects_wrong_dimension():
     pentagon = independence_complex(cycle_graph(5))
-    points = pentagon.skeleton(0)
+    points = SimplicialComplex([[v] for v in pentagon.vertices])
     pair = base_pair_near_bipartite(_pentagram(), None, Specialization())
     with pytest.raises(CoverError):
         inherit_to_subcomplex(pair, points, pentagon)

@@ -1,25 +1,25 @@
 import itertools
+import json
 import math
 import random
 
 import pytest
 
 import bruteforce as bf
-from conftest import cycle_graph, disjoint_union, path_graph
+from conftest import (cycle_graph, disjoint_union, overlinked_pentagon_graph,
+                      path_graph)
 from facebalance.balancing import join_of_factors
-from facebalance.classify import (basic_5_cycles, beta, catalog_graph,
-                                  classify_girth5, count_triangles,
-                                  embed_in_join, exceptional_catalog, girth,
-                                  has_k4, independent_facet_transversal,
-                                  induced_cycle_lengths, is_isomorphic,
-                                  is_well_covered, max_k4_free_edges,
-                                  pendant_edges, pendant_perfect_matching,
+from facebalance.cli import main
+from facebalance.classify import (basic_5_cycles, beta, classify_girth5,
+                                  count_triangles, embed_in_join,
+                                  exceptional_catalog, girth,
+                                  independent_facet_transversal, is_isomorphic,
+                                  is_well_covered, pendant_edges,
                                   pg_decomposition, turan_graph)
 from facebalance.complexes import (ComplexError, Graph, SimplicialComplex,
                                    independence_complex,
                                    is_full_dimensional_subcomplex)
-from facebalance.samples import (flag_sphere_graph, overlinked_pentagon_graph,
-                                 pg_sample_graph)
+from facebalance.samples import flag_sphere_graph, pg_sample_graph
 
 
 def _corona_cycle(n: int) -> Graph:
@@ -69,9 +69,7 @@ def test_beta_against_bruteforce():
 
 def test_pendant_edges():
     assert pendant_edges(path_graph(2)) == [("p1", "p2")]
-    assert pendant_perfect_matching(path_graph(2))
     assert pendant_edges(cycle_graph(5)) == []
-    assert not pendant_perfect_matching(cycle_graph(5))
     pg = pg_sample_graph()
     assert pendant_edges(pg) == [("K", "L")]
 
@@ -79,7 +77,9 @@ def test_pendant_edges():
 def test_pendant_matching_on_high_girth_well_covered():
     corona = _corona_cycle(8)
     assert girth(corona) == 8
-    assert pendant_perfect_matching(corona)
+    dec = pg_decomposition(corona)
+    assert dec is not None and not dec.basic_cycles
+    assert len(dec.pendant_edges) == 8 and len(dec.pendant_vertices) == 16
     assert is_well_covered(corona)
     assert beta(corona) == len(corona.vertices) // 2
 
@@ -203,8 +203,13 @@ def test_catalog_graphs_are_well_covered_and_connected():
         assert is_well_covered(g)
 
 
-def test_catalog_alias():
-    assert catalog_graph("Q14") == catalog_graph("Q13")
+def test_catalog_alias(capsys):
+    results = []
+    for name in ("Q14", "Q13"):
+        assert main(["--json", "catalog", "--name", name]) == 0
+        results.append(json.loads(capsys.readouterr().out)["results"])
+    assert results[0].pop("name") == "Q14" and results[1].pop("name") == "Q13"
+    assert results[0] == results[1]
 
 
 def test_catalog_vertex_counts():
@@ -218,7 +223,7 @@ def test_catalog_vertex_counts():
 
 def test_isomorphism_accepts_relabelings():
     rng = random.Random(71)
-    for g in (cycle_graph(5), pg_sample_graph(), catalog_graph("P10")):
+    for g in (cycle_graph(5), pg_sample_graph(), exceptional_catalog()["P10"]):
         perm = list(g.vertices)
         rng.shuffle(perm)
         mapping = dict(zip(g.vertices, perm))
@@ -229,7 +234,8 @@ def test_isomorphism_accepts_relabelings():
 def test_isomorphism_rejects_different_graphs():
     assert not is_isomorphic(cycle_graph(5), path_graph(5))
     assert not is_isomorphic(cycle_graph(6), cycle_graph(5))
-    assert not is_isomorphic(catalog_graph("P13"), catalog_graph("Q13"))
+    catalog = exceptional_catalog()
+    assert not is_isomorphic(catalog["P13"], catalog["Q13"])
 
 
 def test_isomorphism_on_regular_lookalikes():
@@ -255,7 +261,7 @@ def test_girth_agrees_with_shortest_induced_cycle():
         edges = [e for e in itertools.combinations(verts, 2)
                  if rng.random() < 0.35]
         g = Graph(verts, edges)
-        lengths = induced_cycle_lengths(g)
+        lengths = bf.induced_cycle_lengths(g.vertices, g.edge_labels())
         assert girth(g) == (min(lengths) if lengths else math.inf)
 
 
@@ -274,7 +280,7 @@ def test_classify_examples():
 
 
 def test_classify_relabelled_exceptional():
-    g = catalog_graph("P10")
+    g = exceptional_catalog()["P10"]
     relabeled = Graph([f"w{v}" for v in g.vertices],
                       [(f"w{u}", f"w{w}") for u, w in g.edge_labels()])
     verdict = classify_girth5(relabeled)
@@ -393,8 +399,7 @@ def test_turan_counts():
     assert len(t.edges) == 16
     assert count_triangles(t) == 12
     assert count_triangles(turan_graph(3, 3)) == 1
-    assert max_k4_free_edges(7) == 16
-    assert not has_k4(t)
+    assert not bf.has_k4(t.vertices, t.edge_labels())
 
 
 def test_turan_validates_arguments():
@@ -407,8 +412,11 @@ def test_turan_validates_arguments():
 # ---------------------------------------------------------------------------
 
 def test_induced_cycle_lengths():
-    assert induced_cycle_lengths(cycle_graph(5)) == {5}
-    assert induced_cycle_lengths(cycle_graph(6)) == {6}
-    assert induced_cycle_lengths(path_graph(4)) == set()
-    assert induced_cycle_lengths(pg_sample_graph()) == {5}
-    assert induced_cycle_lengths(overlinked_pentagon_graph()) == {5, 6, 7, 8}
+    def lengths(g):
+        return bf.induced_cycle_lengths(g.vertices, g.edge_labels())
+
+    assert lengths(cycle_graph(5)) == {5}
+    assert lengths(cycle_graph(6)) == {6}
+    assert lengths(path_graph(4)) == set()
+    assert lengths(pg_sample_graph()) == {5}
+    assert lengths(overlinked_pentagon_graph()) == {5, 6, 7, 8}

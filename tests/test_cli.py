@@ -188,3 +188,23 @@ def test_json_stable_across_hash_seeds(tmp_path, pg_graph_file):
     for argv, _, out in outs:
         by_cmd.setdefault(argv, set()).add(out)
     assert all(len(v) == 1 for v in by_cmd.values())
+
+
+def test_bench_tracer_finds_every_name_it_wraps():
+    # bench/tracer.py looks the program's functions up by name, so deleting
+    # or renaming one breaks `bench/run.py --trace 1`
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import facebalance
+
+    src = os.path.dirname(os.path.dirname(facebalance.__file__))
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(bench)]))
+    code = ("import facebalance, facebalance.cli, tracer\n"
+            "tracer.install(tracer.Tracer(), facebalance)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -9,7 +9,7 @@ from conftest import cycle_graph, disjoint_union, path_graph
 from facebalance.complexes import (ComplexError, Graph, SimplicialComplex,
                                    clique_complex, convolve, empty_complex,
                                    f_from_h, find_colorable_complex, h_from_f,
-                                   independence_complex, is_balanced,
+                                   independence_complex,
                                    is_full_dimensional_subcomplex, is_proper,
                                    maximal_independent_sets, parse_complex,
                                    parse_graph, proper_coloring)
@@ -122,6 +122,17 @@ def test_link_requires_a_face():
         cx.link(["a", "c"])
 
 
+def test_link_errors_name_the_face_or_the_vertex():
+    cx = SimplicialComplex([["a", "b"], ["c"]])
+    with pytest.raises(ComplexError, match=r"^\('a', 'c'\) is not a face$"):
+        cx.link(["c", "a"])
+    # the face is named in the complex's vertex order
+    with pytest.raises(ComplexError, match=r"^\('c', 'a'\) is not a face$"):
+        SimplicialComplex([["c", "b"], ["a"]]).link(["a", "c"])
+    with pytest.raises(ComplexError, match=r"^unknown vertex 'z'$"):
+        cx.link(["a", "z"])
+
+
 def test_link_matches_bruteforce_filter():
     rng = random.Random(5)
     for _ in range(30):
@@ -138,22 +149,6 @@ def test_link_matches_bruteforce_filter():
         # the link keeps the complex's vertex order
         assert link.vertices == tuple(v for v in cx.vertices
                                       if any(v in f for f in expected))
-
-
-def test_skeleton():
-    tetra = SimplicialComplex([["a", "b", "c", "d"]])
-    one = tetra.skeleton(1)
-    assert one.f_vector() == (1, 4, 6)
-    assert tetra.skeleton(tetra.dim) == tetra
-    assert tetra.skeleton(-1).dim == -1
-    with pytest.raises(ComplexError):
-        tetra.skeleton(5)
-
-
-def test_skeleton_keeps_small_facets():
-    cx = SimplicialComplex([["a", "b", "c"], ["d"]])
-    assert sorted(cx.skeleton(1).facet_labels()) == [
-        ("a", "b"), ("a", "c"), ("b", "c"), ("d",)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +199,14 @@ def test_is_pure():
 
 
 def test_hollow_triangle_is_not_flag():
-    hollow = SimplicialComplex([["a", "b"], ["b", "c"], ["a", "c"]])
-    assert not hollow.is_flag()
-    assert SimplicialComplex([["a", "b", "c"]]).is_flag()
+    assert not bf.is_flag(bf.faces_from_facets([["a", "b"], ["b", "c"], ["a", "c"]]))
+    assert bf.is_flag(bf.faces_from_facets([["a", "b", "c"]]))
 
 
 def test_independence_complexes_are_flag():
     for g in (cycle_graph(5), cycle_graph(7), path_graph(4)):
-        assert independence_complex(g).is_flag()
+        ic = independence_complex(g)
+        assert bf.is_flag(bf.faces_from_facets(ic.facet_labels()))
 
 
 def test_flag_iff_minimal_nonfaces_have_size_two():
@@ -224,7 +219,9 @@ def test_flag_iff_minimal_nonfaces_have_size_two():
         cx = SimplicialComplex(facets)
         faces = bf.faces_from_facets(cx.facet_labels())
         nonfaces = bf.minimal_nonfaces(cx.vertices, faces)
-        assert cx.is_flag() == all(len(nf) == 2 for nf in nonfaces)
+        # flag means equal to the clique complex of the 1-skeleton
+        assert bf.is_flag(faces) == (clique_complex(cx.one_skeleton()) == cx)
+        assert bf.is_flag(faces) == all(len(nf) == 2 for nf in nonfaces)
         got = {frozenset(cx.labels(m)) for m in cx.minimal_nonfaces()}
         assert got == {frozenset(nf) for nf in nonfaces}
 
@@ -304,7 +301,7 @@ def test_subgraph_accepts_a_one_shot_iterable():
 def test_simplex_skeleton_coloring_thresholds():
     for d in (1, 2, 3):
         simplex = SimplicialComplex([[f"v{i}" for i in range(d + 1)]])
-        skel = simplex.skeleton(1) if d > 1 else simplex
+        skel = SimplicialComplex(simplex.one_skeleton().edge_labels())
         assert proper_coloring(skel, d + 1) is not None
         assert proper_coloring(skel, d) is None
 
@@ -315,12 +312,6 @@ def test_proper_coloring_is_proper_and_deterministic():
     assert got is not None and is_proper(cx, got)
     assert got == proper_coloring(cx, 3)
     assert proper_coloring(cx, 2) is None
-
-
-def test_is_balanced():
-    assert is_balanced(SimplicialComplex([["a", "b"], ["b", "c"]]))
-    assert not is_balanced(independence_complex(cycle_graph(5)))
-    assert is_balanced(empty_complex())
 
 
 def test_coloring_requires_at_least_one_color():
@@ -337,7 +328,7 @@ def test_full_dimensional_subcomplex_cases():
     assert is_full_dimensional_subcomplex(gamma, gamma)
     sub = SimplicialComplex([["a", "b"], ["c", "a"]])
     assert is_full_dimensional_subcomplex(sub, gamma)
-    points = gamma.skeleton(0)
+    points = SimplicialComplex([[v] for v in gamma.vertices])
     assert not is_full_dimensional_subcomplex(points, gamma)
     other = SimplicialComplex([["a", "d"]])
     assert not is_full_dimensional_subcomplex(other, gamma)

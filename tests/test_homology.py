@@ -212,9 +212,9 @@ def test_projective_plane_is_rationally_trivial_and_cm():
 # ---------------------------------------------------------------------------
 
 def _exact_scan(cx, monkeypatch):
-    """cm_report and the violation with every Betti number ranked over Q."""
+    """cm_report and the violation with every boundary ranked over Q."""
     with monkeypatch.context() as m:
-        m.setattr(homology, "_certified_betti", reduced_betti)
+        m.setattr(homology, "_gf2_boundary_rank", boundary_rank)
         return cm_report(cx), is_cohen_macaulay(cx)[1]
 
 
@@ -248,17 +248,18 @@ def test_torsion_sends_only_the_projective_planes_to_q(monkeypatch):
     assert tuple(reduced_betti(suspension)) == (0, 0, 0, 0, 0)
     ranked_over_q = []
 
-    def counting(delta):
-        ranked_over_q.append(delta)
-        return reduced_betti(delta)
+    def counting(delta, i):
+        ranked_over_q.append((delta, i))
+        return boundary_rank(delta, i)
 
-    monkeypatch.setattr(homology, "reduced_betti", counting)
+    monkeypatch.setattr(homology, "boundary_rank", counting)
     # every other link is a circle, a suspended circle or a set of points
     for cx, expected in ((rp2, [rp2]), (suspension, [suspension, rp2, rp2])):
         ranked_over_q.clear()
         ok, violation = is_cohen_macaulay(cx)
         assert ok and violation is None
-        assert ranked_over_q == expected
+        assert ranked_over_q == [(delta, i) for delta in expected
+                                 for i in range(delta.dim + 1)]
     assert suspension.link(["n"]) == suspension.link(["s"]) == rp2
 
 

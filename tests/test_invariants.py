@@ -14,7 +14,8 @@ import facebalance.homology as homology
 import facebalance.polynomials as polynomials
 from conftest import cycle_graph
 from facebalance.balancing import balanced_witness, base_pair_near_bipartite
-from facebalance.classify import PGDecomposition, catalog_graph, classify_girth5
+from facebalance.classify import (PGDecomposition, classify_girth5,
+                                  exceptional_catalog)
 from facebalance.cli import main
 from facebalance.complexes import (Graph, SimplicialComplex, VerificationError,
                                    independence_complex)
@@ -56,14 +57,15 @@ def test_one_verification_error_class():
 # ---------------------------------------------------------------------------
 
 def test_negative_betti_number(monkeypatch):
-    # an over-reported rank could hide homology; on the hollow triangle a
-    # rank of 3 in degree 1 leaves b_0 = 3 - 1 - 3 = -1
+    # an over-reported rank could hide homology; two disjoint edges have
+    # b_0 = 1 below the top over GF(2), so they are ranked again over Q,
+    # where a rank of 3 in degree 1 leaves b_1 = 2 - 3 - 0 = -1
     real = homology.boundary_rank
     monkeypatch.setattr(homology, "boundary_rank",
                         lambda cx, i: 3 if i == 1 else real(cx, i))
-    hollow = SimplicialComplex([["a", "b"], ["b", "c"], ["a", "c"]])
+    two_edges = SimplicialComplex([["a", "b"], ["c", "d"]])
     with pytest.raises(VerificationError, match="negative Betti number"):
-        reduced_betti(hollow)
+        reduced_betti(two_edges)
 
 
 def test_non_pure_complex_slipping_past_link_vanishing(monkeypatch):
@@ -112,7 +114,7 @@ def test_catalog_graph_that_also_decomposes(monkeypatch):
     monkeypatch.setattr(classify, "pg_decomposition",
                         lambda g: PGDecomposition((), (), (), ()))
     with pytest.raises(VerificationError, match="also decomposes"):
-        classify_girth5(catalog_graph("C7"))
+        classify_girth5(exceptional_catalog()["C7"])
 
 
 def test_well_covered_graph_neither_exceptional_nor_decomposable(monkeypatch):
