@@ -3,7 +3,7 @@ multicomplex witnesses for simplicial complexes at desk scale."""
 
 from .complexes import (ComplexError, Graph, SimplicialComplex, VerificationError,
                         clique_complex, convolve, empty_complex, f_from_h,
-                        find_colorable_complex, h_from_f, independence_complex,
+                        h_from_f, independence_complex,
                         is_full_dimensional_subcomplex,
                         maximal_independent_sets, parse_complex, parse_graph,
                         proper_coloring)

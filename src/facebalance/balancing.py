@@ -223,6 +223,19 @@ def inherit_to_subcomplex(pair: BalancingPair, delta: SimplicialComplex,
 # covers
 # ---------------------------------------------------------------------------
 
+def _labels(k: int, what: str, seq, size: Optional[int] = None) -> tuple[str, ...]:
+    """A list of JSON string or number labels, as strings; ``size`` pins
+    its length.  Checked here so that a malformed cover is an input error
+    (exit 2), not a crash further down the pipeline."""
+    if not isinstance(seq, (list, tuple)) or (size is not None and len(seq) != size):
+        raise CoverError(f"factor {k}: {what} must be a list"
+                         + (f" of {size} labels" if size is not None else ""))
+    if any(isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in seq):
+        raise CoverError(f"factor {k}: {what} holds a label that is not a "
+                         "string or a number")
+    return tuple(str(v) for v in seq)
+
+
 def parse_cover(obj) -> list[dict]:
     """Validate the JSON cover format: a list of factor objects."""
     if not isinstance(obj, list) or not obj:
@@ -231,16 +244,22 @@ def parse_cover(obj) -> list[dict]:
     for k, factor in enumerate(obj):
         if not isinstance(factor, dict) or factor.get("type") not in ("points", "graph"):
             raise CoverError(f"factor {k}: type must be 'points' or 'graph'")
-        vertices = [str(v) for v in factor.get("vertices", [])]
+        vertices = list(_labels(k, "vertices", factor.get("vertices", [])))
         if not vertices:
             raise CoverError(f"factor {k}: no vertices")
-        edges = [tuple(map(str, e)) for e in factor.get("edges", [])]
+        if len(set(vertices)) != len(vertices):
+            raise CoverError(f"factor {k}: repeated vertex label")
+        edges = factor.get("edges", [])
+        if not isinstance(edges, (list, tuple)):
+            raise CoverError(f"factor {k}: edges must be a list")
+        edges = [_labels(k, "each edge", e, 2) for e in edges]
         if factor["type"] == "points" and edges:
             raise CoverError(f"factor {k}: point factors have no edges")
         removed = factor.get("removed_edge")
         out.append({"type": factor["type"], "vertices": vertices,
                     "edges": edges,
-                    "removed_edge": tuple(map(str, removed)) if removed else None})
+                    "removed_edge": None if removed is None
+                    else _labels(k, "a non-null removed_edge", removed, 2)})
     return out
 
 
@@ -250,7 +269,8 @@ def factor_complex(factor: dict) -> SimplicialComplex:
     if factor["type"] == "points" or not factor["edges"]:
         return SimplicialComplex([[v] for v in vertices])
     g = Graph(vertices, factor["edges"])
-    lonely = [v for i, v in enumerate(g.vertices) if g.degree(i) == 0]
+    adj = g.adjacency()
+    lonely = [v for i, v in enumerate(g.vertices) if not adj[i]]
     return SimplicialComplex(list(g.edge_labels()) + [[v] for v in lonely],
                              vertices=g.vertices)
 

@@ -61,8 +61,9 @@ def is_well_covered(g: Graph) -> bool:
 
 def pendant_edges(g: Graph) -> list[tuple[str, str]]:
     """Edges incident to a degree-1 vertex, sorted."""
-    deg = {i: g.degree(i) for i in range(len(g.vertices))}
-    return sorted(g.labels(e) for e in g.edges if deg[e[0]] == 1 or deg[e[1]] == 1)
+    adj = g.adjacency()
+    return sorted(g.labels(e) for e in g.edges
+                  if len(adj[e[0]]) == 1 or len(adj[e[1]]) == 1)
 
 
 def basic_5_cycles(g: Graph) -> list[tuple[str, ...]]:

@@ -257,7 +257,7 @@ def parse_complex(text: str) -> SimplicialComplex:
 class Graph:
     """Undirected simple graph with string vertex labels."""
 
-    __slots__ = ("vertices", "_index", "edges")
+    __slots__ = ("vertices", "_index", "edges", "_adj")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Iterable[str]]):
         self.vertices = tuple(str(v) for v in vertices)
@@ -275,6 +275,11 @@ class Graph:
                 raise ComplexError(f"edge endpoint {exc.args[0]!r} not declared") from None
             es.add((min(i, j), max(i, j)))
         self.edges = frozenset(es)
+        nbrs: list[set[int]] = [set() for _ in self.vertices]
+        for a, b in es:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        self._adj = tuple(frozenset(s) for s in nbrs)
 
     def labels(self, idxs: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.vertices[i] for i in idxs)
@@ -282,18 +287,12 @@ class Graph:
     def edge_labels(self) -> list[tuple[str, str]]:
         return [self.labels(e) for e in sorted(self.edges)]
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj = {i: set() for i in range(len(self.vertices))}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
-    def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in e)
+    def adjacency(self) -> dict[int, frozenset[int]]:
+        """Neighbour sets by vertex position, built once in the constructor."""
+        return dict(enumerate(self._adj))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+        return j in self._adj[i]
 
     def complement(self) -> "Graph":
         n = len(self.vertices)
@@ -369,8 +368,7 @@ class Graph:
         return f"Graph({list(self.vertices)!r}, {self.edge_labels()!r})"
 
     def to_file_text(self) -> str:
-        lonely = [v for i, v in enumerate(self.vertices)
-                  if not any(i in e for e in self.edges)]
+        lonely = [v for v, nbrs in zip(self.vertices, self._adj) if not nbrs]
         lines = [f"vertex: {v}" for v in lonely]
         lines += [f"{u} {w}" for u, w in self.edge_labels()]
         return "".join(line + "\n" for line in lines)
@@ -396,7 +394,7 @@ def parse_graph(text: str) -> Graph:
     return Graph(tuple(vertices), edges)
 
 
-def _bron_kerbosch(candidates: set[int], adj: dict[int, set[int]]):
+def _bron_kerbosch(candidates: set[int], adj: dict[int, frozenset[int]]):
     """Maximal cliques of a graph given by an adjacency dict."""
     def rec(r: set, p: set, x: set):
         if not p and not x:
@@ -469,96 +467,3 @@ def proper_coloring(delta: SimplicialComplex, k: int) -> Optional[dict[str, int]
 def is_proper(delta: SimplicialComplex, coloring: dict[str, int]) -> bool:
     return all(coloring[delta.vertices[a]] != coloring[delta.vertices[b]]
                for a, b in delta.faces(1))
-
-
-# ---------------------------------------------------------------------------
-# search for a d-colorable complex with a prescribed f-vector
-# ---------------------------------------------------------------------------
-
-def find_colorable_complex(f: Sequence[int], d: int
-                           ) -> Optional[tuple[SimplicialComplex, dict[str, int]]]:
-    """A ``d``-colorable complex with f-vector ``f`` and a witness coloring.
-
-    Backtracking over colorings of the f_0 vertices and, from the top
-    dimension down, over which rainbow faces to include; each chosen face
-    forces its boundary into the level below.  Returns None when the search
-    space is exhausted.
-    """
-    f = tuple(int(x) for x in f)
-    if not f or f[0] != 1 or any(x < 0 for x in f):
-        raise ComplexError("need a nonnegative f-vector starting at 1")
-    if d < 1:
-        raise ComplexError("need d >= 1")
-    if len(f) == 1:
-        return empty_complex(), {}
-    n = f[0 + 1]
-    if len(f) > 1 and n == 0:
-        return None
-    names = [f"v{i + 1}" for i in range(n)]
-    top = len(f) - 2  # top face dimension
-
-    def colorings():
-        # canonical: vertex 0 gets color 0; each next vertex at most one new color
-        cur = [0] * n
-
-        def rec(i: int, used: int):
-            if i == n:
-                yield tuple(cur)
-                return
-            for c in range(min(used + 1, d)):
-                cur[i] = c
-                yield from rec(i + 1, max(used, c + 1))
-        yield from rec(1, 1) if n > 1 else iter([tuple(cur)])
-
-    for kappa in colorings():
-        rainbow = {0: [(i,) for i in range(n)]}
-        ok_sizes = True
-        for k in range(1, top + 1):
-            rainbow[k] = [c for c in itertools.combinations(range(n), k + 1)
-                          if len({kappa[v] for v in c}) == k + 1]
-            if len(rainbow[k]) < f[k + 1]:
-                ok_sizes = False
-                break
-        if not ok_sizes:
-            continue
-
-        chosen: dict[int, set] = {}
-
-        def solve(k: int) -> bool:
-            if k == 0:
-                return True
-            forced = set()
-            for face in chosen.get(k + 1, ()):
-                forced.update(itertools.combinations(face, k + 1))
-            if len(forced) > f[k + 1]:
-                return False
-            if not forced <= set(rainbow[k]):
-                return False
-            extra = f[k + 1] - len(forced)
-            pool = [c for c in rainbow[k] if c not in forced]
-            for combo in itertools.combinations(pool, extra):
-                chosen[k] = forced | set(combo)
-                if solve(k - 1):
-                    return True
-            chosen.pop(k, None)
-            return False
-
-        if top >= 1:
-            found = False
-            for top_combo in itertools.combinations(rainbow[top], f[top + 1]):
-                chosen[top] = set(top_combo)
-                if solve(top - 1):
-                    found = True
-                    break
-            if not found:
-                continue
-        all_faces = [(i,) for i in range(n)]
-        for k in range(1, top + 1):
-            all_faces.extend(sorted(chosen.get(k, ())))
-        delta = SimplicialComplex([[names[v] for v in face] for face in all_faces],
-                                  vertices=names)
-        coloring = {names[i]: kappa[i] for i in range(n)}
-        if delta.f_vector() != f or not is_proper(delta, coloring):
-            continue  # closure produced extra faces with this choice
-        return delta, coloring
-    return None

@@ -1,8 +1,10 @@
-"""Bundled sample graphs used by the golden suite and the docs."""
+"""Bundled sample graphs used by the golden suite and the docs, and the
+pinned certificate the golden suite re-checks."""
 
 from __future__ import annotations
 
-from .complexes import Graph
+from .complexes import Graph, SimplicialComplex
+
 
 def pg_sample_graph() -> Graph:
     """A 12-vertex member of the pendant/cycle class.
@@ -29,6 +31,18 @@ def flag_sphere_graph() -> Graph:
              (8, 9), (2, 7), (2, 8), (1, 7), (6, 8), (5, 8), (4, 8), (3, 8)]
     return Graph([str(i) for i in range(10)],
                  [(str(a), str(b)) for a, b in edges])
+
+
+def colorable_h_witness() -> tuple[SimplicialComplex, dict[str, int]]:
+    """A 3-colorable complex whose f-vector is the flag sphere's h-vector.
+
+    f = (1, 7, 7, 1): one triangle v1 v6 v7, four more edges from v2 and v3
+    to v6 and v7, and two isolated points, colored by {v1..v5}, {v6}, {v7}.
+    """
+    facets = [("v1", "v6", "v7"), ("v2", "v6"), ("v2", "v7"), ("v3", "v6"),
+              ("v3", "v7"), ("v4",), ("v5",)]
+    coloring = {f"v{i}": 0 for i in range(1, 6)} | {"v6": 1, "v7": 2}
+    return SimplicialComplex(facets, vertices=list(coloring)), coloring
 
 
 def sample_graph(name: str) -> Graph:

@@ -17,11 +17,12 @@ from facebalance.classify import (beta, classify_girth5,
                                   independent_facet_transversal, is_isomorphic,
                                   pendant_edges, turan_graph)
 from facebalance.complexes import (Graph, SimplicialComplex, clique_complex,
-                                   convolve, f_from_h, find_colorable_complex,
-                                   h_from_f, independence_complex, is_proper,
+                                   convolve, f_from_h, h_from_f,
+                                   independence_complex, is_proper,
                                    proper_coloring)
 from facebalance.homology import is_cohen_macaulay, reduced_betti
-from facebalance.samples import flag_sphere_graph, pg_sample_graph
+from facebalance.samples import (colorable_h_witness, flag_sphere_graph,
+                                 pg_sample_graph)
 
 
 def _announce(name: str, started: float, detail: str = ""):
@@ -177,11 +178,13 @@ def test_criterion_6_flag_sphere():
     assert tuple(reduced_betti(sphere)) == (0, 0, 0, 1)
     assert proper_coloring(sphere, 3) is None
     assert independent_facet_transversal(sphere) is None
-    hit = find_colorable_complex((1, 7, 7, 1), 3)
-    assert hit is not None
-    witness_cx, coloring = hit
-    assert witness_cx.f_vector() == (1, 7, 7, 1)
-    assert is_proper(witness_cx, coloring)
+    # the pinned certificate that h = (1, 7, 7, 1) is the f-vector of a
+    # 3-colorable complex, checked by the oracles alone
+    witness_cx, coloring = colorable_h_witness()
+    faces = bf.faces_from_facets(witness_cx.facet_labels())
+    assert bf.fvector(faces) == (1, 7, 7, 1) == sphere.h_vector()
+    assert set(coloring) == {v for f in faces for v in f}
+    assert all(coloring[f[0]] != coloring[f[1]] for f in faces if len(f) == 2)
     assert len(set(coloring.values())) <= 3
     assert time.perf_counter() - started < 120
     _announce("6 (flag 2-sphere)", started)

@@ -257,6 +257,30 @@ def test_parse_cover_validation():
         parse_cover([{"type": "points", "vertices": ["a"], "edges": [["a", "b"]]}])
     out = parse_cover([{"type": "points", "vertices": ["a"]}])
     assert out[0]["removed_edge"] is None
+    # JSON numbers are labels too, compared as strings
+    out = parse_cover([{"type": "graph", "vertices": ["a", 2, 3.5],
+                        "edges": [["a", 2]], "removed_edge": [2, "a"]}])
+    assert out[0]["vertices"] == ["a", "2", "3.5"]
+    assert out[0]["edges"] == [("a", "2")]
+    assert out[0]["removed_edge"] == ("2", "a")
+
+
+@pytest.mark.parametrize("factor", [
+    {"type": "points", "vertices": "ab"},
+    {"type": "points", "vertices": ["1", 1]},
+    {"type": "points", "vertices": ["a", None]},
+    {"type": "graph", "vertices": ["a", "b"], "edges": {"a": "b"}},
+    {"type": "graph", "vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]},
+    {"type": "graph", "vertices": ["a", "b"], "edges": ["ab"]},
+    {"type": "graph", "vertices": ["a", "b"], "edges": [["a", True]]},
+    {"type": "graph", "vertices": ["a", "b"], "edges": [["a", "b"]],
+     "removed_edge": []},
+    {"type": "graph", "vertices": ["a", "b"], "edges": [["a", "b"]],
+     "removed_edge": "ab"},
+])
+def test_parse_cover_rejects_malformed_factors(factor):
+    with pytest.raises(CoverError, match="^factor 0: "):
+        parse_cover([factor])
 
 
 def test_factor_complex_shapes():

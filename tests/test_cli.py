@@ -3,10 +3,11 @@ import json
 import pytest
 
 from conftest import cycle_graph
+from facebalance import cli
 from facebalance.balancing import CHECK_NAMES
 from facebalance.cli import main
-from facebalance.complexes import independence_complex
-from facebalance.samples import pg_sample_graph
+from facebalance.complexes import SimplicialComplex, independence_complex
+from facebalance.samples import colorable_h_witness, pg_sample_graph
 
 
 @pytest.fixture
@@ -118,6 +119,54 @@ def test_golden_passes(capsys):
     report = _json_out(capsys)
     assert report["results"]["failed"] == []
     assert all(report["checks"].values())
+
+
+def _monochromatic_edge():
+    # v6 recoloured 0, like v1: the edge v1-v6 has one colour
+    cx, coloring = colorable_h_witness()
+    return cx, dict(coloring, v6=0)
+
+
+def _one_point_short():
+    # without the facet v5 the f-vector is (1, 6, 7, 1)
+    cx, coloring = colorable_h_witness()
+    facets = [f for f in cx.facet_labels() if f != ("v5",)]
+    coloring.pop("v5")
+    return SimplicialComplex(facets), coloring
+
+
+@pytest.mark.parametrize("broken", [_monochromatic_edge, _one_point_short])
+def test_golden_rejects_a_broken_colorable_witness(monkeypatch, capsys, broken):
+    monkeypatch.setattr(cli, "colorable_h_witness", broken)
+    assert main(["--json", "golden"]) == 1
+    report = _json_out(capsys)
+    assert report["results"]["failed"] == ["colorable_witness_for_h"]
+
+
+def _square_with_cover(tmp_path, factor):
+    # the 4-cycle a c / a d / b c / b d is the join of {a, b} and {c, d}
+    cx_path = tmp_path / "square.cx"
+    cx_path.write_text("a c\na d\nb c\nb d\n")
+    cover_path = tmp_path / "cover.json"
+    other = {"type": "points", "vertices": ["c", "d"], "edges": [],
+             "removed_edge": None}
+    cover_path.write_text(json.dumps([factor, other]))
+    return ["--json", "balance", "--complex", str(cx_path),
+            "--cover", str(cover_path)]
+
+
+@pytest.mark.parametrize("factor", [
+    {"type": "points", "vertices": ["a", "b", "a"], "edges": [],
+     "removed_edge": None},
+    {"type": "points", "vertices": 5, "edges": [], "removed_edge": None},
+    {"type": "points", "vertices": ["a", "b"], "edges": [],
+     "removed_edge": 7},
+], ids=["repeated_label", "vertices_not_a_list", "removed_edge_not_a_pair"])
+def test_malformed_cover_is_input_error(tmp_path, capsys, factor):
+    assert main(_square_with_cover(tmp_path, factor)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: factor 0: ")
 
 
 def test_missing_file_is_input_error(capsys):

@@ -8,7 +8,7 @@ import bruteforce as bf
 from conftest import cycle_graph, disjoint_union, path_graph
 from facebalance.complexes import (ComplexError, Graph, SimplicialComplex,
                                    clique_complex, convolve, empty_complex,
-                                   f_from_h, find_colorable_complex, h_from_f,
+                                   f_from_h, h_from_f,
                                    independence_complex,
                                    is_full_dimensional_subcomplex, is_proper,
                                    maximal_independent_sets, parse_complex,
@@ -294,6 +294,24 @@ def test_subgraph_accepts_a_one_shot_iterable():
         assert sub.edge_labels() == [("a", "b")]
 
 
+def test_adjacency_matches_the_edge_set():
+    rng = random.Random(23)
+    for _ in range(50):
+        n = rng.randint(1, 8)
+        pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        g = Graph([f"x{i}" for i in range(n)],
+                  [(f"x{a}", f"x{b}") for a, b in pairs])
+        adj = g.adjacency()
+        assert list(adj) == list(range(n))
+        for i in range(n):
+            assert adj[i] == {j for e in pairs for j in e if i in e and j != i}
+            assert isinstance(adj[i], frozenset)
+            assert all(g.has_edge(i, j) == ((min(i, j), max(i, j)) in g.edges)
+                       for j in range(n) if j != i)
+        adj.clear()  # the caller's copy: the graph keeps its own
+        assert len(g.adjacency()) == n
+
+
 # ---------------------------------------------------------------------------
 # colorings
 # ---------------------------------------------------------------------------
@@ -332,31 +350,6 @@ def test_full_dimensional_subcomplex_cases():
     assert not is_full_dimensional_subcomplex(points, gamma)
     other = SimplicialComplex([["a", "d"]])
     assert not is_full_dimensional_subcomplex(other, gamma)
-
-
-# ---------------------------------------------------------------------------
-# colorable-complex search
-# ---------------------------------------------------------------------------
-
-def test_find_colorable_complex_single_point():
-    hit = find_colorable_complex((1, 1), 1)
-    assert hit is not None
-    assert hit[0].f_vector() == (1, 1)
-
-
-def test_find_colorable_complex_none_when_impossible():
-    assert find_colorable_complex((1, 2, 1), 1) is None
-    assert find_colorable_complex((1, 3, 3, 1), 2) is None
-
-
-@pytest.mark.parametrize("f", [(1, 7, 7, 1), (1, 4, 5, 1)])
-def test_find_colorable_complex_three_colors(f):
-    hit = find_colorable_complex(f, 3)
-    assert hit is not None
-    delta, coloring = hit
-    assert delta.f_vector() == f
-    assert is_proper(delta, coloring)
-    assert max(coloring.values()) < 3
 
 
 # ---------------------------------------------------------------------------
