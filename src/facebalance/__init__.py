@@ -2,11 +2,9 @@
 multicomplex witnesses for simplicial complexes at desk scale."""
 
 from .complexes import (ComplexError, Graph, SimplicialComplex, VerificationError,
-                        clique_complex, convolve, empty_complex, f_from_h,
-                        h_from_f, independence_complex,
-                        is_full_dimensional_subcomplex,
-                        maximal_independent_sets, parse_complex, parse_graph,
-                        proper_coloring)
+                        clique_complex, convolve, f_from_h, h_from_f,
+                        independence_complex, is_full_dimensional_subcomplex,
+                        maximal_independent_sets, parse_complex, parse_graph)
 from .homology import (BettiProfile, CMViolation, boundary_rank, cm_report,
                        is_cohen_macaulay, reduced_betti)
 from .polynomials import (LinearAutomorphism, Multicomplex, Specialization,

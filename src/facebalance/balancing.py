@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .complexes import (ComplexError, Graph, SimplicialComplex,
@@ -49,21 +50,6 @@ class BalancingPair:
         if len(self.blocks) != self.order.d:
             raise ValueError("need exactly one block per tail variable")
 
-    @property
-    def d(self) -> int:
-        return self.order.d
-
-    def inverse_matrix(self) -> LinearAutomorphism:
-        return self.matrix.inverse()
-
-    def to_json_obj(self) -> dict:
-        return {"order": list(self.order.variables), "tail": list(self.order.tail()),
-                "blocks": [list(b) for b in self.blocks],
-                "matrix": self.matrix.to_json_obj()}
-
-
-EMPTY_PAIR = BalancingPair(TermOrder((), 0), LinearAutomorphism((), ()), ())
-
 
 # ---------------------------------------------------------------------------
 # the rank condition
@@ -77,7 +63,7 @@ def kind_kleinschmidt(delta: SimplicialComplex, pair: BalancingPair
     restricted to the last ``d`` columns, must have rank equal to the facet
     size.  Returns the first failing facet in sorted order, if any.
     """
-    ginv = pair.inverse_matrix()
+    ginv = pair.matrix.inverse()
     n, d = pair.order.n, pair.order.d
     for facet in sorted(delta.facets):
         labels = delta.labels(facet)
@@ -178,10 +164,6 @@ def compose_pairs(p1: BalancingPair, p2: BalancingPair) -> BalancingPair:
     free columns); the composite is the block sum arranged for the merged
     order.
     """
-    if p1.order.n == 0:
-        return p2
-    if p2.order.n == 0:
-        return p1
     if set(p1.order.variables) & set(p2.order.variables):
         raise CoverError("joined factors share vertex labels")
     for p in (p1, p2):
@@ -237,8 +219,8 @@ def _labels(k: int, what: str, seq, size: Optional[int] = None) -> tuple[str, ..
 
 
 def parse_cover(obj) -> list[dict]:
-    """Validate the JSON cover format: a list of factor objects."""
-    if not isinstance(obj, list) or not obj:
+    """Validate the JSON cover format: a list (or tuple) of factor objects."""
+    if not isinstance(obj, (list, tuple)) or not obj:
         raise CoverError("cover must be a non-empty list of factors")
     out = []
     for k, factor in enumerate(obj):
@@ -338,17 +320,20 @@ def _padded(seq: Sequence[int], length: int) -> tuple[int, ...]:
     return tuple(seq) + (0,) * (length - len(seq))
 
 
+RETRIES = 8  # extra specialization attempts after the first
+
+
 def balanced_witness(delta: SimplicialComplex, cover: Sequence[dict],
-                     seed: int = DEFAULT_SEED, retries: int = 8) -> BalancedWitness:
+                     seed: int = DEFAULT_SEED) -> BalancedWitness:
     """Build and verify the witness for a full-dimensional CM subcomplex of a
     join of admissible factors.
 
     Hypothesis violations (bad factor, not a subcomplex, not CM) raise
     :class:`CoverError` naming the failed condition.  Check failures under a
-    specialization trigger a resample, up to ``retries`` extra attempts, then
+    specialization trigger a resample, up to ``RETRIES`` extra attempts, then
     raise :class:`VerificationError` naming the failed check.
     """
-    cover = parse_cover(list(cover))
+    cover = parse_cover(cover)
     gamma = join_of_factors(cover)
     if not is_full_dimensional_subcomplex(delta, gamma):
         raise CoverError("complex is not a full-dimensional subcomplex of the "
@@ -362,13 +347,12 @@ def balanced_witness(delta: SimplicialComplex, cover: Sequence[dict],
     h = h_from_f(delta.f_vector())
     failures = []
     stream = specialization_stream(seed)
-    for _ in range(retries + 1):
+    for _ in range(RETRIES + 1):
         spec = next(stream)
         try:
-            pair = EMPTY_PAIR
-            for factor in cover:
-                for base in _base_pairs_for(factor, spec):
-                    pair = compose_pairs(pair, base)
+            # every factor yields a base pair and the cover is not empty
+            pair = reduce(compose_pairs, (base for factor in cover
+                                          for base in _base_pairs_for(factor, spec)))
             if pair.order.d != d:
                 raise CoverError(f"cover tail size {pair.order.d} does not match "
                                  f"the complex ({d})")

@@ -17,19 +17,18 @@ import sys
 import time
 from pathlib import Path
 
-from .balancing import (CoverError, VerificationError, balanced_witness,
-                        parse_cover)
+from .balancing import CoverError, VerificationError, balanced_witness
 from .classify import (CATALOG_ALIASES, _cycle_graph, classify_girth5,
                        count_triangles, embed_in_join, exceptional_catalog,
                        girth, independent_facet_transversal, is_isomorphic,
                        turan_graph)
 from .complexes import (ComplexError, clique_complex, f_from_h, h_from_f,
                         independence_complex, is_proper, parse_complex,
-                        parse_graph, proper_coloring)
+                        parse_graph)
 from .homology import cm_report, is_cohen_macaulay, reduced_betti
 from .polynomials import DEFAULT_SEED
 from .samples import (SAMPLE_NAMES, colorable_h_witness, flag_sphere_graph,
-                      pg_sample_graph, sample_graph)
+                      odd_wheel, pg_sample_graph, sample_graph)
 
 
 def _digest(path: str) -> str:
@@ -80,8 +79,8 @@ def cmd_homology(args):
 
 def cmd_balance(args):
     delta = parse_complex(_read(args.complex))
-    cover = parse_cover(json.loads(_read(args.cover)))
-    witness = balanced_witness(delta, cover, seed=args.seed, retries=args.retries)
+    cover = json.loads(_read(args.cover))
+    witness = balanced_witness(delta, cover, seed=args.seed)
     inputs = {args.complex: _digest(args.complex), args.cover: _digest(args.cover)}
     return _report(args, inputs, witness.to_json_obj(), checks=witness.checks)
 
@@ -181,7 +180,7 @@ def cmd_golden(args):
                "edges": [list(e) for e in ic5.one_skeleton().edge_labels()],
                "removed_edge": None}]
     try:
-        w5 = balanced_witness(ic5, cover5, seed=args.seed, retries=args.retries)
+        w5 = balanced_witness(ic5, cover5, seed=args.seed)
         record("pentagon_witness", w5.basis.f_vector() == (1, 3, 1),
                list(w5.basis.f_vector()))
     except (CoverError, VerificationError) as e:
@@ -198,7 +197,7 @@ def cmd_golden(args):
     try:
         cover_pg, certificate = embed_in_join(pg)
         record("pg_sample_cover_dim", certificate["dim_matches"])
-        wpg = balanced_witness(ipg, cover_pg, seed=args.seed, retries=args.retries)
+        wpg = balanced_witness(ipg, cover_pg, seed=args.seed)
         record("pg_sample_witness",
                wpg.checks["f_matches_h"] and all(wpg.checks.values()),
                list(wpg.basis.f_vector()))
@@ -212,7 +211,14 @@ def cmd_golden(args):
     cmS, _ = is_cohen_macaulay(sphere)
     record("flag_sphere_cm", cmS)
     record("flag_sphere_betti", tuple(reduced_betti(sphere)) == (0, 0, 0, 1))
-    record("flag_sphere_not_3_colorable", proper_coloring(sphere, 3) is None)
+    # a closed odd walk needs 3 colours and a hub adjacent to all of it a
+    # fourth: re-check the pinned wheel on the sphere's 1-skeleton
+    hub, rim = odd_wheel()
+    edges = {frozenset(e) for e in sphere.one_skeleton().edge_labels()}
+    record("flag_sphere_not_3_colorable",
+           len(rim) % 2 == 1
+           and all(frozenset(e) in edges for e in zip(rim, rim[1:] + rim[:1]))
+           and all(frozenset((hub, v)) in edges for v in rim))
     record("flag_sphere_no_transversal",
            independent_facet_transversal(sphere) is None)
     # the sphere is not 3-colorable, but its h-vector is the f-vector of a
@@ -241,14 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit one canonical JSON line")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="specialization seed")
-    parser.add_argument("--retries", type=int, default=8,
-                        help="extra specialization attempts")
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
     # pre-subcommand value from being clobbered by the default
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    shared.add_argument("--retries", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("fvector", parents=[shared], help="f- and h-vector of a complex file")
@@ -334,4 +337,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -214,10 +214,6 @@ class SimplicialComplex:
         return "".join(" ".join(f) + "\n" for f in self.facet_labels())
 
 
-def empty_complex() -> SimplicialComplex:
-    return SimplicialComplex([[]])
-
-
 def is_full_dimensional_subcomplex(inner: SimplicialComplex,
                                    outer: SimplicialComplex) -> bool:
     """True iff every face of ``inner`` is a face of ``outer`` and dims agree."""
@@ -430,39 +426,6 @@ def clique_complex(g: Graph) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 # colorings
 # ---------------------------------------------------------------------------
-
-def proper_coloring(delta: SimplicialComplex, k: int) -> Optional[dict[str, int]]:
-    """A proper coloring of the 1-skeleton with at most ``k`` colors, or None.
-
-    Deterministic backtracking: vertices in order of decreasing skeleton
-    degree (ties by vertex position), colors tried in increasing index.
-    """
-    if k < 1:
-        raise ComplexError("at least one color is required")
-    if delta.dim == -1:
-        return {}
-    n = len(delta.vertices)
-    adj = delta.one_skeleton().adjacency()
-    order = sorted(range(n), key=lambda i: (-len(adj[i]), i))
-    color: dict[int, int] = {}
-
-    def assign(pos: int) -> bool:
-        if pos == n:
-            return True
-        v = order[pos]
-        used = {color[u] for u in adj[v] if u in color}
-        for c in range(k):
-            if c not in used:
-                color[v] = c
-                if assign(pos + 1):
-                    return True
-                del color[v]
-        return False
-
-    if not assign(0):
-        return None
-    return {delta.vertices[i]: color[i] for i in range(n)}
-
 
 def is_proper(delta: SimplicialComplex, coloring: dict[str, int]) -> bool:
     return all(coloring[delta.vertices[a]] != coloring[delta.vertices[b]]

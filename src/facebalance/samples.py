@@ -1,5 +1,5 @@
 """Bundled sample graphs used by the golden suite and the docs, and the
-pinned certificate the golden suite re-checks."""
+pinned certificates the golden suite re-checks."""
 
 from __future__ import annotations
 
@@ -43,6 +43,15 @@ def colorable_h_witness() -> tuple[SimplicialComplex, dict[str, int]]:
               ("v3", "v7"), ("v4",), ("v5",)]
     coloring = {f"v{i}": 0 for i in range(1, 6)} | {"v6": 1, "v7": 2}
     return SimplicialComplex(facets, vertices=list(coloring)), coloring
+
+
+def odd_wheel() -> tuple[str, tuple[str, ...]]:
+    """A hub and a closed odd walk through its neighbours in the flag
+    sphere's graph: the rim needs 3 colours and the hub a fourth.
+
+    The rim is the link of vertex 0, the 5-cycle 1 2 9 3 4.
+    """
+    return "0", ("1", "2", "9", "3", "4")
 
 
 def sample_graph(name: str) -> Graph:

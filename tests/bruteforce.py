@@ -224,6 +224,15 @@ def has_k4(vertices, edges) -> bool:
                for q in itertools.combinations(vertices, 4))
 
 
+def is_colorable(vertices, edges, k: int) -> bool:
+    """True iff some map of the vertices to ``k`` colours, out of all
+    ``k ** len(vertices)``, gives every edge two colours."""
+    vertices = list(vertices)
+    pairs = [(vertices.index(u), vertices.index(w)) for u, w in edges]
+    return any(all(c[i] != c[j] for i, j in pairs)
+               for c in itertools.product(range(k), repeat=len(vertices)))
+
+
 def induced_cycle_lengths(vertices, edges) -> set[int]:
     """Lengths of all chordless cycles, by testing every vertex subset.
 

@@ -18,8 +18,7 @@ from facebalance.classify import (beta, classify_girth5,
                                   pendant_edges, turan_graph)
 from facebalance.complexes import (Graph, SimplicialComplex, clique_complex,
                                    convolve, f_from_h, h_from_f,
-                                   independence_complex, is_proper,
-                                   proper_coloring)
+                                   independence_complex, is_proper)
 from facebalance.homology import is_cohen_macaulay, reduced_betti
 from facebalance.samples import (colorable_h_witness, flag_sphere_graph,
                                  pg_sample_graph)
@@ -176,7 +175,9 @@ def test_criterion_6_flag_sphere():
     cm, _ = is_cohen_macaulay(sphere)
     assert cm
     assert tuple(reduced_betti(sphere)) == (0, 0, 0, 1)
-    assert proper_coloring(sphere, 3) is None
+    # every one of the 3^10 colourings leaves an edge monochromatic
+    assert not bf.is_colorable(g.vertices, g.edge_labels(), 3)
+    assert bf.is_colorable(g.vertices, g.edge_labels(), 4)
     assert independent_facet_transversal(sphere) is None
     # the pinned certificate that h = (1, 7, 7, 1) is the f-vector of a
     # 3-colorable complex, checked by the oracles alone
@@ -276,8 +277,7 @@ def test_criterion_7_property_suites():
 
     # link-vanishing CM test against brute-force homology: exhaustive on at
     # most 4 vertices, seeded samples on 5 and 6
-    from facebalance.complexes import empty_complex
-    empty = empty_complex()
+    empty = SimplicialComplex([[]])
     ok_empty, _ = is_cohen_macaulay(empty)
     assert ok_empty == bf.is_cm([()])
     checked = 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import cycle_graph, disjoint_union, identity_automorphism
-from facebalance.balancing import (BalancingPair, CoverError, EMPTY_PAIR,
+from facebalance.balancing import (BalancingPair, CoverError,
                                    VerificationError, balanced_witness,
                                    base_pair_near_bipartite, base_pair_points,
                                    compose_pairs, factor_complex,
@@ -63,7 +63,7 @@ def test_points_pair_shape():
     assert pair.blocks == (("a", "b"),)
     # last column of the twist is all ones, the rest is the identity
     assert [row[-1] for row in pair.matrix.matrix] == [1, 1, 1]
-    inv = pair.inverse_matrix()
+    inv = pair.matrix.inverse()
     assert [row[-1] for row in inv.matrix] == [-1, -1, 1]
 
 
@@ -80,7 +80,7 @@ def test_near_bipartite_pair_matrices():
     assert pair.order.variables == ("4", "5", "2", "1", "3")
     assert pair.order.tail() == ("1", "3")
     assert pair.blocks == (("2",), ("4", "5"))
-    inv = pair.inverse_matrix().matrix
+    inv = pair.matrix.inverse().matrix
     # tail rows of the inverse hold the parameter block
     assert [list(row[-2:]) for row in inv[-2:]] == [[1, 2], [3, 5]]
     # free rows: -(ones|class-column) * Z
@@ -157,12 +157,6 @@ def test_near_bipartite_validates_removed_edge():
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
-
-def test_compose_with_empty_pair_is_identity():
-    pair = base_pair_points(("a", "b"))
-    assert compose_pairs(EMPTY_PAIR, pair) is pair
-    assert compose_pairs(pair, EMPTY_PAIR) is pair
-
 
 def test_compose_points_pairs_order_and_blocks():
     p1 = base_pair_points(("a", "b"))
@@ -263,6 +257,9 @@ def test_parse_cover_validation():
     assert out[0]["vertices"] == ["a", "2", "3.5"]
     assert out[0]["edges"] == [("a", "2")]
     assert out[0]["removed_edge"] == ("2", "a")
+    # a tuple of factors is a cover too
+    assert parse_cover(({"type": "points", "vertices": ["a"]},)) == \
+        parse_cover([{"type": "points", "vertices": ["a"]}])
 
 
 @pytest.mark.parametrize("factor", [
@@ -327,7 +324,7 @@ def test_witness_for_bipartite_graph_factor_splits():
     square = cycle_graph(4)
     delta = SimplicialComplex(square.edge_labels())
     witness = balanced_witness(delta, [_graph_factor(square)])
-    assert witness.pair.d == 2
+    assert witness.pair.order.d == 2
     assert witness.basis.f_vector() == h_from_f(delta.f_vector())
     assert all(witness.checks.values())
 
@@ -353,7 +350,18 @@ def test_witness_cm_check_can_be_waived(monkeypatch):
     monkeypatch.setattr(balancing, "is_cohen_macaulay", lambda delta: (True, None))
     # h = (1, 2, -1) cannot match a monomial count, so verification must fail
     with pytest.raises(VerificationError, match="f_matches_h"):
-        balanced_witness(two_edges, [_graph_factor(square)], retries=1)
+        balanced_witness(two_edges, [_graph_factor(square)])
+
+
+@pytest.mark.parametrize("cover", [5, {"type": "points", "vertices": ["a"]}],
+                         ids=["number", "factor_not_in_a_list"])
+def test_witness_rejects_a_cover_that_is_not_a_list(cover):
+    # the cover is validated as given, not after a list() that turns a
+    # dict into its keys and fails on a number
+    delta = SimplicialComplex([["a"]])
+    with pytest.raises(CoverError,
+                       match="^cover must be a non-empty list of factors$"):
+        balanced_witness(delta, cover)
 
 
 def test_witness_rejects_triangle_factor():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -7,7 +10,7 @@ from facebalance import cli
 from facebalance.balancing import CHECK_NAMES
 from facebalance.cli import main
 from facebalance.complexes import SimplicialComplex, independence_complex
-from facebalance.samples import colorable_h_witness, pg_sample_graph
+from facebalance.samples import colorable_h_witness, odd_wheel, pg_sample_graph
 
 
 @pytest.fixture
@@ -143,6 +146,34 @@ def test_golden_rejects_a_broken_colorable_witness(monkeypatch, capsys, broken):
     assert report["results"]["failed"] == ["colorable_witness_for_h"]
 
 
+def _even_wheel():
+    # the link of vertex 3 is the 4-cycle 0 4 8 9
+    return "3", ("0", "4", "8", "9")
+
+
+def _rim_not_closed():
+    # 1-9 is not an edge of the sphere
+    return "0", ("1", "9", "2", "3", "4")
+
+
+def _hub_off_the_rim():
+    # vertex 5 is adjacent to 1 and 4 but not to 2, 9 or 3
+    return "5", odd_wheel()[1]
+
+
+def _unknown_vertex():
+    return "0", ("1", "2", "9", "3", "x")
+
+
+@pytest.mark.parametrize("broken", [_even_wheel, _rim_not_closed,
+                                    _hub_off_the_rim, _unknown_vertex])
+def test_golden_rejects_a_broken_odd_wheel(monkeypatch, capsys, broken):
+    monkeypatch.setattr(cli, "odd_wheel", broken)
+    assert main(["--json", "golden"]) == 1
+    report = _json_out(capsys)
+    assert report["results"]["failed"] == ["flag_sphere_not_3_colorable"]
+
+
 def _square_with_cover(tmp_path, factor):
     # the 4-cycle a c / a d / b c / b d is the join of {a, b} and {c, d}
     cx_path = tmp_path / "square.cx"
@@ -169,8 +200,49 @@ def test_malformed_cover_is_input_error(tmp_path, capsys, factor):
     assert captured.err.startswith("input error: factor 0: ")
 
 
+def test_cover_object_is_input_error(tmp_path, capsys):
+    argv = _square_with_cover(tmp_path, {})
+    # one factor, not a list of factors
+    (tmp_path / "cover.json").write_text(json.dumps(
+        {"type": "points", "vertices": ["a", "b"]}))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: cover must be a non-empty list "
+                            "of factors\n")
+
+
+def test_retries_is_not_an_option(tmp_path, capsys):
+    points = {"type": "points", "vertices": ["a", "b"], "edges": [],
+              "removed_edge": None}
+    argv = _square_with_cover(tmp_path, points)
+    assert main(argv) == 0
+    capsys.readouterr()
+    # a usage error (exit 2), before or after the subcommand, where a
+    # negative count used to run no attempt and exit 1
+    for extra in (argv + ["--retries", "-1"], ["--retries", "8"] + argv):
+        with pytest.raises(SystemExit) as exc:
+            main(extra)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: ")
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["fvector", "/nonexistent/file.cx"]) == 2
+
+
+@pytest.mark.parametrize("module", ["facebalance", "facebalance.cli"])
+def test_module_run_exits_with_the_code_of_main(tmp_path, module):
+    import facebalance
+
+    src = os.path.dirname(os.path.dirname(facebalance.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "fvector", str(tmp_path / "missing.cx")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
 
 
 def test_parse_error_is_input_error(tmp_path, capsys):
@@ -206,10 +278,6 @@ def test_report_flags_check_failures():
 
 
 def test_json_stable_across_hash_seeds(tmp_path, pg_graph_file):
-    import os
-    import subprocess
-    import sys
-
     import facebalance
     from facebalance.classify import embed_in_join
 
@@ -242,9 +310,6 @@ def test_json_stable_across_hash_seeds(tmp_path, pg_graph_file):
 def test_bench_tracer_finds_every_name_it_wraps():
     # bench/tracer.py looks the program's functions up by name, so deleting
     # or renaming one breaks `bench/run.py --trace 1`
-    import os
-    import subprocess
-    import sys
     from pathlib import Path
 
     import facebalance

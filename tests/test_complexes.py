@@ -7,12 +7,11 @@ from hypothesis import given, strategies as st
 import bruteforce as bf
 from conftest import cycle_graph, disjoint_union, path_graph
 from facebalance.complexes import (ComplexError, Graph, SimplicialComplex,
-                                   clique_complex, convolve, empty_complex,
-                                   f_from_h, h_from_f,
-                                   independence_complex,
-                                   is_full_dimensional_subcomplex, is_proper,
+                                   clique_complex, convolve, f_from_h,
+                                   h_from_f, independence_complex,
+                                   is_full_dimensional_subcomplex,
                                    maximal_independent_sets, parse_complex,
-                                   parse_graph, proper_coloring)
+                                   parse_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +72,7 @@ def test_facet_normalization_drops_contained():
 
 
 def test_empty_complex_conventions():
-    e = empty_complex()
+    e = SimplicialComplex([[]])
     assert e.dim == -1
     assert e.f_vector() == (1,)
     assert e.h_vector() == (1,)
@@ -310,31 +309,6 @@ def test_adjacency_matches_the_edge_set():
                        for j in range(n) if j != i)
         adj.clear()  # the caller's copy: the graph keeps its own
         assert len(g.adjacency()) == n
-
-
-# ---------------------------------------------------------------------------
-# colorings
-# ---------------------------------------------------------------------------
-
-def test_simplex_skeleton_coloring_thresholds():
-    for d in (1, 2, 3):
-        simplex = SimplicialComplex([[f"v{i}" for i in range(d + 1)]])
-        skel = SimplicialComplex(simplex.one_skeleton().edge_labels())
-        assert proper_coloring(skel, d + 1) is not None
-        assert proper_coloring(skel, d) is None
-
-
-def test_proper_coloring_is_proper_and_deterministic():
-    cx = independence_complex(cycle_graph(5))
-    got = proper_coloring(cx, 3)
-    assert got is not None and is_proper(cx, got)
-    assert got == proper_coloring(cx, 3)
-    assert proper_coloring(cx, 2) is None
-
-
-def test_coloring_requires_at_least_one_color():
-    with pytest.raises(ComplexError):
-        proper_coloring(SimplicialComplex([["a"]]), 0)
 
 
 # ---------------------------------------------------------------------------

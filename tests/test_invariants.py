@@ -160,7 +160,7 @@ def test_improper_witness_coloring_is_a_failed_check(monkeypatch):
     monkeypatch.setattr(balancing, "is_proper", lambda cx, coloring: False)
     pentagon = independence_complex(cycle_graph(5))
     with pytest.raises(VerificationError, match="failed proper_coloring"):
-        balanced_witness(pentagon, _pentagon_cover(), retries=1)
+        balanced_witness(pentagon, _pentagon_cover())
 
 
 def test_coloring_check_fails_without_a_squarefree_basis(monkeypatch):
@@ -168,5 +168,5 @@ def test_coloring_check_fails_without_a_squarefree_basis(monkeypatch):
     pentagon = independence_complex(cycle_graph(5))
     with pytest.raises(VerificationError,
                        match="attempt 0: failed proper_coloring, squarefree;"):
-        balanced_witness(pentagon, _pentagon_cover(), retries=1)
+        balanced_witness(pentagon, _pentagon_cover())
 

@@ -265,10 +265,8 @@ def test_basis_requires_matching_tail_size():
 
 
 def test_basis_of_the_empty_complex():
-    from facebalance.complexes import empty_complex
-
     order = TermOrder((), 0)
-    basis = standard_monomial_basis(empty_complex(),
+    basis = standard_monomial_basis(SimplicialComplex([[]]),
                                     identity_automorphism(()), order)
     assert basis.monomials == {()}
     assert basis.f_vector() == (1,)
