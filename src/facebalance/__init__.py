@@ -17,11 +17,9 @@ from .balancing import (BalancedWitness, BalancingPair, CoverError,
                         inherit_to_subcomplex, join_of_factors,
                         kind_kleinschmidt, parse_cover)
 from .classify import (PGDecomposition, Verdict, basic_5_cycles, beta,
-                       classify_girth5, count_triangles, embed_in_join,
-                       exceptional_catalog, girth,
-                       independent_facet_transversal, is_isomorphic,
-                       is_well_covered, pendant_edges, pg_decomposition,
-                       turan_graph)
+                       classify_girth5, embed_in_join, exceptional_catalog,
+                       girth, independent_facet_transversal, is_isomorphic,
+                       is_well_covered, pendant_edges, pg_decomposition)
 from .samples import flag_sphere_graph, pg_sample_graph
 
 __version__ = "0.1.0"

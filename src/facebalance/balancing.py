@@ -104,24 +104,28 @@ def base_pair_near_bipartite(graph: Graph, removed_edge: Optional[Sequence[str]]
     minus the endpoints is one block and the opposite class the other.  The
     twist sends each tail variable to a sum over a column of ones (all free
     variables for the first, the opposite class for the second) twisted by
-    the inverse of the 2x2 parameter block.
+    the inverse of the 2x2 parameter block.  With no ``removed_edge``, the
+    first edge whose removal leaves the graph bipartite is used.
     """
     if not graph.is_triangle_free():
         raise CoverError("graph factor contains a triangle")
     if graph.bipartition() is not None:
         raise CoverError("graph factor is bipartite: split it into two point factors")
-    if removed_edge is None:
-        removed_edge = _find_balancing_edge(graph)
-    ends = tuple(str(v) for v in removed_edge)
-    if len(ends) != 2 or set(ends) - set(graph.vertices) or not graph.has_edge(
-            graph.vertices.index(ends[0]), graph.vertices.index(ends[1])):
-        raise CoverError(f"removed edge {ends!r} is not an edge of the factor")
-    y, z = sorted(ends, key=graph.vertices.index)
-    trimmed = Graph(graph.vertices,
-                    [e for e in graph.edge_labels() if set(e) != {y, z}])
-    sides = trimmed.bipartition()
-    if sides is None:
-        raise CoverError("graph factor minus the chosen edge is still odd")
+    edges = graph.edge_labels()
+    for ends in edges if removed_edge is None else [removed_edge]:
+        ends = tuple(str(v) for v in ends)
+        if len(ends) != 2 or set(ends) - set(graph.vertices) or not graph.has_edge(
+                graph.vertices.index(ends[0]), graph.vertices.index(ends[1])):
+            raise CoverError(f"removed edge {ends!r} is not an edge of the factor")
+        y, z = sorted(ends, key=graph.vertices.index)
+        trimmed = Graph(graph.vertices, [e for e in edges if set(e) != {y, z}])
+        sides = trimmed.bipartition()
+        if sides is not None:
+            break
+    else:
+        raise CoverError("no single edge removal makes the factor bipartite"
+                         if removed_edge is None else
+                         "graph factor minus the chosen edge is still odd")
     same = next((s for s in sides if y in s), ())
     if z not in same:
         raise VerificationError("edge endpoints split across the 2-coloring")
@@ -142,15 +146,6 @@ def base_pair_near_bipartite(graph: Graph, removed_edge: Optional[Sequence[str]]
     g = LinearAutomorphism(ordered, tuple(rows))
     blocks = (tuple(v for v in class_a if v not in (y, z)), class_b)
     return BalancingPair(order, g, blocks)
-
-
-def _find_balancing_edge(graph: Graph) -> tuple[str, str]:
-    for e in graph.edge_labels():
-        trimmed = Graph(graph.vertices,
-                        [f for f in graph.edge_labels() if set(f) != set(e)])
-        if trimmed.bipartition() is not None:
-            return e
-    raise CoverError("no single edge removal makes the factor bipartite")
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +242,7 @@ def parse_cover(obj) -> list[dict]:
 
 def factor_complex(factor: dict) -> SimplicialComplex:
     """The simplicial complex of one cover factor."""
-    vertices = factor["vertices"]
-    if factor["type"] == "points" or not factor["edges"]:
-        return SimplicialComplex([[v] for v in vertices])
-    g = Graph(vertices, factor["edges"])
+    g = Graph(factor["vertices"], factor["edges"])
     adj = g.adjacency()
     lonely = [v for i, v in enumerate(g.vertices) if not adj[i]]
     return SimplicialComplex(list(g.edge_labels()) + [[v] for v in lonely],
@@ -258,20 +250,12 @@ def factor_complex(factor: dict) -> SimplicialComplex:
 
 
 def join_of_factors(factors: Iterable[dict]) -> SimplicialComplex:
-    out = None
-    for factor in factors:
-        cx = factor_complex(factor)
-        out = cx if out is None else out.join(cx)
-    if out is None:
-        raise CoverError("empty cover")
-    return out
+    return reduce(SimplicialComplex.join, map(factor_complex, factors))
 
 
 def _base_pairs_for(factor: dict, spec: Specialization) -> list[BalancingPair]:
     """Base pairs for one factor; bipartite graph factors split into two
-    point factors."""
-    if factor["type"] == "points" or not factor["edges"]:
-        return [base_pair_points(factor["vertices"])]
+    point factors, and an edgeless one is a single point factor."""
     g = Graph(factor["vertices"], factor["edges"])
     sides = g.bipartition()
     if sides is not None:

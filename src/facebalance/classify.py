@@ -9,7 +9,6 @@ that class, a single vertex, or one of five exceptional graphs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -174,15 +173,17 @@ def exceptional_catalog() -> dict[str, Graph]:
     return {"C7": _cycle_graph(7), "P10": p10, "P13": p13, "P14": p14, "Q13": q13}
 
 
-CATALOG_ALIASES = {"Q14": "Q13"}
-
-
 # ---------------------------------------------------------------------------
 # graph isomorphism (small graphs)
 # ---------------------------------------------------------------------------
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact backtracking isomorphism test with degree-profile pruning."""
+    """Exact backtracking isomorphism test with degree-profile pruning.
+
+    Graphs whose vertex or edge counts differ are rejected before any
+    search, so classify's comparisons with the catalog (at most 14
+    vertices) backtrack only on graphs that small.
+    """
     n = len(g1.vertices)
     if n != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False
@@ -338,29 +339,3 @@ def independent_facet_transversal(delta: SimplicialComplex
         if all(cset & f for f in facets):
             return candidate
     return None
-
-
-# ---------------------------------------------------------------------------
-# extremal checks
-# ---------------------------------------------------------------------------
-
-def turan_graph(n: int, r: int) -> Graph:
-    """Complete multipartite graph with r classes as equal as possible."""
-    if not 1 <= r <= n:
-        raise ComplexError("need 1 <= r <= n")
-    sizes = [n // r + (1 if i < n % r else 0) for i in range(r)]
-    verts = [f"t{i + 1}" for i in range(n)]
-    part = []
-    pos = 0
-    for s in sizes:
-        part.append(verts[pos:pos + s])
-        pos += s
-    edges = [(u, w) for a, b in itertools.combinations(range(r), 2)
-             for u in part[a] for w in part[b]]
-    return Graph(verts, edges)
-
-
-def count_triangles(g: Graph) -> int:
-    adj = g.adjacency()
-    return sum(1 for a, b, c in itertools.combinations(range(len(g.vertices)), 3)
-               if b in adj[a] and c in adj[a] and c in adj[b])

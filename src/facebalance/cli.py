@@ -15,28 +15,29 @@ import hashlib
 import json
 import sys
 import time
+from functools import reduce
 from pathlib import Path
 
 from .balancing import CoverError, VerificationError, balanced_witness
-from .classify import (CATALOG_ALIASES, _cycle_graph, classify_girth5,
-                       count_triangles, embed_in_join, exceptional_catalog,
-                       girth, independent_facet_transversal, is_isomorphic,
-                       turan_graph)
-from .complexes import (ComplexError, clique_complex, f_from_h, h_from_f,
-                        independence_complex, is_proper, parse_complex,
-                        parse_graph)
+from .classify import (_cycle_graph, classify_girth5, embed_in_join,
+                       exceptional_catalog, girth,
+                       independent_facet_transversal, is_isomorphic)
+from .complexes import (ComplexError, clique_complex, convolve, f_from_h,
+                        h_from_f, independence_complex, is_proper,
+                        parse_complex, parse_graph)
 from .homology import cm_report, is_cohen_macaulay, reduced_betti
 from .polynomials import DEFAULT_SEED
-from .samples import (SAMPLE_NAMES, colorable_h_witness, flag_sphere_graph,
-                      odd_wheel, pg_sample_graph, sample_graph)
+from .samples import (colorable_h_witness, flag_sphere_graph, odd_wheel,
+                      pg_sample_graph)
 
-
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _load(path: str) -> tuple[str, str]:
+    """The file's text and the sha256 of its bytes, from one read."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ComplexError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from None
+    return text, hashlib.sha256(data).hexdigest()
 
 
 def _report(args, inputs: dict, results: dict, checks=None):
@@ -53,10 +54,11 @@ def _report(args, inputs: dict, results: dict, checks=None):
 # ---------------------------------------------------------------------------
 
 def cmd_fvector(args):
-    delta = parse_complex(_read(args.path))
+    text, digest = _load(args.path)
+    delta = parse_complex(text)
     results = {"f": list(delta.f_vector()), "h": list(delta.h_vector()),
                "dim": delta.dim}
-    return _report(args, {args.path: _digest(args.path)}, results)
+    return _report(args, {args.path: digest}, results)
 
 
 def cmd_hvector(args):
@@ -66,27 +68,30 @@ def cmd_hvector(args):
 
 
 def cmd_cm(args):
-    delta = parse_complex(_read(args.path))
-    return _report(args, {args.path: _digest(args.path)}, cm_report(delta))
+    text, digest = _load(args.path)
+    return _report(args, {args.path: digest}, cm_report(parse_complex(text)))
 
 
 def cmd_homology(args):
-    delta = parse_complex(_read(args.path))
+    text, digest = _load(args.path)
+    delta = parse_complex(text)
     results = {"betti": list(reduced_betti(delta)), "dim": delta.dim,
                "f": list(delta.f_vector())}
-    return _report(args, {args.path: _digest(args.path)}, results)
+    return _report(args, {args.path: digest}, results)
 
 
 def cmd_balance(args):
-    delta = parse_complex(_read(args.complex))
-    cover = json.loads(_read(args.cover))
-    witness = balanced_witness(delta, cover, seed=args.seed)
-    inputs = {args.complex: _digest(args.complex), args.cover: _digest(args.cover)}
+    complex_text, complex_digest = _load(args.complex)
+    delta = parse_complex(complex_text)
+    cover_text, cover_digest = _load(args.cover)
+    witness = balanced_witness(delta, json.loads(cover_text), seed=args.seed)
+    inputs = {args.complex: complex_digest, args.cover: cover_digest}
     return _report(args, inputs, witness.to_json_obj(), checks=witness.checks)
 
 
 def cmd_classify(args):
-    g = parse_graph(_read(args.graph))
+    text, digest = _load(args.graph)
+    g = parse_graph(text)
     verdicts = []
     for comp in g.components():
         sub = g.subgraph(comp)
@@ -96,44 +101,54 @@ def cmd_classify(args):
     gi = girth(g)
     results = {"girth": None if gi == float("inf") else int(gi),
                "components": verdicts}
-    return _report(args, {args.graph: _digest(args.graph)}, results)
+    return _report(args, {args.graph: digest}, results)
 
 
 def cmd_catalog(args):
-    name = args.name
-    if name in SAMPLE_NAMES:
-        g = sample_graph(name)
-    else:
-        resolved = CATALOG_ALIASES.get(name, name)
-        table = exceptional_catalog()
-        if resolved not in table:
-            raise ComplexError(f"unknown catalog name {name!r}; choose from "
-                               f"{sorted(table) + list(CATALOG_ALIASES) + list(SAMPLE_NAMES)}")
-        g = table[resolved]
-    results = {"name": name, "vertices": list(g.vertices),
+    table = exceptional_catalog()
+    table |= {"Q14": table["Q13"], "PG12": pg_sample_graph(),
+              "S10": flag_sphere_graph()}
+    if args.name not in table:
+        raise ComplexError(f"unknown catalog name {args.name!r}; choose from "
+                           f"{list(table)}")
+    g = table[args.name]
+    results = {"name": args.name, "vertices": list(g.vertices),
                "edges": [list(e) for e in g.edge_labels()],
                "text": g.to_file_text()}
     return _report(args, {}, results)
 
 
 def cmd_embed(args):
-    g = parse_graph(_read(args.graph))
-    cover, certificate = embed_in_join(g)
+    text, digest = _load(args.graph)
+    cover, certificate = embed_in_join(parse_graph(text))
     results = {"cover": cover, "certificate": certificate}
-    return _report(args, {args.graph: _digest(args.graph)}, results)
+    return _report(args, {args.graph: digest}, results)
 
 
 def cmd_transversal(args):
-    delta = parse_complex(_read(args.path))
-    hit = independent_facet_transversal(delta)
+    text, digest = _load(args.path)
+    hit = independent_facet_transversal(parse_complex(text))
     results = {"transversal": None if hit is None else list(hit)}
-    return _report(args, {args.path: _digest(args.path)}, results)
+    return _report(args, {args.path: digest}, results)
+
+
+def _turan_counts(n: int, r: int) -> tuple[int, int]:
+    """Edges and triangles of the Turan graph T(n, r).
+
+    Its clique complex is the join of r point sets of sizes as equal as
+    possible, so its f-vector is the product of the (1, s_i).
+    """
+    if not 1 <= r <= n:
+        raise ComplexError("need 1 <= r <= n")
+    sizes = [n // r + (i < n % r) for i in range(r)]
+    f = reduce(convolve, ((1, s) for s in sizes)) + (0, 0)
+    return f[2], f[3]
 
 
 def cmd_turan(args):
-    g = turan_graph(args.n, args.r)
-    results = {"n": args.n, "r": args.r, "edges": len(g.edges),
-               "triangles": count_triangles(g)}
+    edges, triangles = _turan_counts(args.n, args.r)
+    results = {"n": args.n, "r": args.r, "edges": edges,
+               "triangles": triangles}
     return _report(args, {}, results)
 
 
@@ -150,9 +165,9 @@ def cmd_golden(args):
     record("h_of_flag_sphere", h_from_f((1, 10, 24, 16)) == (1, 7, 7, 1))
     record("h_of_seven_vertex_example", h_from_f((1, 7, 16, 11)) == (1, 4, 5, 1))
 
-    t73 = turan_graph(7, 3)
-    record("turan_edges", len(t73.edges) == 16, len(t73.edges))
-    record("turan_triangles", count_triangles(t73) == 12, count_triangles(t73))
+    edges, triangles = _turan_counts(7, 3)
+    record("turan_edges", edges == 16, edges)
+    record("turan_triangles", triangles == 12, triangles)
 
     catalog = exceptional_catalog()
     ic5 = independence_complex(_cycle_graph(5))

@@ -379,7 +379,10 @@ def parse_graph(text: str) -> Graph:
         if not line or line.startswith("#"):
             continue
         if line.startswith("vertex:"):
-            vertices.setdefault(line.split(":", 1)[1].strip())
+            label = line.split(":", 1)[1].split()
+            if len(label) != 1:
+                raise ComplexError(f"line {lineno}: expected one label after 'vertex:'")
+            vertices.setdefault(label[0])
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -53,10 +53,3 @@ def odd_wheel() -> tuple[str, tuple[str, ...]]:
     """
     return "0", ("1", "2", "9", "3", "4")
 
-
-def sample_graph(name: str) -> Graph:
-    table = {"PG12": pg_sample_graph, "S10": flag_sphere_graph}
-    return table[name]()
-
-
-SAMPLE_NAMES = ("PG12", "S10")

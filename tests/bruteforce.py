@@ -224,6 +224,13 @@ def has_k4(vertices, edges) -> bool:
                for q in itertools.combinations(vertices, 4))
 
 
+def count_triangles(vertices, edges) -> int:
+    """Number of pairwise adjacent triples, by testing every triple."""
+    edge_set = {frozenset(e) for e in edges}
+    return sum(all(frozenset(p) in edge_set for p in itertools.combinations(t, 2))
+               for t in itertools.combinations(vertices, 3))
+
+
 def is_colorable(vertices, edges, k: int) -> bool:
     """True iff some map of the vertices to ``k`` colours, out of all
     ``k ** len(vertices)``, gives every edge two colours."""

@@ -29,6 +29,21 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(verts, edges)
 
 
+def turan_graph(n: int, r: int) -> Graph:
+    """Complete multipartite graph with r classes as equal as possible,
+    every edge listed."""
+    sizes = [n // r + (1 if i < n % r else 0) for i in range(r)]
+    verts = [f"t{i + 1}" for i in range(n)]
+    part = []
+    pos = 0
+    for s in sizes:
+        part.append(verts[pos:pos + s])
+        pos += s
+    edges = [(u, w) for a, b in itertools.combinations(range(r), 2)
+             for u in part[a] for w in part[b]]
+    return Graph(verts, edges)
+
+
 def identity_automorphism(variables) -> LinearAutomorphism:
     n = len(variables)
     return LinearAutomorphism(

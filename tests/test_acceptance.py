@@ -9,13 +9,12 @@ import random
 import time
 
 import bruteforce as bf
-from conftest import all_complexes_on, cycle_graph, path_graph
+from conftest import all_complexes_on, cycle_graph, path_graph, turan_graph
 from facebalance.balancing import balanced_witness, join_of_factors
-from facebalance.classify import (beta, classify_girth5,
-                                  count_triangles, embed_in_join, girth,
+from facebalance.classify import (beta, classify_girth5, embed_in_join, girth,
                                   exceptional_catalog,
                                   independent_facet_transversal, is_isomorphic,
-                                  pendant_edges, turan_graph)
+                                  pendant_edges)
 from facebalance.complexes import (Graph, SimplicialComplex, clique_complex,
                                    convolve, f_from_h, h_from_f,
                                    independence_complex, is_proper)
@@ -55,7 +54,7 @@ def test_criterion_2_turan_uniqueness():
     started = time.perf_counter()
     t73 = turan_graph(7, 3)
     assert len(t73.edges) == 16
-    assert count_triangles(t73) == 12
+    assert bf.count_triangles(t73.vertices, t73.edge_labels()) == 12
     verts = [f"t{i + 1}" for i in range(7)]
     all_pairs = list(itertools.combinations(verts, 2))
     assert len(all_pairs) == 21

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import cycle_graph, disjoint_union, identity_automorphism
+from facebalance import balancing
 from facebalance.balancing import (BalancingPair, CoverError,
                                    VerificationError, balanced_witness,
                                    base_pair_near_bipartite, base_pair_points,
@@ -13,7 +14,8 @@ from facebalance.balancing import (BalancingPair, CoverError,
 from facebalance.complexes import (Graph, SimplicialComplex, convolve,
                                    h_from_f, independence_complex, is_proper)
 from facebalance.polynomials import (LinearAutomorphism, Specialization,
-                                     TermOrder, standard_monomial_basis)
+                                     StandardBasisOverflow, TermOrder,
+                                     standard_monomial_basis)
 
 
 def _pentagram() -> Graph:
@@ -152,6 +154,24 @@ def test_near_bipartite_needs_a_fixing_edge():
 def test_near_bipartite_validates_removed_edge():
     with pytest.raises(CoverError, match="not an edge"):
         base_pair_near_bipartite(_pentagram(), ("1", "2"), Specialization())
+
+
+def test_near_bipartite_rejects_an_edge_that_leaves_an_odd_cycle():
+    two_pentagons = disjoint_union(cycle_graph(5, "a"), cycle_graph(5, "b"))
+    with pytest.raises(CoverError, match="still odd"):
+        base_pair_near_bipartite(two_pentagons, ("a1", "a2"), Specialization())
+
+
+def test_near_bipartite_search_takes_the_first_fixing_edge():
+    # a pentagon with a pendant edge k-a1: removing k-a1 leaves the pentagon
+    # odd, so the search moves on to the first pentagon edge, a1-a2
+    g = Graph(["k"] + list(cycle_graph(5, "a").vertices),
+              cycle_graph(5, "a").edge_labels() + [("k", "a1")])
+    assert g.edge_labels()[0] == ("k", "a1")
+    found = base_pair_near_bipartite(g, None, Specialization())
+    chosen = base_pair_near_bipartite(g, ("a2", "a1"), Specialization())
+    assert found == chosen
+    assert found.order.tail() == ("a1", "a2")
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +313,17 @@ def test_join_of_factors():
     assert joined.f_vector() == (1, 2, 1)
 
 
+def test_points_factor_is_an_edgeless_graph_factor():
+    # the type field is validated but does not pick a path: both factors
+    # build the same complex and the same witness
+    points = _points_factor(["a", "b", "c"])
+    edgeless = dict(points, type="graph")
+    assert factor_complex(points) == factor_complex(edgeless)
+    delta = SimplicialComplex([["a"], ["b"]])
+    assert (balanced_witness(delta, [points]).to_json_obj()
+            == balanced_witness(delta, [edgeless]).to_json_obj())
+
+
 # ---------------------------------------------------------------------------
 # the witness pipeline
 # ---------------------------------------------------------------------------
@@ -400,6 +431,24 @@ def test_witness_survives_awkward_seed():
         witness = balanced_witness(pentagon, [_graph_factor(_pentagram())],
                                    seed=seed)
         assert all(witness.checks.values())
+
+
+@pytest.mark.parametrize("error", [StandardBasisOverflow, VerificationError])
+def test_witness_resamples_after_a_failed_attempt(monkeypatch, error):
+    calls = []
+
+    def fail_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise error("first attempt fails")
+        return standard_monomial_basis(*args)
+
+    monkeypatch.setattr(balancing, "standard_monomial_basis", fail_first)
+    pentagon = independence_complex(cycle_graph(5))
+    witness = balanced_witness(pentagon, [_graph_factor(_pentagram())])
+    assert len(calls) == 2
+    assert witness.specialization.attempt == 1
+    assert all(witness.checks.values())
 
 
 def test_compose_is_associative():

@@ -7,15 +7,14 @@ import pytest
 
 import bruteforce as bf
 from conftest import (cycle_graph, disjoint_union, overlinked_pentagon_graph,
-                      path_graph)
+                      path_graph, turan_graph)
 from facebalance.balancing import join_of_factors
 from facebalance.cli import main
 from facebalance.classify import (basic_5_cycles, beta, classify_girth5,
-                                  count_triangles, embed_in_join,
-                                  exceptional_catalog, girth,
+                                  embed_in_join, exceptional_catalog, girth,
                                   independent_facet_transversal, is_isomorphic,
                                   is_well_covered, pendant_edges,
-                                  pg_decomposition, turan_graph)
+                                  pg_decomposition)
 from facebalance.complexes import (ComplexError, Graph, SimplicialComplex,
                                    independence_complex,
                                    is_full_dimensional_subcomplex)
@@ -238,6 +237,23 @@ def test_isomorphism_rejects_different_graphs():
     assert not is_isomorphic(catalog["P13"], catalog["Q13"])
 
 
+def test_isomorphism_against_the_catalog_needs_no_budget(monkeypatch):
+    # classify only compares with catalog graphs, all of at most 14
+    # vertices: a graph of another size is rejected on its counts alone,
+    # before any adjacency is read or any backtracking starts
+    catalog = exceptional_catalog()
+    assert max(len(g.vertices) for g in catalog.values()) == 14
+    big = cycle_graph(5000)
+
+    def no_adjacency(self):
+        raise AssertionError("adjacency read")
+
+    monkeypatch.setattr(Graph, "adjacency", no_adjacency)
+    assert not is_isomorphic(big, catalog["P14"])
+    # same vertex count, another edge count
+    assert not is_isomorphic(cycle_graph(14), catalog["P14"])
+
+
 def test_isomorphism_on_regular_lookalikes():
     # same degree sequence, different structure: C6 vs two triangles
     two_triangles = disjoint_union(cycle_graph(3, "a"), cycle_graph(3, "b"))
@@ -395,16 +411,31 @@ def test_transversal_requires_pure():
 # ---------------------------------------------------------------------------
 
 def test_turan_counts():
+    # the oracle itself, on the pinned T(7, 3)
     t = turan_graph(7, 3)
     assert len(t.edges) == 16
-    assert count_triangles(t) == 12
-    assert count_triangles(turan_graph(3, 3)) == 1
+    assert bf.count_triangles(t.vertices, t.edge_labels()) == 12
     assert not bf.has_k4(t.vertices, t.edge_labels())
 
 
-def test_turan_validates_arguments():
-    with pytest.raises(ComplexError):
-        turan_graph(3, 5)
+def test_turan_counts_match_the_brute_force_graph(capsys):
+    # the f-vector of the join of the parts against every edge and triple
+    for n in range(1, 16):
+        for r in range(1, n + 1):
+            t = turan_graph(n, r)
+            assert main(["--json", "turan", str(n), str(r)]) == 0
+            report = json.loads(capsys.readouterr().out)["results"]
+            assert report["edges"] == len(t.edges), (n, r)
+            assert report["triangles"] == bf.count_triangles(
+                t.vertices, t.edge_labels()), (n, r)
+
+
+def test_turan_validates_arguments(capsys):
+    for n, r in ((3, 5), (3, 0), (0, 0), (-2, -3)):
+        assert main(["--json", "turan", str(n), str(r)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: need 1 <= r <= n\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,8 +10,11 @@ from conftest import cycle_graph
 from facebalance import cli
 from facebalance.balancing import CHECK_NAMES
 from facebalance.cli import main
-from facebalance.complexes import SimplicialComplex, independence_complex
-from facebalance.samples import colorable_h_witness, odd_wheel, pg_sample_graph
+from facebalance.complexes import (SimplicialComplex, independence_complex,
+                                   parse_graph)
+from facebalance.polynomials import DEFAULT_SEED
+from facebalance.samples import (colorable_h_witness, flag_sphere_graph,
+                                 odd_wheel, pg_sample_graph)
 
 
 @pytest.fixture
@@ -87,6 +91,24 @@ def test_catalog_subcommand(capsys):
     report = _json_out(capsys)
     assert len(report["results"]["edges"]) == 12
     assert main(["--json", "catalog", "--name", "nonsense"]) == 2
+    assert capsys.readouterr().err == (
+        "input error: unknown catalog name 'nonsense'; choose from "
+        "['C7', 'P10', 'P13', 'P14', 'Q13', 'Q14', 'PG12', 'S10']\n")
+
+
+@pytest.mark.parametrize("name, graph", [("PG12", pg_sample_graph),
+                                         ("S10", flag_sphere_graph)])
+def test_catalog_dumps_the_samples(capsys, name, graph):
+    assert main(["--json", "catalog", "--name", name]) == 0
+    results = _json_out(capsys)["results"]
+    g = graph()
+    assert results["name"] == name
+    assert results["vertices"] == list(g.vertices)
+    assert results["edges"] == [list(e) for e in g.edge_labels()]
+    parsed = parse_graph(results["text"])
+    assert set(parsed.vertices) == set(g.vertices)
+    assert ({frozenset(e) for e in parsed.edge_labels()}
+            == {frozenset(e) for e in g.edge_labels()})
 
 
 def test_embed_feeds_balance(tmp_path, pg_graph_file, capsys):
@@ -243,6 +265,69 @@ def test_module_run_exits_with_the_code_of_main(tmp_path, module):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fvector", "{bad}"], ["cm", "{bad}"], ["homology", "{bad}"],
+    ["transversal", "{bad}"], ["classify", "--graph", "{bad}"],
+    ["embed", "--graph", "{bad}"],
+    ["balance", "--complex", "{bad}", "--cover", "{cover}"],
+    ["balance", "--complex", "{cx}", "--cover", "{bad}"],
+], ids=["fvector", "cm", "homology", "transversal", "classify", "embed",
+        "balance_complex", "balance_cover"])
+def test_non_utf8_file_is_input_error(tmp_path, capsys, argv):
+    files = {"bad": tmp_path / "bad.txt", "cx": tmp_path / "square.cx",
+             "cover": tmp_path / "cover.json"}
+    files["bad"].write_bytes(b"a b\n\xff\n")
+    files["cx"].write_text("a c\na d\nb c\nb d\n")
+    files["cover"].write_text(json.dumps([
+        {"type": "points", "vertices": ["a", "b"]},
+        {"type": "points", "vertices": ["c", "d"]}]))
+    assert main(["--json"] + [arg.format(**files) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: {files['bad']}: not UTF-8 (invalid "
+                            "start byte at byte 4)\n")
+
+
+def test_digest_is_of_the_bytes_read(tmp_path, capsys):
+    path = tmp_path / "crlf.cx"
+    path.write_bytes(b"a b\r\nc\r\n")
+    assert main(["--json", "fvector", str(path)]) == 0
+    report = _json_out(capsys)
+    assert report["inputs"] == {str(path): hashlib.sha256(b"a b\r\nc\r\n").hexdigest()}
+    assert report["results"]["f"] == [1, 3, 1]
+
+
+def test_bare_vertex_line_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bare.el"
+    path.write_text("a b\nvertex:\n")
+    assert main(["--json", "classify", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: line 2: expected one label after "
+                            "'vertex:'\n")
+
+
+def test_human_readable_report(tmp_path, pentagon_file, capsys):
+    skel = independence_complex(cycle_graph(5)).one_skeleton()
+    cover_path = tmp_path / "cover.json"
+    cover_path.write_text(json.dumps([
+        {"type": "graph", "vertices": list(skel.vertices),
+         "edges": [list(e) for e in skel.edge_labels()]}]))
+    assert main(["balance", "--complex", pentagon_file,
+                 "--cover", str(cover_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (f"command: facebalance balance --complex {pentagon_file} "
+                        f"--cover {cover_path}")
+    # inputs are listed by path
+    assert lines[1].startswith(f"input: {cover_path} sha256=")
+    assert lines[2].startswith(f"input: {pentagon_file} sha256=")
+    assert lines[3] == f"seed: {DEFAULT_SEED}"
+    checks = [f"  [pass] {name}" for name in sorted(CHECK_NAMES)]
+    assert lines[-1 - len(checks):-1] == checks
+    assert json.loads("\n".join(lines[4:-1 - len(checks)]))["F"] == [1, 3, 1]
+    assert lines[-1].startswith("elapsed: ") and lines[-1].endswith("s")
 
 
 def test_parse_error_is_input_error(tmp_path, capsys):

@@ -357,3 +357,12 @@ def test_parse_graph_rejects_malformed():
         parse_graph("a b c\n")
     with pytest.raises(ComplexError):
         Graph(["a"], [("a", "a")])
+
+
+@pytest.mark.parametrize("line", ["vertex:", "vertex:   ", "vertex: a b"])
+def test_parse_graph_needs_one_label_per_vertex_line(line):
+    with pytest.raises(ComplexError, match="^line 2: expected one label"):
+        parse_graph(f"a b\n{line}\n")
+    assert parse_graph("vertex:z\n").vertices == ("z",)
+
+
