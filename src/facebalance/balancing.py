@@ -105,7 +105,8 @@ def base_pair_near_bipartite(graph: Graph, removed_edge: Optional[Sequence[str]]
     twist sends each tail variable to a sum over a column of ones (all free
     variables for the first, the opposite class for the second) twisted by
     the inverse of the 2x2 parameter block.  With no ``removed_edge``, the
-    first edge whose removal leaves the graph bipartite is used.
+    first edge whose removal leaves the graph bipartite is used; a given one
+    must be an edge of the graph, which :func:`parse_cover` checks.
     """
     if not graph.is_triangle_free():
         raise CoverError("graph factor contains a triangle")
@@ -113,10 +114,6 @@ def base_pair_near_bipartite(graph: Graph, removed_edge: Optional[Sequence[str]]
         raise CoverError("graph factor is bipartite: split it into two point factors")
     edges = graph.edge_labels()
     for ends in edges if removed_edge is None else [removed_edge]:
-        ends = tuple(str(v) for v in ends)
-        if len(ends) != 2 or set(ends) - set(graph.vertices) or not graph.has_edge(
-                graph.vertices.index(ends[0]), graph.vertices.index(ends[1])):
-            raise CoverError(f"removed edge {ends!r} is not an edge of the factor")
         y, z = sorted(ends, key=graph.vertices.index)
         trimmed = Graph(graph.vertices, [e for e in edges if set(e) != {y, z}])
         sides = trimmed.bipartition()
@@ -233,10 +230,15 @@ def parse_cover(obj) -> list[dict]:
         if factor["type"] == "points" and edges:
             raise CoverError(f"factor {k}: point factors have no edges")
         removed = factor.get("removed_edge")
+        if removed is not None:
+            if factor["type"] == "points":
+                raise CoverError(f"factor {k}: point factors have no removed_edge")
+            removed = _labels(k, "a non-null removed_edge", removed, 2)
+            if set(removed) not in [set(e) for e in edges]:
+                raise CoverError(f"factor {k}: removed edge {removed!r} is not "
+                                 "an edge of the factor")
         out.append({"type": factor["type"], "vertices": vertices,
-                    "edges": edges,
-                    "removed_edge": None if removed is None
-                    else _labels(k, "a non-null removed_edge", removed, 2)})
+                    "edges": edges, "removed_edge": removed})
     return out
 
 

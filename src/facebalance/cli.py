@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from functools import reduce
@@ -347,7 +348,15 @@ def main(argv=None) -> int:
     except (ComplexError, CoverError, OSError, json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    _emit(report, args.json, time.perf_counter() - start)
+    try:
+        _emit(report, args.json, time.perf_counter() - start)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # nobody reads the report any more, which is not a failed check; the
+        # flush at interpreter exit would raise again, so it goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return exit_code
 
 

@@ -2,13 +2,18 @@
 
 Everything here recomputes results from first principles with subset
 enumeration and dense Gaussian elimination over Fractions, deliberately
-sharing no code paths with the package.
+sharing no code paths with the package.  The one exception is
+:func:`link_vanishing_scan`, the package's earlier face-by-face scan, kept as
+the reference for the memoised, collapsed one.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from facebalance.complexes import VerificationError
+from facebalance.homology import CMViolation, reduced_betti
 
 
 def faces_from_facets(facet_labels):
@@ -126,6 +131,59 @@ def is_cm(faces) -> bool:
         if any(b[i + 1] != 0 for i in range(-1, lkdim)):
             return False
     return True
+
+
+def link_vanishing_scan(delta):
+    """``(global Betti numbers, first violation or None)`` with every link
+    built by ``SimplicialComplex.link`` and ranked by ``reduced_betti``, one
+    visited face at a time: the empty face, then the faces of dimension at
+    most ``dim - 2`` by dimension and lexicographic order."""
+    def first_gap(b):
+        return next((i for i in range(-1, b.dim) if b.degree(i)), None)
+
+    betti = reduced_betti(delta)
+    degree = first_gap(betti)
+    if degree is not None:
+        return betti, CMViolation((), degree, betti)
+    for k in range(delta.dim - 1):
+        for tau in delta.faces(k):
+            labels = delta.labels(tau)
+            link_betti = reduced_betti(delta.link(labels))
+            degree = first_gap(link_betti)
+            if degree is not None:
+                return betti, CMViolation(labels, degree, link_betti)
+    if not delta.is_pure():
+        raise VerificationError("link-vanishing passed on a non-pure complex")
+    return betti, None
+
+
+def dominated(facets) -> list:
+    """Vertices v such that another vertex lies in every facet through v."""
+    facets = [set(f) for f in facets]
+    return sorted(v for v in set().union(*facets)
+                  if len(set.intersection(*(f for f in facets if v in f))) > 1)
+
+
+def strong_core(facets, order) -> frozenset:
+    """Facets (as frozensets) of the strong-collapse core reached in passes.
+
+    A pass walks the vertices in ``order`` and deletes each one that a vertex
+    still present dominates in the complex the pass started from; the
+    maximal restricted facets then start the next pass.  Passes end when
+    one deletes nothing.
+    """
+    facets = frozenset(frozenset(f) for f in facets)
+    while True:
+        alive = set().union(*facets)
+        for v in sorted(alive, key=list(order).index):
+            common = frozenset.intersection(*(f for f in facets if v in f))
+            if (common & alive) - {v}:
+                alive.discard(v)
+        cut = {f & alive for f in facets}
+        cut = frozenset(f for f in cut if not any(f < g for g in cut))
+        if cut == facets:
+            return facets
+        facets = cut
 
 
 def minimal_nonfaces(vertices, faces):

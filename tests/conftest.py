@@ -29,6 +29,38 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(verts, edges)
 
 
+def pendant_cycle_chain(rng, pentagons: int, pendants: int) -> Graph:
+    """Basic pentagons and pendant edges in a seeded order, each bridged to
+    the one before, with the vertex order shuffled.
+
+    A pentagon is entered at its vertex 0 and left from vertex 2 or 3, so
+    its two bridged vertices are never adjacent and it stays basic; a
+    pendant edge is entered and left through the same end, so the other end
+    stays a leaf.  The graph is in the pendant/cycle class, so its
+    independence complex is Cohen-Macaulay.
+    """
+    units = ["c"] * pentagons + ["p"] * pendants
+    rng.shuffle(units)
+    verts: list[str] = []
+    edges: list[tuple[str, str]] = []
+    leave = None
+    for k, unit in enumerate(units):
+        if unit == "c":
+            vs = [f"c{k}_{i}" for i in range(5)]
+            edges += [(vs[i], vs[(i + 1) % 5]) for i in range(5)]
+            entry, exit_ = vs[0], vs[rng.choice((2, 3))]
+        else:
+            vs = [f"p{k}_a", f"p{k}_b"]
+            edges.append((vs[0], vs[1]))
+            entry = exit_ = vs[0]
+        if leave is not None:
+            edges.append((leave, entry))
+        verts += vs
+        leave = exit_
+    rng.shuffle(verts)
+    return Graph(verts, edges)
+
+
 def turan_graph(n: int, r: int) -> Graph:
     """Complete multipartite graph with r classes as equal as possible,
     every edge listed."""

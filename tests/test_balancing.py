@@ -151,9 +151,19 @@ def test_near_bipartite_needs_a_fixing_edge():
         base_pair_near_bipartite(two_pentagons, None, Specialization())
 
 
-def test_near_bipartite_validates_removed_edge():
-    with pytest.raises(CoverError, match="not an edge"):
-        base_pair_near_bipartite(_pentagram(), ("1", "2"), Specialization())
+def test_parse_cover_validates_removed_edge():
+    # the removed edge must be an edge of its own graph factor, in either
+    # orientation; a point factor has none to remove
+    cover = [_graph_factor(_pentagram(), ["3", "1"])]
+    assert parse_cover(cover)[0]["removed_edge"] == ("3", "1")
+    with pytest.raises(CoverError, match="^factor 0: removed edge .* not an edge"):
+        parse_cover([_graph_factor(_pentagram(), ["1", "2"])])
+    edgeless = {"type": "graph", "vertices": ["c", "d"], "edges": [],
+                "removed_edge": ["zz", "yy"]}
+    with pytest.raises(CoverError, match="^factor 1: removed edge .* not an edge"):
+        parse_cover([_points_factor(["a", "b"]), edgeless])
+    with pytest.raises(CoverError, match="^factor 0: point factors have no removed_edge"):
+        parse_cover([dict(_points_factor(["a", "b"]), removed_edge=["a", "b"])])
 
 
 def test_near_bipartite_rejects_an_edge_that_leaves_an_odd_cycle():

@@ -234,6 +234,25 @@ def test_cover_object_is_input_error(tmp_path, capsys):
                             "of factors\n")
 
 
+def test_stray_removed_edge_is_input_error(tmp_path, capsys):
+    argv = _square_with_cover(tmp_path, {})
+    points = {"type": "points", "vertices": ["a", "b"], "removed_edge": ["q", "r"]}
+    edgeless = {"type": "graph", "vertices": ["c", "d"], "edges": [],
+                "removed_edge": ["zz", "yy"]}
+    clean = dict(points, removed_edge=None)
+    for cover, message in (
+            ([points, edgeless], "factor 0: point factors have no removed_edge"),
+            ([clean, edgeless], "factor 1: removed edge ('zz', 'yy') is not an "
+                                "edge of the factor")):
+        (tmp_path / "cover.json").write_text(json.dumps(cover))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"input error: {message}\n"
+    (tmp_path / "cover.json").write_text(
+        json.dumps([clean, dict(edgeless, removed_edge=None)]))
+    assert main(argv) == 0
+
+
 def test_retries_is_not_an_option(tmp_path, capsys):
     points = {"type": "points", "vertices": ["a", "b"], "edges": [],
               "removed_edge": None}
@@ -265,6 +284,24 @@ def test_module_run_exits_with_the_code_of_main(tmp_path, module):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error: ")
+
+
+def test_closed_stdout_is_not_a_failure():
+    import facebalance
+
+    src = os.path.dirname(os.path.dirname(facebalance.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will read the report
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "facebalance", "--json", "golden"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import bruteforce as bf
-from conftest import all_complexes_on, cycle_graph
+from conftest import all_complexes_on, cycle_graph, pendant_cycle_chain
 from facebalance import homology, linalg
 from facebalance.classify import exceptional_catalog
 from facebalance.complexes import (SimplicialComplex, VerificationError,
@@ -218,7 +218,10 @@ def _exact_scan(cx, monkeypatch):
         return cm_report(cx), is_cohen_macaulay(cx)[1]
 
 
-def test_gf2_scan_agrees_with_the_exact_scan(monkeypatch):
+def _scan_corpus():
+    """Every complex on <= 4 vertices (most are not flag complexes), 120
+    seeded ones on 5-6 vertices, Ind of the catalog, the empty complex and
+    RP^2."""
     rng = random.Random(71)
     cases = [cx for n in range(1, 5) for cx in all_complexes_on(n)]
     for _ in range(120):
@@ -228,8 +231,12 @@ def test_gf2_scan_agrees_with_the_exact_scan(monkeypatch):
              for _ in range(rng.randint(1, 4))]))
     cases += [independence_complex(g) for g in exceptional_catalog().values()]
     cases += [SimplicialComplex([[]]), _projective_plane()]
+    return cases
+
+
+def test_gf2_scan_agrees_with_the_exact_scan(monkeypatch):
     seen_cm = seen_not = 0
-    for cx in cases:
+    for cx in _scan_corpus():
         report, violation = _exact_scan(cx, monkeypatch)
         assert cm_report(cx) == report, cx
         fast = is_cohen_macaulay(cx)[1]
@@ -253,8 +260,9 @@ def test_torsion_sends_only_the_projective_planes_to_q(monkeypatch):
         return boundary_rank(delta, i)
 
     monkeypatch.setattr(homology, "boundary_rank", counting)
-    # every other link is a circle, a suspended circle or a set of points
-    for cx, expected in ((rp2, [rp2]), (suspension, [suspension, rp2, rp2])):
+    # every other link is a circle, a suspended circle or a set of points;
+    # the two poles share the link RP^2, which is ranked once
+    for cx, expected in ((rp2, [rp2]), (suspension, [suspension, rp2])):
         ranked_over_q.clear()
         ok, violation = is_cohen_macaulay(cx)
         assert ok and violation is None
@@ -268,27 +276,104 @@ def test_over_reported_gf2_rank_is_caught(monkeypatch):
     with pytest.raises(VerificationError, match="negative Betti number"):
         cm_report(independence_complex(cycle_graph(5)))
     with pytest.raises(VerificationError, match="negative Betti number"):
-        is_cohen_macaulay(SimplicialComplex([["a", "b", "c"]]))
+        is_cohen_macaulay(SimplicialComplex([["a", "b"], ["b", "c"], ["a", "c"]]))
+    # a simplex collapses to one facet and is never ranked at all
+    assert is_cohen_macaulay(SimplicialComplex([["a", "b", "c"]]))[0]
 
 
 def test_links_of_dimension_at_most_zero_are_not_built(monkeypatch):
-    built = []
-    original = SimplicialComplex.link
+    # every visited face has its link's Betti numbers searched for a gap
+    # once, so the dimensions seen there list the visited links in order
+    seen = []
+    first_gap = homology._first_gap
 
-    def counting(self, face_labels):
-        face_labels = tuple(face_labels)
-        built.append(len(face_labels) - 1)
-        return original(self, face_labels)
+    def recording(betti):
+        seen.append(betti.dim)
+        return first_gap(betti)
 
-    monkeypatch.setattr(SimplicialComplex, "link", counting)
+    monkeypatch.setattr(homology, "_first_gap", recording)
     octahedron_join_edge = SimplicialComplex(
         [[a, b, c, "x", "y"] for a in "aA" for b in "bB" for c in "cC"])
     for cx in (octahedron_join_edge, independence_complex(cycle_graph(5))):
-        built.clear()
+        seen.clear()
         assert is_cohen_macaulay(cx)[0]
-        assert built == [k for k in range(cx.dim - 1) for _ in cx.faces(k)]
+        assert seen == [cx.dim] + [cx.dim - k - 1 for k in range(cx.dim - 1)
+                                   for _ in cx.faces(k)]
     # a triangle and an edge sharing a vertex: the link of c is disconnected
-    built.clear()
+    seen.clear()
     ok, violation = is_cohen_macaulay(SimplicialComplex([["a", "b", "c"], ["c", "d"]]))
     assert not ok and violation.face == ("c",) and violation.degree == 0
-    assert built == [0, 0, 0]
+    assert seen == [2, 1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# memoised links, ranked on their strong-collapse cores
+# ---------------------------------------------------------------------------
+
+def _chains(seed, count):
+    rng = random.Random(seed)
+    return [independence_complex(pendant_cycle_chain(rng, rng.randint(1, 2),
+                                                     rng.randint(0, 2)))
+            for _ in range(count)]
+
+
+def test_collapsed_scan_agrees_with_the_face_by_face_scan():
+    # not a flag complex: the links of e and f have the same vertices, but
+    # lk(e) is two triangles on an edge and lk(f) adds the edge cd, which
+    # closes a circle below its top, so links are keyed by their facets
+    shared = SimplicialComplex([["a", "b", "c", "e"], ["a", "b", "c", "f"],
+                                ["a", "b", "e", "d"], ["a", "b", "d", "f"],
+                                ["c", "d", "f"]])
+    assert cm_report(shared)["violation"] == {"face": ["f"], "degree": 1}
+    seen_cm = seen_not = 0
+    for cx in _scan_corpus() + _chains(73, 6) + [shared]:
+        betti, violation = bf.link_vanishing_scan(cx)
+        assert homology._link_vanishing(cx) == (betti, violation), cx
+        assert cm_report(cx) == {
+            "cm": violation is None, "betti": list(betti),
+            "violation": None if violation is None else violation.to_json_obj()}
+        seen_cm += violation is None
+        seen_not += violation is not None
+    assert seen_cm > 100 and seen_not > 100
+
+
+def _masks(cx):
+    return frozenset(sum(1 << v for v in f) for f in cx.facets)
+
+
+def test_strong_core_keeps_the_reduced_homology():
+    rng = random.Random(79)
+    cases = [_random_complex(rng, 6) for _ in range(150)]
+    cases += [independence_complex(cycle_graph(n)) for n in range(3, 8)]
+    cases += [_projective_plane(), SimplicialComplex([[]])] + _chains(81, 2)
+    collapsed = 0
+    for cx in cases:
+        core = [cx.labels(homology._bits(f))
+                for f in homology._strong_core(_masks(cx))]
+        assert {frozenset(f) for f in core} == bf.strong_core(
+            cx.facet_labels(), cx.vertices), cx
+        assert bf.dominated(core) == [], cx
+        full = bf.betti(bf.faces_from_facets(cx.facet_labels()))
+        b = bf.betti(bf.faces_from_facets(core))
+        assert b + (0,) * (len(full) - len(b)) == full, cx
+        collapsed += len(set().union(*core)) < len(cx.vertices)
+    assert collapsed > 50
+
+
+def test_each_distinct_core_is_ranked_once(monkeypatch):
+    cx = independence_complex(pendant_cycle_chain(random.Random(5), 2, 1))
+    visited = [()] + [f for k in range(cx.dim - 1) for f in cx.faces(k)]
+    links = {cx.link(cx.labels(f)) for f in visited}
+    cores = {bf.strong_core(lk.facet_labels(), cx.vertices) for lk in links}
+    expected = {core for core in cores if len(core) > 1}
+    ranked = []
+
+    def counting(delta):
+        ranked.append(frozenset(map(frozenset, delta.facet_labels())))
+        return reduced_betti(delta)
+
+    monkeypatch.setattr(homology, "reduced_betti", counting)
+    assert cm_report(cx)["cm"]
+    assert len(ranked) == len(set(ranked)) == len(expected)
+    assert set(ranked) == expected
+    assert len(visited) > len(links) > len(cores) > len(expected) > 1
