@@ -163,21 +163,36 @@ class SimplicialComplex:
         return Graph(verts, edges)
 
     def minimal_nonfaces(self) -> list[tuple[int, ...]]:
-        """Inclusion-minimal index sets that are not faces."""
-        out = []
-        for k in range(2, self.dim + 3):  # every vertex is a face: start at pairs
+        """Inclusion-minimal index sets that are not faces, by size and then
+        lexicographically.
+
+        Every vertex is a face, so the pairs are the non-edges.  Every pair
+        inside a larger minimal non-face is an edge, so a candidate of size
+        ``k >= 3`` is a face of size ``k - 1`` extended by a common neighbour
+        above its last vertex.
+        """
+        n = len(self.vertices)
+        edges = self.faces(1)
+        nbrs = [0] * n
+        for a, b in edges:
+            nbrs[a] |= 1 << b
+            nbrs[b] |= 1 << a
+        edge_set = set(edges)
+        out = [c for c in itertools.combinations(range(n), 2) if c not in edge_set]
+        for k in range(3, self.dim + 3):
             lower = set(self.faces(k - 2))
             here = set(self.faces(k - 1))
-            candidates = set()
             for f in self.faces(k - 2):
-                for v in range(len(self.vertices)):
-                    if v not in f:
-                        candidates.add(tuple(sorted(f + (v,))))
-            for c in sorted(candidates):
-                if c in here:
-                    continue
-                if all(c[:i] + c[i + 1:] in lower for i in range(k)):
-                    out.append(c)
+                common = -(2 << f[-1])  # the vertices above the last one
+                for v in f:
+                    common &= nbrs[v]
+                while common:
+                    low = common & -common
+                    common ^= low
+                    c = f + (low.bit_length() - 1,)
+                    if c not in here and all(c[:i] + c[i + 1:] in lower
+                                             for i in range(k - 1)):
+                        out.append(c)
         return out
 
     # -- constructions -------------------------------------------------------
@@ -221,8 +236,12 @@ def is_full_dimensional_subcomplex(inner: SimplicialComplex,
         return False
     if not set(inner.vertices) <= set(outer.vertices):
         return False
+    # faces as bitmasks over the outer vertex positions
+    position = [1 << outer._index[v] for v in inner.vertices]
+    facets = {sum(1 << i for i in g) for g in outer.facets}
     for f in inner.facets:
-        if not outer.has_face(outer.index_face(inner.labels(f))):
+        m = sum(position[i] for i in f)
+        if m not in facets and not any(m & g == m for g in facets):
             return False
     return True
 

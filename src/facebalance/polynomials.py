@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -88,8 +89,9 @@ class TermOrder:
 
     def monomials_of_degree(self, i: int):
         """All degree-``i`` exponent tuples."""
-        for combo in itertools.combinations_with_replacement(range(self.n), i):
-            m = [0] * self.n
+        n = self.n
+        for combo in itertools.combinations_with_replacement(range(n), i):
+            m = [0] * n
             for j in combo:
                 m[j] += 1
             yield tuple(m)
@@ -97,10 +99,6 @@ class TermOrder:
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +206,51 @@ def stanley_reisner_generators(delta: SimplicialComplex, order: TermOrder
 # per-degree initial ideal (Macaulay matrix)
 # ---------------------------------------------------------------------------
 
+def _pack(m: Monomial, width: int) -> int:
+    """The exponent tuple as one int, ``width`` bits per variable, last
+    variable highest."""
+    return sum(e << (i * width) for i, e in enumerate(m))
+
+
+def _uncovered_levels(mono_gens: Sequence[Monomial], n: int, width: int,
+                      degree: int) -> list[list[int]]:
+    """Packed monomials of degree 0 to ``degree`` that no monomial generator
+    divides, each degree ascending.
+
+    Each one is its predecessor, the monomial without one factor of its last
+    variable, times that variable; a multiple of a divisible monomial is
+    divisible, so only the undivided ones of the degree below are extended.
+    """
+    guard = _pack((1 << (width - 1),) * n, width)
+    # a generator that divides m * x_j but not the undivided m holds x_j
+    holding: list[list[int]] = [[] for _ in range(n)]
+    for g in mono_gens:
+        if sum(g) <= degree:
+            packed = _pack(g, width)
+            for j, e in enumerate(g):
+                if e:
+                    holding[j].append(packed)
+    levels = [[0]]
+    for _ in range(degree):
+        below, level = levels[-1], []
+        for j in range(n):
+            x = 1 << (j * width)
+            divisors = holding[j]
+            # the monomials of ``below`` whose last variable is at most x_j
+            # are a prefix of it; extending them in order, variable by
+            # variable, keeps ``level`` ascending too
+            for u in itertools.islice(below, bisect_left(below, x << width)):
+                m = u + x
+                top = m | guard
+                for g in divisors:
+                    if (top - g) & guard == guard:
+                        break
+                else:
+                    level.append(m)
+        levels.append(level)
+    return levels
+
+
 def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
                             ) -> tuple[set, set]:
     """Leading and standard monomials of the generated ideal in one degree.
@@ -215,8 +258,17 @@ def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
     The degree-``degree`` piece of the ideal is spanned by the monomial
     multiples of the (homogeneous) generators; its leading monomials are the
     pivot columns of that span under the descending revlex column order.
-    Monomial generators are pivoted first, so the elimination only runs over
-    columns not divisible by any of them.
+    Monomial generators are pivoted first.  The monomials none of them
+    divides form an order ideal, built here degree by degree: the
+    elimination runs over its top degree only, with multipliers from its
+    lower degrees, and a divisible monomial is never enumerated.
+
+    Inside, an exponent tuple is packed into one int, ``degree.bit_length()
+    + 1`` bits per variable with the last variable highest.  A product is
+    then a sum, ascending int order within one degree is the descending
+    revlex order, and ``g`` divides ``m`` iff subtracting ``g`` from ``m``
+    with the top bit of every field set clears none of those bits (every
+    exponent stays below that bit, so no field borrows from the next).
     """
     mono_gens: list[Monomial] = []
     poly_gens: list[dict] = []
@@ -234,35 +286,29 @@ def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
         else:
             poly_gens.append(integer_row(p))
 
-    def covered(m: Monomial) -> bool:
-        return any(monomial_divides(mg, m) for mg in mono_gens)
-
-    all_monomials = list(order.monomials_of_degree(degree))
-    leading = {m for m in all_monomials if covered(m)}
-    working = [m for m in all_monomials if m not in leading]
-    if not working:
-        return leading, set()
-
-    columns = sorted(working, key=order.sort_key, reverse=True)
+    n, width = order.n, degree.bit_length() + 1
+    levels = _uncovered_levels(mono_gens, n, width, degree)
+    columns = levels[degree]
     rank_of = {m: r for r, m in enumerate(columns)}
     ech = SparseEchelon()
     for p in poly_gens:
         dp = sum(next(iter(p)))
         if dp > degree:
             continue
-        for mult in order.monomials_of_degree(degree - dp):
-            if covered(mult):
-                continue
+        terms = [(_pack(t, width), c) for t, c in p.items()]
+        for mult in levels[degree - dp]:
             row = {}
-            for t, c in p.items():
-                r = rank_of.get(monomial_mul(mult, t))
+            for t, c in terms:
+                r = rank_of.get(mult + t)
                 if r is not None:
                     row[r] = c
             if row:
                 ech.add_row(row)
-    pivots = {columns[c] for c in ech.pivots}
-    leading |= pivots
-    standard = {m for m in working if m not in pivots}
+    mask = (1 << width) - 1
+    standard = {tuple(m >> (i * width) & mask for i in range(n))
+                for r, m in enumerate(columns) if r not in ech.pivots}
+    del levels, columns, rank_of, ech  # freed before the whole degree is listed
+    leading = set(order.monomials_of_degree(degree)) - standard
     return leading, standard
 
 

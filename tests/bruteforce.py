@@ -2,9 +2,12 @@
 
 Everything here recomputes results from first principles with subset
 enumeration and dense Gaussian elimination over Fractions, deliberately
-sharing no code paths with the package.  The one exception is
-:func:`link_vanishing_scan`, the package's earlier face-by-face scan, kept as
-the reference for the memoised, collapsed one.
+sharing no code paths with the package.  The two exceptions are the
+package's earlier routines, kept as references for their replacements:
+:func:`link_vanishing_scan`, the face-by-face scan, for the memoised,
+collapsed one; and :func:`initial_ideal_by_degree`, the Macaulay step that
+filters every monomial of the degree through the monomial generators, for
+the one that enumerates only the monomials they leave uncovered.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from fractions import Fraction
 
 from facebalance.complexes import VerificationError
 from facebalance.homology import CMViolation, reduced_betti
+from facebalance.linalg import SparseEchelon, integer_row
 
 
 def faces_from_facets(facet_labels):
@@ -198,6 +202,69 @@ def minimal_nonfaces(vertices, faces):
     return out
 
 
+def monomials(n: int, degree: int) -> list[tuple[int, ...]]:
+    """Every exponent tuple of length ``n`` and total ``degree``."""
+    return [tuple(sum(1 for j in combo if j == i) for i in range(n))
+            for combo in itertools.combinations_with_replacement(range(n), degree)]
+
+
+def monomial_divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def initial_ideal_by_degree(gens, order, degree):
+    """``(leading, standard)`` monomials of one degree, by the package's
+    earlier sweep: every monomial of the degree and of each multiplier
+    degree is tested against every monomial generator, and the ones left
+    uncovered are eliminated under ``order.sort_key``, descending."""
+    mono_gens = []
+    poly_gens = []
+    for p in gens:
+        p = {m: c for m, c in p.items() if c}
+        if not p:
+            continue
+        degs = {sum(m) for m in p}
+        if len(degs) != 1:
+            raise ValueError("generators must be homogeneous")
+        if degs == {0}:
+            raise ValueError("unit generator")
+        if len(p) == 1:
+            mono_gens.append(next(iter(p)))
+        else:
+            poly_gens.append(integer_row(p))
+
+    def covered(m):
+        return any(monomial_divides(mg, m) for mg in mono_gens)
+
+    all_monomials = monomials(order.n, degree)
+    leading = {m for m in all_monomials if covered(m)}
+    working = [m for m in all_monomials if m not in leading]
+    if not working:
+        return leading, set()
+
+    columns = sorted(working, key=order.sort_key, reverse=True)
+    rank_of = {m: r for r, m in enumerate(columns)}
+    ech = SparseEchelon()
+    for p in poly_gens:
+        dp = sum(next(iter(p)))
+        if dp > degree:
+            continue
+        for mult in monomials(order.n, degree - dp):
+            if covered(mult):
+                continue
+            row = {}
+            for t, c in p.items():
+                r = rank_of.get(tuple(a + b for a, b in zip(mult, t)))
+                if r is not None:
+                    row[r] = c
+            if row:
+                ech.add_row(row)
+    pivots = {columns[c] for c in ech.pivots}
+    leading |= pivots
+    standard = {m for m in working if m not in pivots}
+    return leading, standard
+
+
 def macaulay_standard(gens, variables, degree, key_desc):
     """Standard monomials at one degree via the full dense Macaulay matrix.
 
@@ -205,18 +272,14 @@ def macaulay_standard(gens, variables, degree, key_desc):
     putting the largest monomial first.  No monomial shortcuts.
     """
     n = len(variables)
-    columns = sorted(
-        (tuple(sum(1 for j in combo if j == i) for i in range(n))
-         for combo in itertools.combinations_with_replacement(range(n), degree)),
-        key=key_desc)
+    columns = sorted(monomials(n, degree), key=key_desc)
     col_of = {m: i for i, m in enumerate(columns)}
     rows = []
     for p in gens:
         dp = sum(next(iter(p)))
         if dp > degree:
             continue
-        for combo in itertools.combinations_with_replacement(range(n), degree - dp):
-            mult = tuple(sum(1 for j in combo if j == i) for i in range(n))
+        for mult in monomials(n, degree - dp):
             row = [Fraction(0)] * len(columns)
             for t, c in p.items():
                 row[col_of[tuple(a + b for a, b in zip(mult, t))]] += Fraction(c)

@@ -94,6 +94,19 @@ def overlinked_pentagon_graph() -> Graph:
     return Graph(g.vertices, g.edge_labels() + [("B", "G")])
 
 
+def projective_plane() -> SimplicialComplex:
+    """The 6-vertex real projective plane.
+
+    chi = 1, so it has no rational homology at all, but H_1 has 2-torsion,
+    so over GF(2) it has b_1 = b_2 = 1.  It is not flag: its 1-skeleton is
+    complete, and its minimal non-faces are the ten triangles that are not
+    faces.
+    """
+    faces = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+             (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5)]
+    return SimplicialComplex([[str(v) for v in f] for f in faces])
+
+
 def all_complexes_on(n: int):
     """Every complex whose support is exactly the n given vertices."""
     verts = [f"v{i}" for i in range(n)]

@@ -10,6 +10,7 @@ import time
 
 import bruteforce as bf
 from conftest import all_complexes_on, cycle_graph, path_graph, turan_graph
+from facebalance import polynomials
 from facebalance.balancing import balanced_witness, join_of_factors
 from facebalance.classify import (beta, classify_girth5, embed_in_join, girth,
                                   exceptional_catalog,
@@ -387,21 +388,24 @@ def _peel_cm_chain(gamma, rng, steps):
     return out
 
 
-def test_criterion_8_witness_corpus():
-    started = time.perf_counter()
+CORPUS_COVERS = 14
+
+
+def _witness_corpus():
+    """``(config, cover, delta)`` for the CM full-dimensional subcomplexes
+    of ``CORPUS_COVERS`` seeded joins of at most 14 vertices."""
     rng = random.Random(4096)
     pool = _factor_pool()
     sizes = {"points2": 2, "points3": 3, "points4": 4, "path3": 3, "path4": 4,
              "cycle4": 4, "cycle5": 5, "cycle6": 6, "cycle7": 7}
     configs = [["cycle5"], ["cycle7"], ["points3"],
                ["cycle5", "points2"], ["cycle5", "cycle5", "points4"]]
-    while len(configs) < 14:
+    while len(configs) < CORPUS_COVERS:
         k = rng.randint(1, 3)
         names = [rng.choice(sorted(pool)) for _ in range(k)]
         if sum(sizes[x] for x in names) <= 14:
             configs.append(names)
-    verified = 0
-    corpus = 0
+    corpus = []
     for config in configs:
         cover = [pool[name](f"f{i}_") for i, name in enumerate(config)]
         gamma = join_of_factors(cover)
@@ -420,22 +424,46 @@ def test_criterion_8_witness_corpus():
             if delta.dim != gamma.dim:
                 continue
             cm, _ = is_cohen_macaulay(delta)
-            if not cm:
-                continue
-            corpus += 1
-            witness = balanced_witness(delta, cover)
-            assert all(witness.checks.values())
-            d = delta.dim + 1
-            h = h_from_f(delta.f_vector())
-            # the emitted complex is d-colorable with f-vector h: the k-th
-            # entry of its f-vector counts the degree-k basis monomials
-            f_witness = witness.complex.f_vector()
-            pad = lambda seq: tuple(seq) + (0,) * (d + 1 - len(seq))
-            assert pad(f_witness) == pad(h), (config, h, f_witness)
-            assert is_proper(witness.complex, witness.coloring)
-            assert len(set(witness.coloring.values())) <= d
-            verified += 1
-    assert verified == corpus and verified >= 25
+            if cm:
+                corpus.append((config, cover, delta))
+    return corpus
+
+
+def test_criterion_8_witness_corpus():
+    started = time.perf_counter()
+    corpus = _witness_corpus()
+    for config, cover, delta in corpus:
+        witness = balanced_witness(delta, cover)
+        assert all(witness.checks.values())
+        d = delta.dim + 1
+        h = h_from_f(delta.f_vector())
+        # the emitted complex is d-colorable with f-vector h: the k-th
+        # entry of its f-vector counts the degree-k basis monomials
+        f_witness = witness.complex.f_vector()
+        pad = lambda seq: tuple(seq) + (0,) * (d + 1 - len(seq))
+        assert pad(f_witness) == pad(h), (config, h, f_witness)
+        assert is_proper(witness.complex, witness.coloring)
+        assert len(set(witness.coloring.values())) <= d
+    assert len(corpus) >= 25
     assert time.perf_counter() - started < 900
     _announce("8 (witness corpus)", started,
-              f"{verified} complexes verified across {len(configs)} covers")
+              f"{len(corpus)} complexes verified across {CORPUS_COVERS} covers")
+
+
+def test_sweep_matches_the_covered_filter_oracle_on_the_witness_corpus(monkeypatch):
+    # every degree of every basis, the stop degree included
+    real = polynomials.initial_ideal_by_degree
+    stops = []
+
+    def compared(gens, order, degree):
+        result = real(gens, order, degree)
+        assert result == bf.initial_ideal_by_degree(gens, order, degree)
+        if not result[1]:
+            stops.append(degree)
+        return result
+
+    monkeypatch.setattr(polynomials, "initial_ideal_by_degree", compared)
+    corpus = _witness_corpus()
+    for _, cover, delta in corpus:
+        assert all(balanced_witness(delta, cover).checks.values())
+    assert len(stops) >= len(corpus)

@@ -394,6 +394,19 @@ def test_witness_cm_check_can_be_waived(monkeypatch):
         balanced_witness(two_edges, [_graph_factor(square)])
 
 
+def test_waived_cm_check_still_fails_on_a_countable_h(monkeypatch):
+    # a 4-cycle plus a disjoint edge is not CM, yet h = (1, 4, 0) could be
+    # counted by a basis; the sweep still eliminates its stop degree, finds
+    # degree-2 standard monomials there, and f_matches_h fails
+    delta = SimplicialComplex([("a1", "b1"), ("b1", "a2"), ("a2", "b2"),
+                               ("b2", "a1"), ("a3", "b3")])
+    assert h_from_f(delta.f_vector()) == (1, 4, 0)
+    cover = [_points_factor(["a1", "a2", "a3"]), _points_factor(["b1", "b2", "b3"])]
+    monkeypatch.setattr(balancing, "is_cohen_macaulay", lambda delta: (True, None))
+    with pytest.raises(VerificationError, match="f_matches_h"):
+        balanced_witness(delta, cover)
+
+
 @pytest.mark.parametrize("cover", [5, {"type": "points", "vertices": ["a"]}],
                          ids=["number", "factor_not_in_a_list"])
 def test_witness_rejects_a_cover_that_is_not_a_list(cover):

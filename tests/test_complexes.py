@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce as bf
-from conftest import cycle_graph, disjoint_union, path_graph
+from conftest import cycle_graph, disjoint_union, path_graph, projective_plane
 from facebalance.complexes import (ComplexError, Graph, SimplicialComplex,
                                    clique_complex, convolve, f_from_h,
                                    h_from_f, independence_complex,
@@ -225,6 +225,27 @@ def test_flag_iff_minimal_nonfaces_have_size_two():
         assert got == {frozenset(nf) for nf in nonfaces}
 
 
+def test_minimal_nonfaces_match_the_subset_oracle_in_order():
+    # non-flag inputs too: size-3 minimal non-faces are found only through
+    # common neighbours, and RP^2 has ten of them
+    rng = random.Random(23)
+    cases = [SimplicialComplex([["a", "b"], ["b", "c"], ["a", "c"]]),
+             projective_plane(), SimplicialComplex([[]]),
+             SimplicialComplex([["a"], ["b"], ["c"]]),
+             independence_complex(disjoint_union(cycle_graph(5), path_graph(2)))]
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        verts = [f"v{i}" for i in range(n)]
+        cases.append(SimplicialComplex(
+            [rng.sample(verts, rng.randint(1, min(n, 5)))
+             for _ in range(rng.randint(1, 6))]))
+    for cx in cases:
+        assert cx.minimal_nonfaces() == bf.minimal_nonfaces(
+            range(len(cx.vertices)), bf.faces_from_facets(cx.facets))
+    rp2 = projective_plane().minimal_nonfaces()
+    assert len(rp2) == 10 and all(len(c) == 3 for c in rp2)
+
+
 # ---------------------------------------------------------------------------
 # independence and clique complexes
 # ---------------------------------------------------------------------------
@@ -324,6 +345,11 @@ def test_full_dimensional_subcomplex_cases():
     assert not is_full_dimensional_subcomplex(points, gamma)
     other = SimplicialComplex([["a", "d"]])
     assert not is_full_dimensional_subcomplex(other, gamma)
+    # a facet of the inner complex may be a smaller face of an outer facet
+    assert is_full_dimensional_subcomplex(
+        SimplicialComplex([["a", "b"], ["c"]]), gamma)
+    path = SimplicialComplex([["a", "b"], ["b", "c"]])
+    assert not is_full_dimensional_subcomplex(gamma, path)
 
 
 # ---------------------------------------------------------------------------

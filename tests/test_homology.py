@@ -4,7 +4,8 @@ import random
 import pytest
 
 import bruteforce as bf
-from conftest import all_complexes_on, cycle_graph, pendant_cycle_chain
+from conftest import (all_complexes_on, cycle_graph, pendant_cycle_chain,
+                      projective_plane)
 from facebalance import homology, linalg
 from facebalance.classify import exceptional_catalog
 from facebalance.complexes import (SimplicialComplex, VerificationError,
@@ -190,17 +191,9 @@ def test_cm_report_shape():
     assert report == {"cm": True, "betti": [0, 0, 1], "violation": None}
 
 
-def _projective_plane():
-    # the 6-vertex non-orientable surface: chi = 1, so no rational homology
-    # at all, but H_1 has 2-torsion, so over GF(2) it has b_1 = b_2 = 1
-    faces = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-             (2, 3, 5), (3, 5, 6), (3, 4, 6), (2, 4, 6), (2, 4, 5)]
-    return SimplicialComplex([[str(v) for v in f] for f in faces])
-
-
 def test_projective_plane_is_rationally_trivial_and_cm():
     # over the rationals the link-vanishing test passes
-    cx = _projective_plane()
+    cx = projective_plane()
     assert cx.f_vector() == (1, 6, 15, 10)
     assert tuple(reduced_betti(cx)) == (0, 0, 0, 0)
     ok, _ = is_cohen_macaulay(cx)
@@ -230,7 +223,7 @@ def _scan_corpus():
             [rng.sample([f"v{i}" for i in range(n)], rng.randint(1, n))
              for _ in range(rng.randint(1, 4))]))
     cases += [independence_complex(g) for g in exceptional_catalog().values()]
-    cases += [SimplicialComplex([[]]), _projective_plane()]
+    cases += [SimplicialComplex([[]]), projective_plane()]
     return cases
 
 
@@ -250,7 +243,7 @@ def test_gf2_scan_agrees_with_the_exact_scan(monkeypatch):
 
 
 def test_torsion_sends_only_the_projective_planes_to_q(monkeypatch):
-    rp2 = _projective_plane()
+    rp2 = projective_plane()
     suspension = rp2.join(SimplicialComplex([["n"], ["s"]]))
     assert tuple(reduced_betti(suspension)) == (0, 0, 0, 0, 0)
     ranked_over_q = []
@@ -345,7 +338,7 @@ def test_strong_core_keeps_the_reduced_homology():
     rng = random.Random(79)
     cases = [_random_complex(rng, 6) for _ in range(150)]
     cases += [independence_complex(cycle_graph(n)) for n in range(3, 8)]
-    cases += [_projective_plane(), SimplicialComplex([[]])] + _chains(81, 2)
+    cases += [projective_plane(), SimplicialComplex([[]])] + _chains(81, 2)
     collapsed = 0
     for cx in cases:
         core = [cx.labels(homology._bits(f))

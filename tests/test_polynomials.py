@@ -12,7 +12,6 @@ from facebalance.polynomials import (LinearAutomorphism, Multicomplex,
                                      StandardBasisOverflow, TermOrder,
                                      apply_automorphism,
                                      initial_ideal_by_degree,
-                                     monomial_divides,
                                      specialization_stream,
                                      stanley_reisner_generators,
                                      standard_monomial_basis)
@@ -196,6 +195,40 @@ def test_initial_ideal_matches_dense_macaulay_oracle():
             assert standard == expected
 
 
+def test_initial_ideal_matches_the_covered_filter_oracle():
+    # monomial generators that are not squarefree, with exponents up to the
+    # degree: the largest exponent a packed field has to hold
+    rng = random.Random(47)
+    order = TermOrder(("x", "y", "z", "w"), 0)
+    for _ in range(40):
+        degree = rng.randint(0, 7)
+        gens = []
+        for _ in range(rng.randint(0, 4)):
+            m = [0] * order.n
+            for _ in range(rng.randint(1, max(1, degree))):
+                m[rng.randrange(order.n)] += 1
+            gens.append({tuple(m): Fraction(rng.randint(1, 5))})
+        gens.append({(degree,) + (0,) * (order.n - 1): Fraction(1)}
+                    if degree else {order.variable("w"): Fraction(1)})
+        for _ in range(rng.randint(0, 3)):
+            p = _random_homogeneous(order, rng.randint(1, 3), rng)
+            if p:
+                gens.append(p)
+        assert (initial_ideal_by_degree(gens, order, degree)
+                == bf.initial_ideal_by_degree(gens, order, degree))
+
+
+def test_a_square_generator_does_not_cover_its_variable():
+    # divisibility compares exponents, not supports: z^2 leaves z standard
+    order = TermOrder(("x", "y", "z", "w"), 0)
+    gens = [{(0, 0, 2, 0): Fraction(3)}]
+    assert initial_ideal_by_degree(gens, order, 1) == (
+        set(), set(order.monomials_of_degree(1)))
+    leading, standard = initial_ideal_by_degree(gens, order, 2)
+    assert leading == {(0, 0, 2, 0)}
+    assert (1, 0, 1, 0) in standard and len(standard) == 9
+
+
 def test_pivot_set_invariant_under_generator_shuffles():
     rng = random.Random(43)
     order = TermOrder(("x", "y", "z", "w"), 0)
@@ -341,8 +374,8 @@ def test_specialization_stream_is_deterministic():
 
 
 def test_monomial_divides():
-    assert monomial_divides((1, 0), (2, 3))
-    assert not monomial_divides((1, 1), (0, 5))
+    assert bf.monomial_divides((1, 0), (2, 3))
+    assert not bf.monomial_divides((1, 1), (0, 5))
 
 
 def test_pipeline_generators_match_dense_oracle():
