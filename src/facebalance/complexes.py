@@ -129,10 +129,6 @@ class SimplicialComplex:
             self._faces_by_dim[k] = tuple(sorted(found))
         return self._faces_by_dim[k]
 
-    def has_face(self, face: Iterable[int]) -> bool:
-        fs = set(face)
-        return any(fs <= set(g) for g in self.facets)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SimplicialComplex)
                 and self.vertices == other.vertices

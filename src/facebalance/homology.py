@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
+from math import prod
 from operator import and_, or_
 from typing import Iterable, Optional
 
-from .complexes import SimplicialComplex, VerificationError
+from .complexes import SimplicialComplex, VerificationError, convolve
 from .linalg import gf2_rank, sparse_rank
 
 
@@ -156,23 +157,72 @@ def _strong_core(facets: Iterable[int]) -> frozenset[int]:
             if f in facets or not any(f & g == f != g for g in kept))
 
 
-def _collapsed_betti(delta: SimplicialComplex, link: tuple[int, ...]
+def _join_parts(core: frozenset[int]) -> list[int]:
+    """Vertex masks of join factors of the complex with facets ``core``
+    (bitmasks), certified by counting facets.
+
+    Every minimal non-face of a join lies in one factor, and a non-edge is
+    a minimal non-face, so the components of the non-edge graph refine the
+    finest join partition.  The facets lie in the product of their
+    projections onto the parts, so when they are as many as that product
+    the complex is the join of the projections.  When the components fail
+    that count, each one that passes against the rest of the vertices is
+    split off and the rest is kept whole; a complex with no passing part is
+    one factor.
+    """
+    verts = reduce(or_, core)
+
+    def size(part: int) -> int:
+        return len({f & part for f in core})
+
+    parts, left = [], verts
+    while left:
+        part = grow = left & -left
+        while grow:
+            v = grow & -grow
+            grow ^= v
+            far = left & ~part & ~reduce(or_, [f for f in core if f & v])
+            part |= far
+            grow |= far
+        parts.append(part)
+        left ^= part
+    if prod(map(size, parts)) != len(core):
+        split = [p for p in parts if size(p) * size(verts ^ p) == len(core)]
+        parts = split + [verts ^ reduce(or_, split, 0)]
+    return parts if prod(map(size, parts)) == len(core) else [verts]
+
+
+def _collapsed_betti(delta: SimplicialComplex, link: tuple[int, ...],
+                     factors: dict[tuple[int, ...], tuple[int, ...]]
                      ) -> BettiProfile:
     """Reduced Betti numbers of the subcomplex of ``delta`` with facets
-    ``link`` (bitmasks), ranked on its strong-collapse core.
+    ``link`` (bitmasks), ranked on the join factors of its strong-collapse
+    core.
 
     The core has the same reduced homology in every degree, so its Betti
     numbers padded with zeros up to the link's dimension are the link's.  A
     core with one nonempty facet is a simplex and has none.  Any other core
-    is built with the link's labels in their order and ranked.
+    is split by ``_join_parts``; each factor is built with the link's labels
+    in their order and ranked, once per ``factors`` memo, which is keyed by
+    its facets relabelled in order onto the factor's own vertices.  Over a
+    field the reduced homology of a join is the shifted tensor product of
+    the factors' (Milnor, Ann. Math. 63, 1956), so the core's entries, from
+    b_-1, are the convolution of the factors' entries.
     """
     core = _strong_core(link)
-    if len(core) == 1 and 0 not in core:
-        entries: tuple[int, ...] = ()
-    else:
-        entries = reduced_betti(SimplicialComplex(
-            [delta.labels(_bits(f)) for f in core],
-            vertices=delta.labels(_bits(reduce(or_, core))))).entries
+    entries: tuple[int, ...] = ()
+    if len(core) > 1 or 0 in core:
+        entries = (1,)
+        for part in _join_parts(core):
+            facets = sorted({f & part for f in core})
+            pos = _bits(part)
+            key = tuple(sum(1 << i for i, v in enumerate(pos) if f >> v & 1)
+                        for f in facets)
+            if key not in factors:
+                factors[key] = reduced_betti(SimplicialComplex(
+                    [delta.labels(_bits(f)) for f in facets],
+                    vertices=delta.labels(pos))).entries
+            entries = convolve(entries, factors[key])
     size = max(map(int.bit_count, link)) + 1  # entries b_-1 .. b_dim
     return BettiProfile(entries + (0,) * (size - len(entries)))
 
@@ -190,8 +240,9 @@ def _link_vanishing(delta: SimplicialComplex
 
     Facets are bitmasks over the vertex indices here.  The link of ``tau``
     is ``{f - tau : f a facet containing tau}``, read from the facets
-    through its first vertex; links with the same facets are ranked once
-    per call, each on its strong-collapse core.
+    through the vertex of ``tau`` with the fewest; links with the same
+    facets are ranked once per call, each on the join factors of its
+    strong-collapse core, and factors of the same shape once per call.
     """
     masks = [sum(1 << v for v in f) for f in delta.facets]
     through: list[list[int]] = [[] for _ in delta.vertices]
@@ -201,16 +252,17 @@ def _link_vanishing(delta: SimplicialComplex
     # keyed by the sorted facet masks: a tuple holds them in a fraction of
     # the memory a frozenset takes
     memo: dict[tuple[int, ...], BettiProfile] = {}
+    factors: dict[tuple[int, ...], tuple[int, ...]] = {}
     # the empty face is visited even when no face of dimension >= 0 is
     faces = chain.from_iterable(delta.faces(k)
                                 for k in range(-1, max(delta.dim - 1, 0)))
     for tau in faces:
         t = sum(1 << v for v in tau)
-        link = tuple(sorted(f ^ t for f in (through[tau[0]] if tau else masks)
-                            if f & t == t))
+        around = min((through[v] for v in tau), key=len) if tau else masks
+        link = tuple(sorted(f ^ t for f in around if f & t == t))
         link_betti = memo.get(link)
         if link_betti is None:
-            link_betti = memo[link] = _collapsed_betti(delta, link)
+            link_betti = memo[link] = _collapsed_betti(delta, link, factors)
         if not tau:
             betti = link_betti
         degree = _first_gap(link_betti)

@@ -1,11 +1,13 @@
 import itertools
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
 import bruteforce as bf
-from conftest import (all_complexes_on, cycle_graph, pendant_cycle_chain,
-                      projective_plane)
+from conftest import (all_complexes_on, cycle_graph, disjoint_union,
+                      pendant_cycle_chain, projective_plane)
 from facebalance import homology, linalg
 from facebalance.classify import exceptional_catalog
 from facebalance.complexes import (SimplicialComplex, VerificationError,
@@ -254,8 +256,9 @@ def test_torsion_sends_only_the_projective_planes_to_q(monkeypatch):
 
     monkeypatch.setattr(homology, "boundary_rank", counting)
     # every other link is a circle, a suspended circle or a set of points;
-    # the two poles share the link RP^2, which is ranked once
-    for cx, expected in ((rp2, [rp2]), (suspension, [suspension, rp2])):
+    # the suspension is RP^2 * S^0, so it and the link of each pole rank
+    # the same factor RP^2, once
+    for cx, expected in ((rp2, [rp2]), (suspension, [rp2])):
         ranked_over_q.clear()
         ok, violation = is_cohen_macaulay(cx)
         assert ok and violation is None
@@ -310,6 +313,22 @@ def _chains(seed, count):
             for _ in range(count)]
 
 
+def _with_pentagon(graphs):
+    """Ind(X + C5) = Ind(X) * Ind(C5) for each graph X."""
+    return [independence_complex(disjoint_union(g, cycle_graph(5, "z")))
+            for g in graphs]
+
+
+def _join_corpus():
+    """Joins with a pentagon: of each catalog complex, which are not CM and
+    have no dominated vertex, and of seeded chains, which are CM."""
+    rng = random.Random(83)
+    chains = [pendant_cycle_chain(rng, rng.randint(1, 2), rng.randint(0, 2))
+              for _ in range(3)]
+    return (_with_pentagon(exceptional_catalog().values())
+            + _with_pentagon(chains))
+
+
 def test_collapsed_scan_agrees_with_the_face_by_face_scan():
     # not a flag complex: the links of e and f have the same vertices, but
     # lk(e) is two triangles on an edge and lk(f) adds the edge cd, which
@@ -319,7 +338,7 @@ def test_collapsed_scan_agrees_with_the_face_by_face_scan():
                                 ["c", "d", "f"]])
     assert cm_report(shared)["violation"] == {"face": ["f"], "degree": 1}
     seen_cm = seen_not = 0
-    for cx in _scan_corpus() + _chains(73, 6) + [shared]:
+    for cx in _scan_corpus() + _chains(73, 6) + _join_corpus() + [shared]:
         betti, violation = bf.link_vanishing_scan(cx)
         assert homology._link_vanishing(cx) == (betti, violation), cx
         assert cm_report(cx) == {
@@ -353,16 +372,38 @@ def test_strong_core_keeps_the_reduced_homology():
     assert collapsed > 50
 
 
-def test_each_distinct_core_is_ranked_once(monkeypatch):
+def _join_factors(core, order):
+    """Facet sets of the finest join factors of a flag complex: the
+    components of its non-edge graph, each with the core's projections."""
+    verts = sorted(set().union(*core), key=order.index)
+    parts = []
+    for v in verts:
+        far = {p for p in parts if any(
+            not any({v, w} <= f for f in core) for w in p)}
+        parts = [p for p in parts if p not in far] + [
+            frozenset({v}).union(*far)]
+    return [frozenset(f & p for f in core) for p in parts]
+
+
+def _shape(facets, order):
+    """Facets relabelled in order onto 0..k-1 over their own vertices."""
+    verts = sorted(set().union(*facets), key=order.index)
+    return frozenset(frozenset(verts.index(v) for v in f) for f in facets)
+
+
+def test_each_distinct_factor_is_ranked_once(monkeypatch):
     cx = independence_complex(pendant_cycle_chain(random.Random(5), 2, 1))
+    order = list(cx.vertices)
     visited = [()] + [f for k in range(cx.dim - 1) for f in cx.faces(k)]
     links = {cx.link(cx.labels(f)) for f in visited}
-    cores = {bf.strong_core(lk.facet_labels(), cx.vertices) for lk in links}
-    expected = {core for core in cores if len(core) > 1}
+    cores = {bf.strong_core(lk.facet_labels(), order) for lk in links}
+    factors = [factor for core in cores if len(core) > 1
+               for factor in _join_factors(core, order)]
+    expected = {_shape(f, order) for f in factors}
     ranked = []
 
     def counting(delta):
-        ranked.append(frozenset(map(frozenset, delta.facet_labels())))
+        ranked.append(_shape(delta.facet_labels(), order))
         return reduced_betti(delta)
 
     monkeypatch.setattr(homology, "reduced_betti", counting)
@@ -370,3 +411,46 @@ def test_each_distinct_core_is_ranked_once(monkeypatch):
     assert len(ranked) == len(set(ranked)) == len(expected)
     assert set(ranked) == expected
     assert len(visited) > len(links) > len(cores) > len(expected) > 1
+    assert len(factors) > len(cores)
+
+
+def test_non_edge_components_split_only_when_the_facets_count():
+    def parts(cx):
+        return {cx.labels(homology._bits(p))
+                for p in homology._join_parts(_masks(cx))}
+
+    hollow = SimplicialComplex([["a", "b"], ["b", "c"], ["a", "c"]])
+    rp2 = projective_plane()
+    # neither has a non-edge, and neither is a join of its vertices
+    assert parts(hollow) == {("a", "b", "c")}
+    assert parts(rp2) == {rp2.vertices}
+    # the poles split off; RP^2's vertices fail against the rest
+    suspension = rp2.join(SimplicialComplex([["n"], ["s"]]))
+    assert parts(suspension) == {("n", "s"), rp2.vertices}
+    # Ind(X + C5) splits along the components of X + C5
+    for cx in _with_pentagon(exceptional_catalog().values()):
+        assert parts(cx) == {
+            tuple(v for v in cx.vertices if v.startswith("z")),
+            tuple(v for v in cx.vertices if not v.startswith("z"))}, cx
+    # every split is a join of the projections: on random complexes, and on
+    # the joins of any two complexes on <= 3 vertices whose cores are not a
+    # simplex
+    rng = random.Random(89)
+    cases = [_random_complex(rng, 6) for _ in range(200)]
+    small = [cx for n in range(1, 4) for cx in all_complexes_on(n)
+             if len(homology._strong_core(_masks(cx))) > 1]
+    cases += [SimplicialComplex([["a" + v for v in f] for f in a.facet_labels()]).join(
+        SimplicialComplex([["b" + v for v in f] for f in b.facet_labels()]))
+        for a in small for b in small]
+    split = 0
+    for cx in cases:
+        core = homology._strong_core(_masks(cx))
+        masks = homology._join_parts(core)
+        assert sum(masks) == reduce(or_, masks) == reduce(or_, core), cx
+        join = {reduce(or_, pick) for pick in itertools.product(
+            *({f & m for f in core} for m in masks))}
+        assert join == core, cx
+        split += len(masks) > 1
+    # but one: the join of two hollow triangles has no non-edge, and no
+    # single vertex passes against the rest, so it is ranked whole
+    assert split >= len(small) ** 2 - 1
