@@ -13,7 +13,7 @@ from .polynomials import (LinearAutomorphism, Multicomplex, Specialization,
 from .balancing import (BalancedWitness, BalancingPair, CoverError,
                         balanced_witness, factor_complex, join_of_factors,
                         kind_kleinschmidt, parse_cover)
-from .classify import (PGDecomposition, Verdict, basic_5_cycles, beta,
+from .classify import (PGDecomposition, Verdict, basic_5_cycles,
                        classify_girth5, embed_in_join, exceptional_catalog,
                        girth, independent_facet_transversal, is_isomorphic,
                        is_well_covered, pendant_edges, pg_decomposition)

@@ -25,7 +25,14 @@ INFINITE = math.inf
 # ---------------------------------------------------------------------------
 
 def girth(g: Graph):
-    """Length of a shortest cycle; ``math.inf`` for forests."""
+    """Length of a shortest cycle; ``math.inf`` for forests.
+
+    A BFS from every vertex: a non-tree edge u-w closes a walk through the
+    root of length dist(u) + dist(w) + 1, which contains a cycle at most
+    that long.  An edge first seen from u closes at least 2 * dist(u) + 1
+    (an edge to depth dist(u) - 1 was already seen from its other end), so
+    each BFS stops once that bound reaches the shortest cycle found so far.
+    """
     adj = g.adjacency()
     best = INFINITE
     for s in range(len(g.vertices)):
@@ -34,22 +41,19 @@ def girth(g: Graph):
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for w in sorted(adj[u]):
+            du = dist[u]
+            if 2 * du + 1 >= best:
+                break
+            for w in adj[u]:
                 if w not in dist:
-                    dist[w] = dist[u] + 1
+                    dist[w] = du + 1
                     parent[w] = u
                     queue.append(w)
                 elif parent[u] != w:
-                    best = min(best, dist[u] + dist[w] + 1)
+                    best = min(best, du + dist[w] + 1)
         if best == 3:
             return 3
     return best
-
-
-def beta(g: Graph) -> int:
-    """Independence number, summed over the components."""
-    return sum(max(len(s) for s in maximal_independent_sets(g.subgraph(c)))
-               for c in g.components())
 
 
 def is_well_covered(g: Graph) -> bool:
@@ -238,6 +242,9 @@ class Verdict:
     kind: str  # PG | K1 | Exceptional | NotWellCovered | GirthTooSmall
     name: Optional[str] = None
     decomposition: Optional[PGDecomposition] = None
+    # the one size of the enumerated maximal independent sets, on a
+    # well-covered graph; not part of the JSON
+    beta: Optional[int] = None
 
     def to_json_obj(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -258,22 +265,24 @@ def classify_girth5(g: Graph) -> Verdict:
         raise ComplexError("classification needs a connected graph")
     if girth(g) < 5:
         return Verdict("GirthTooSmall")
-    if not is_well_covered(g):
+    sizes = {len(s) for s in maximal_independent_sets(g)}
+    if len(sizes) != 1:
         return Verdict("NotWellCovered")
+    (size,) = sizes
     if len(g.vertices) == 1:
-        return Verdict("K1")
+        return Verdict("K1", beta=size)
     for name, h in sorted(exceptional_catalog().items()):
         if is_isomorphic(g, h):
             if pg_decomposition(g) is not None:
                 raise VerificationError("catalog graph also decomposes")
-            return Verdict("Exceptional", name=name)
+            return Verdict("Exceptional", name=name, beta=size)
     dec = pg_decomposition(g)
     if dec is None:
         raise VerificationError(
             "well-covered girth >= 5 graph is neither exceptional nor decomposable")
-    if dec.beta != beta(g):
+    if dec.beta != size:
         raise VerificationError("decomposition size disagrees with beta")
-    return Verdict("PG", decomposition=dec)
+    return Verdict("PG", decomposition=dec, beta=size)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +298,7 @@ def embed_in_join(g: Graph) -> tuple[list[dict], dict]:
     """
     factors: list[dict] = []
     per_component = []
+    measured = 0
     for comp in g.components():
         sub = g.subgraph(comp)
         verdict = classify_girth5(sub)
@@ -318,12 +328,14 @@ def embed_in_join(g: Graph) -> tuple[list[dict], dict]:
                 f"component {comp} does not admit the covering join "
                 f"(classified {verdict.kind}"
                 + (f": {verdict.name}" if verdict.name else "") + ")")
+        measured += verdict.beta
     expected_d = sum(2 * c["basic_cycles"] + c["pendant_edges"] + (c["kind"] == "K1")
                      for c in per_component)
-    # Ind(g)'s facets are the maximal independent sets, so its dim + 1 is beta
+    # Ind(g)'s facets are the maximal independent sets, so its dim + 1 is
+    # beta, the sum of the sizes each component's enumeration measured
     certificate = {"components": per_component,
                    "expected_tail": expected_d,
-                   "dim_matches": beta(g) == expected_d}
+                   "dim_matches": measured == expected_d}
     return factors, certificate
 
 

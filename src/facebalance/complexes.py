@@ -408,26 +408,54 @@ def parse_graph(text: str) -> Graph:
     return Graph(tuple(vertices), edges)
 
 
-def _bron_kerbosch(candidates: set[int], adj: dict[int, frozenset[int]]):
-    """Maximal cliques of a graph given by an adjacency dict."""
-    def rec(r: set, p: set, x: set):
-        if not p and not x:
-            yield tuple(sorted(r))
-            return
-        pivot = max(p | x, key=lambda v: len(adj[v] & p))
-        for v in sorted(p - adj[pivot]):
-            yield from rec(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-    yield from rec(set(), set(candidates), set())
-
-
 def maximal_independent_sets(g: Graph) -> list[tuple[str, ...]]:
-    """All maximal independent sets, as sorted label tuples."""
+    """All maximal independent sets, as sorted label tuples.
+
+    Bron-Kerbosch with pivoting (Tomita, Tanaka & Takahashi, TCS 363, 2006)
+    on int bitmasks, bit i standing for vertex i.  It lists the maximal
+    cliques of the complement graph, where ``co[i]`` masks the
+    non-neighbours of i; each branch tries only the candidates outside
+    ``co`` of a pivot that has the most candidates there.
+    """
     n = len(g.vertices)
-    adj = g.adjacency()
-    co_adj = {i: set(range(n)) - adj[i] - {i} for i in range(n)}
-    return sorted(g.labels(c) for c in _bron_kerbosch(set(range(n)), co_adj))
+    full = (1 << n) - 1
+    co = [full & ~(1 << i) & ~sum(1 << w for w in nbrs)
+          for i, nbrs in g.adjacency().items()]
+    found: list[int] = []
+
+    def rec(r: int, p: int, x: int):
+        if not p and not x:
+            found.append(r)
+            return
+        best = -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            k = (co[i] & p).bit_count()
+            if k > best:
+                best, pivot = k, i
+            rest ^= low
+        cand = p & ~co[pivot]
+        while cand:
+            low = cand & -cand
+            i = low.bit_length() - 1
+            rec(r | low, p & co[i], x & co[i])
+            p ^= low
+            x |= low
+            cand ^= low
+
+    rec(0, full, 0)
+    labels = g.vertices
+    out = []
+    for m in found:
+        face = []
+        while m:
+            low = m & -m
+            face.append(labels[low.bit_length() - 1])
+            m ^= low
+        out.append(tuple(face))
+    return sorted(out)
 
 
 def independence_complex(g: Graph) -> SimplicialComplex:

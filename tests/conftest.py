@@ -5,7 +5,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from facebalance.complexes import Graph, SimplicialComplex
+from facebalance.complexes import (Graph, SimplicialComplex,
+                                   maximal_independent_sets)
 from facebalance.polynomials import LinearAutomorphism
 from facebalance.samples import pg_sample_graph
 
@@ -27,6 +28,12 @@ def disjoint_union(*graphs: Graph) -> Graph:
         verts.extend(g.vertices)
         edges.extend(g.edge_labels())
     return Graph(verts, edges)
+
+
+def beta(g: Graph) -> int:
+    """Independence number, summed over the components."""
+    return sum(max(len(s) for s in maximal_independent_sets(g.subgraph(c)))
+               for c in g.components())
 
 
 def pendant_cycle_chain(rng, pentagons: int, pendants: int) -> Graph:

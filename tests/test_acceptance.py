@@ -9,10 +9,11 @@ import random
 import time
 
 import bruteforce as bf
-from conftest import all_complexes_on, cycle_graph, path_graph, turan_graph
+from conftest import (all_complexes_on, beta, cycle_graph, path_graph,
+                      turan_graph)
 from facebalance import polynomials
 from facebalance.balancing import balanced_witness, join_of_factors
-from facebalance.classify import (beta, classify_girth5, embed_in_join, girth,
+from facebalance.classify import (classify_girth5, embed_in_join, girth,
                                   exceptional_catalog,
                                   independent_facet_transversal, is_isomorphic,
                                   pendant_edges)

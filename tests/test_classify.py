@@ -6,11 +6,11 @@ import random
 import pytest
 
 import bruteforce as bf
-from conftest import (cycle_graph, disjoint_union, overlinked_pentagon_graph,
-                      path_graph, turan_graph)
+from conftest import (beta, cycle_graph, disjoint_union,
+                      overlinked_pentagon_graph, path_graph, turan_graph)
 from facebalance.balancing import join_of_factors
 from facebalance.cli import main
-from facebalance.classify import (basic_5_cycles, beta, classify_girth5,
+from facebalance.classify import (basic_5_cycles, classify_girth5,
                                   embed_in_join, exceptional_catalog, girth,
                                   independent_facet_transversal, is_isomorphic,
                                   is_well_covered, pendant_edges,
@@ -268,17 +268,53 @@ def test_isomorphism_on_regular_lookalikes():
     assert not is_isomorphic(k33, prism)
 
 
+def _shortest_induced_cycle(g: Graph):
+    lengths = bf.induced_cycle_lengths(g.vertices, g.edge_labels())
+    return min(lengths) if lengths else math.inf
+
+
+def _with_pendants(g: Graph, at) -> Graph:
+    return Graph(list(g.vertices) + [f"{v}_leaf" for v in at],
+                 g.edge_labels() + [(v, f"{v}_leaf") for v in at])
+
+
+def test_girth_against_bruteforce_on_shaped_graphs():
+    cases = [
+        # the longer cycle comes first in the vertex order, so every BFS
+        # from it sets a bound the shorter one must still get under
+        disjoint_union(cycle_graph(6, "a"), cycle_graph(5, "b")),
+        disjoint_union(cycle_graph(9, "a"), cycle_graph(4, "b")),
+        disjoint_union(cycle_graph(7, "a"), turan_graph(3, 3)),
+        disjoint_union(path_graph(4, "p"), cycle_graph(6, "a"), path_graph(3, "q")),
+        disjoint_union(path_graph(5, "p"), path_graph(2, "q")),
+        turan_graph(3, 3),
+        _with_pendants(cycle_graph(11), ["1", "4", "8"]),
+        _with_pendants(cycle_graph(9), ["2", "3"]),
+        _corona_cycle(6),
+    ]
+    # a 5-cycle reached late: a 7-cycle first, then a long path to the pentagon
+    c7, c5 = cycle_graph(7, "a"), cycle_graph(5, "b")
+    cases.append(Graph(list(c7.vertices) + ["m1", "m2"] + list(c5.vertices),
+                       c7.edge_labels() + c5.edge_labels()
+                       + [("a4", "m1"), ("m1", "m2"), ("m2", "b3")]))
+    for g in cases:
+        assert girth(g) == _shortest_induced_cycle(g), g
+
+
 def test_girth_agrees_with_shortest_induced_cycle():
-    # a shortest cycle is always chordless, so the two routes must agree
+    # a shortest cycle is always chordless, so the two routes must agree;
+    # unions of one to three random parts, in a shuffled vertex order
     rng = random.Random(83)
-    for _ in range(40):
-        n = rng.randint(3, 8)
-        verts = [f"v{i}" for i in range(n)]
-        edges = [e for e in itertools.combinations(verts, 2)
-                 if rng.random() < 0.35]
-        g = Graph(verts, edges)
-        lengths = bf.induced_cycle_lengths(g.vertices, g.edge_labels())
-        assert girth(g) == (min(lengths) if lengths else math.inf)
+    for _ in range(60):
+        parts = []
+        for k in range(rng.randint(1, 3)):
+            verts = [f"c{k}v{i}" for i in range(rng.randint(1, 5))]
+            parts.append(Graph(verts, [e for e in itertools.combinations(verts, 2)
+                                       if rng.random() < 0.4]))
+        g = disjoint_union(*parts)
+        verts = list(g.vertices)
+        rng.shuffle(verts)
+        assert girth(Graph(verts, g.edge_labels())) == _shortest_induced_cycle(g)
 
 
 # ---------------------------------------------------------------------------

@@ -292,18 +292,36 @@ def test_independence_equals_clique_of_complement_sampled():
 
 
 def test_maximal_independent_sets_against_bruteforce():
+    # maximal by definition: no outside vertex extends the set; the vertex
+    # order is shuffled against the label order, and the sparse graphs keep
+    # isolated vertices
     rng = random.Random(37)
-    for _ in range(30):
-        n = rng.randint(1, 7)
+    for _ in range(60):
+        n = rng.randint(1, 12)
         verts = [f"v{i}" for i in range(n)]
-        edges = [e for e in itertools.combinations(verts, 2) if rng.random() < 0.45]
+        rng.shuffle(verts)
+        density = rng.choice((0.1, 0.25, 0.45, 0.8))
+        edges = [e for e in itertools.combinations(verts, 2)
+                 if rng.random() < density]
         g = Graph(verts, edges)
-        all_ind = bf.independent_subsets(verts, edges)
-        ind_set = set(all_ind)
-        expected = sorted(s for s in all_ind
-                          if not any(set(s) < set(t) for t in all_ind))
+        independent = set(bf.independent_subsets(verts, edges))
+        position = {v: i for i, v in enumerate(verts)}
+        expected = sorted(
+            s for s in independent
+            if not any(tuple(sorted(s + (v,), key=position.get)) in independent
+                       for v in verts if v not in s))
         assert maximal_independent_sets(g) == expected
-        assert ind_set  # sanity: the empty set is always independent
+
+
+def test_maximal_independent_sets_edge_cases():
+    assert maximal_independent_sets(Graph([], [])) == [()]
+    assert maximal_independent_sets(Graph(["b", "a", "c"], [])) == [("b", "a", "c")]
+    # the isolated vertices join every maximal independent set of the rest
+    g = disjoint_union(Graph(["z", "y"], []), cycle_graph(5))
+    assert maximal_independent_sets(g) == sorted(
+        ("z", "y") + s for s in maximal_independent_sets(cycle_graph(5)))
+    complete = Graph(["c", "b", "a"], [("a", "b"), ("b", "c"), ("a", "c")])
+    assert maximal_independent_sets(complete) == [("a",), ("b",), ("c",)]
 
 
 def test_subgraph_accepts_a_one_shot_iterable():

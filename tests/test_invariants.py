@@ -2,6 +2,7 @@
 ``python -O``: each test below breaks one invariant on purpose."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -124,10 +125,34 @@ def test_well_covered_graph_neither_exceptional_nor_decomposable(monkeypatch):
         classify_girth5(pg_sample_graph())
 
 
+def _one_pendant_edge_too_many(monkeypatch):
+    # the real decomposition plus an edge no graph has: it counts one more
+    # than the size the enumeration measured
+    real = classify.pg_decomposition
+
+    def padded(g):
+        dec = real(g)
+        return dataclasses.replace(
+            dec, pendant_edges=dec.pendant_edges + (("X", "Y"),))
+
+    monkeypatch.setattr(classify, "pg_decomposition", padded)
+
+
 def test_decomposition_size_disagrees_with_beta(monkeypatch):
-    monkeypatch.setattr(classify, "beta", lambda g: -1)
+    _one_pendant_edge_too_many(monkeypatch)
     with pytest.raises(VerificationError, match="disagrees with beta"):
         classify_girth5(pg_sample_graph())
+
+
+def test_embed_exits_1_when_the_decomposition_disagrees_with_beta(
+        monkeypatch, tmp_path, capsys):
+    path = tmp_path / "pg.el"
+    path.write_text(pg_sample_graph().to_file_text())
+    _one_pendant_edge_too_many(monkeypatch)
+    assert main(["--json", "embed", "--graph", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "disagrees with beta" in captured.err
 
 
 def test_cli_exits_1_on_a_failed_invariant(monkeypatch, tmp_path, capsys):
