@@ -24,8 +24,7 @@ from .complexes import (ComplexError, Graph, SimplicialComplex,
 from .homology import is_cohen_macaulay
 from .linalg import bareiss_rank, invert
 from .polynomials import (DEFAULT_SEED, LinearAutomorphism, Multicomplex,
-                          Specialization, SpecializationError,
-                          StandardBasisOverflow, TermOrder,
+                          Specialization, StandardBasisOverflow, TermOrder,
                           specialization_stream, standard_monomial_basis)
 
 
@@ -362,7 +361,7 @@ def balanced_witness(delta: SimplicialComplex, cover: Sequence[dict],
                                        h, checks, spec, seed)
             failed = sorted(k for k, v in checks.items() if not v)
             failures.append(f"attempt {spec.attempt}: failed {', '.join(failed)}")
-        except (VerificationError, StandardBasisOverflow, SpecializationError) as e:
+        except (VerificationError, StandardBasisOverflow) as e:
             failures.append(f"attempt {spec.attempt}: {e}")
     raise VerificationError(
         "no specialization verified the witness: " + "; ".join(failures))

@@ -302,9 +302,6 @@ class Graph:
         """Neighbour sets by vertex position, built once in the constructor."""
         return dict(enumerate(self._adj))
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self._adj[i]
-
     def complement(self) -> "Graph":
         n = len(self.vertices)
         edges = [(self.vertices[i], self.vertices[j])

@@ -67,8 +67,6 @@ def boundary_rank(delta: SimplicialComplex, i: int) -> int:
     """Exact rank of the boundary map from ``i``-chains to ``(i-1)``-chains."""
     if i < 0 or i > delta.dim:
         raise ValueError(f"no boundary map in degree {i}")
-    if i == 0:
-        return 1 if delta.faces(0) else 0
     return sparse_rank([{k: 1 if pos % 2 == 0 else -1
                          for pos, k in enumerate(cols)}
                         for cols in _boundary_rows(delta, i)])
@@ -76,8 +74,6 @@ def boundary_rank(delta: SimplicialComplex, i: int) -> int:
 
 def _gf2_boundary_rank(delta: SimplicialComplex, i: int) -> int:
     """Rank over GF(2) of the boundary map from ``i``-chains."""
-    if i == 0:
-        return 1 if delta.faces(0) else 0
     return gf2_rank(sum(1 << k for k in cols) for cols in _boundary_rows(delta, i))
 
 
@@ -166,9 +162,7 @@ def _join_parts(core: frozenset[int]) -> list[int]:
     finest join partition.  The facets lie in the product of their
     projections onto the parts, so when they are as many as that product
     the complex is the join of the projections.  When the components fail
-    that count, each one that passes against the rest of the vertices is
-    split off and the rest is kept whole; a complex with no passing part is
-    one factor.
+    that count, the complex is one factor.
     """
     verts = reduce(or_, core)
 
@@ -186,9 +180,6 @@ def _join_parts(core: frozenset[int]) -> list[int]:
             grow |= far
         parts.append(part)
         left ^= part
-    if prod(map(size, parts)) != len(core):
-        split = [p for p in parts if size(p) * size(verts ^ p) == len(core)]
-        parts = split + [verts ^ reduce(or_, split, 0)]
     return parts if prod(map(size, parts)) == len(core) else [verts]
 
 

@@ -87,15 +87,6 @@ class TermOrder:
         """Ascending revlex key: bigger exponent at the last difference sorts first."""
         return (sum(m), tuple(-e for e in reversed(m)))
 
-    def monomials_of_degree(self, i: int):
-        """All degree-``i`` exponent tuples."""
-        n = self.n
-        for combo in itertools.combinations_with_replacement(range(n), i):
-            m = [0] * n
-            for j in combo:
-                m[j] += 1
-            yield tuple(m)
-
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
@@ -253,15 +244,20 @@ def _uncovered_levels(mono_gens: Sequence[Monomial], n: int, width: int,
 
 def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
                             ) -> tuple[set, set]:
-    """Leading and standard monomials of the generated ideal in one degree.
+    """``(pivots, standard)``: the degree-``degree`` monomials that no
+    monomial generator divides, split by whether each one leads a row of the
+    reduced span of the other generators' monomial multiples.
 
-    The degree-``degree`` piece of the ideal is spanned by the monomial
-    multiples of the (homogeneous) generators; its leading monomials are the
-    pivot columns of that span under the descending revlex column order.
-    Monomial generators are pivoted first.  The monomials none of them
-    divides form an order ideal, built here degree by degree: the
-    elimination runs over its top degree only, with multipliers from its
-    lower degrees, and a divisible monomial is never enumerated.
+    The leading monomials of the ideal's degree-``degree`` piece are the
+    divided monomials and ``pivots``, the pivot columns under the descending
+    revlex column order; the divided ones are never listed.  ``standard`` is
+    the degree's share of the standard monomial basis:
+    :func:`standard_monomial_basis` calls this once per degree and reads
+    ``result[1]``, as does ``bench/tracer.py``, whose count ``bench/run.py``
+    checks against the sum of the h-vector.  The undivided monomials form an
+    order ideal, built here degree by degree: the elimination runs over its
+    top degree only, with multipliers from its lower degrees, and a
+    divisible monomial is never enumerated.
 
     Inside, an exponent tuple is packed into one int, ``degree.bit_length()
     + 1`` bits per variable with the last variable highest.  A product is
@@ -305,11 +301,11 @@ def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
             if row:
                 ech.add_row(row)
     mask = (1 << width) - 1
-    standard = {tuple(m >> (i * width) & mask for i in range(n))
-                for r, m in enumerate(columns) if r not in ech.pivots}
-    del levels, columns, rank_of, ech  # freed before the whole degree is listed
-    leading = set(order.monomials_of_degree(degree)) - standard
-    return leading, standard
+    pivots, standard = set(), set()
+    for r, m in enumerate(columns):
+        (pivots if r in ech.pivots else standard).add(
+            tuple(m >> (i * width) & mask for i in range(n)))
+    return pivots, standard
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,17 @@ def monomial_divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def undivided_monomials(gens, n: int, degree: int) -> set:
+    """The degree-``degree`` monomials that no one-term generator divides."""
+    mono_gens = []
+    for p in gens:
+        terms = [m for m, c in p.items() if c]
+        if len(terms) == 1:
+            mono_gens += terms
+    return {m for m in monomials(n, degree)
+            if not any(monomial_divides(g, m) for g in mono_gens)}
+
+
 def initial_ideal_by_degree(gens, order, degree):
     """``(leading, standard)`` monomials of one degree, by the package's
     earlier sweep: every monomial of the degree and of each multiplier

@@ -5,10 +5,25 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import bruteforce as bf
 from facebalance.complexes import (Graph, SimplicialComplex,
                                    maximal_independent_sets)
 from facebalance.polynomials import LinearAutomorphism
 from facebalance.samples import pg_sample_graph
+
+
+def check_sweep(result, gens, order, degree: int) -> None:
+    """``result``, the package's ``(pivots, standard)`` in one degree,
+    against the covered-filter oracle's ``(leading, standard)``: the same
+    standard monomials, the oracle's leading ones that no monomial generator
+    divides as pivots, and together exactly the undivided monomials."""
+    pivots, standard = result
+    leading, expected = bf.initial_ideal_by_degree(gens, order, degree)
+    undivided = bf.undivided_monomials(gens, order.n, degree)
+    divided = set(bf.monomials(order.n, degree)) - undivided
+    assert standard == expected
+    assert pivots == leading - divided
+    assert pivots | standard == undivided
 
 
 def cycle_graph(n: int, prefix: str = "") -> Graph:

@@ -9,8 +9,8 @@ import random
 import time
 
 import bruteforce as bf
-from conftest import (all_complexes_on, beta, cycle_graph, path_graph,
-                      turan_graph)
+from conftest import (all_complexes_on, beta, check_sweep, cycle_graph,
+                      path_graph, pendant_cycle_chain, turan_graph)
 from facebalance import polynomials
 from facebalance.balancing import balanced_witness, join_of_factors
 from facebalance.classify import (classify_girth5, embed_in_join, girth,
@@ -20,7 +20,7 @@ from facebalance.classify import (classify_girth5, embed_in_join, girth,
 from facebalance.complexes import (Graph, SimplicialComplex, clique_complex,
                                    convolve, f_from_h, h_from_f,
                                    independence_complex, is_proper)
-from facebalance.homology import is_cohen_macaulay, reduced_betti
+from facebalance.homology import cm_report, is_cohen_macaulay, reduced_betti
 from facebalance.samples import (colorable_h_witness, flag_sphere_graph,
                                  pg_sample_graph)
 
@@ -458,7 +458,7 @@ def test_sweep_matches_the_covered_filter_oracle_on_the_witness_corpus(monkeypat
 
     def compared(gens, order, degree):
         result = real(gens, order, degree)
-        assert result == bf.initial_ideal_by_degree(gens, order, degree)
+        check_sweep(result, gens, order, degree)
         if not result[1]:
             stops.append(degree)
         return result
@@ -468,3 +468,58 @@ def test_sweep_matches_the_covered_filter_oracle_on_the_witness_corpus(monkeypat
     for _, cover, delta in corpus:
         assert all(balanced_witness(delta, cover).checks.values())
     assert len(stops) >= len(corpus)
+
+
+def _balanced_complex(faces, coloring, d):
+    """Facets ``F + {p_i : i not in coloring(F)}``, one per face ``F``
+    (label tuples, the empty one included), with the colouring extended by
+    ``p_i -> i``.  Ordered by ``|F|`` this is a shelling whose restriction
+    faces are the ``F`` (Stanley, Trans. AMS 249, 1979; Bjorner, Frankl &
+    Stanley, Combinatorica 7, 1987): a balanced CM complex whose h-vector is
+    the face counts of ``faces``."""
+    cone = {i: f"@p{i}" for i in range(d)}
+    facets = [tuple(face) + tuple(cone[i] for i in range(d)
+                                  if i not in {coloring[v] for v in face})
+              for face in faces]
+    return SimplicialComplex(facets), {**coloring, **{p: i for i, p in cone.items()}}
+
+
+def _witness_faces(witness):
+    """The supports of the witness's basis monomials, as label tuples."""
+    variables = witness.pair.order.variables
+    return [tuple(v for v, e in zip(variables, m) if e)
+            for m in witness.basis.monomials]
+
+
+def test_witness_gives_the_balanced_cm_complex_the_paper_promises():
+    # Delta's f-vector is the f-vector of a balanced CM complex built from
+    # the witness; the sweep computes the witness, not this consequence
+    started = time.perf_counter()
+    graphs = [pg_sample_graph()] + [
+        pendant_cycle_chain(random.Random(31 * j + k), j, k)
+        for j, k in ((2, 1), (1, 3), (2, 2), (3, 0))]
+    for g in graphs:
+        delta = independence_complex(g)
+        cover, _ = embed_in_join(g)
+        witness = balanced_witness(delta, cover)
+        d = delta.dim + 1
+        faces = _witness_faces(witness)
+        assert set(witness.coloring.values()) <= set(range(d))
+        balanced, kappa = _balanced_complex(faces, witness.coloring, d)
+        assert len(kappa) == len(witness.coloring) + d  # the p_i are new
+        assert balanced.is_pure() and balanced.dim == delta.dim
+        assert is_proper(balanced, kappa)
+        assert cm_report(balanced)["cm"]
+        assert balanced.f_vector() == delta.f_vector()
+        # a recoloured vertex meets the cone vertex of its new colour
+        v = next(face[0] for face in faces if face)
+        recoloured = dict(kappa, **{v: (kappa[v] + 1) % d})
+        assert not is_proper(balanced, recoloured)
+        # without a top-degree monomial the h-vector, hence f, falls short
+        top = max(faces, key=len)
+        short, _ = _balanced_complex([f for f in faces if f != top],
+                                     witness.coloring, d)
+        assert short.f_vector() != delta.f_vector()
+    _announce("balanced CM complex", started,
+              f"{len(graphs)} witnesses, d up to "
+              f"{max(independence_complex(g).dim + 1 for g in graphs)}")

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cycle_graph, disjoint_union, identity_automorphism
+from conftest import (check_sweep, cycle_graph, disjoint_union,
+                      identity_automorphism)
 from facebalance import balancing
 from facebalance.balancing import (BalancingPair, CoverError,
                                    VerificationError, balanced_witness,
@@ -121,9 +122,10 @@ def test_near_bipartite_block_squares_lead():
     gens = [{order.variable(t): Fraction(1)} for t in order.tail()]
     for nu in stanley_reisner_generators(pentagon, order):
         gens.append(apply_automorphism(pair.matrix, {nu: Fraction(1)}))
-    leading, _ = initial_ideal_by_degree(gens, order, 2)
+    result = initial_ideal_by_degree(gens, order, 2)
     for v in order.free():
-        assert order.monomial_of((v, v)) in leading
+        assert order.monomial_of((v, v)) in result[0]
+    check_sweep(result, gens, order, 2)
 
 
 def test_near_bipartite_rank_condition_on_all_facets():

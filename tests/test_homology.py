@@ -256,9 +256,11 @@ def test_torsion_sends_only_the_projective_planes_to_q(monkeypatch):
 
     monkeypatch.setattr(homology, "boundary_rank", counting)
     # every other link is a circle, a suspended circle or a set of points;
-    # the suspension is RP^2 * S^0, so it and the link of each pole rank
-    # the same factor RP^2, once
-    for cx, expected in ((rp2, [rp2]), (suspension, [rp2])):
+    # the suspension RP^2 * S^0 is one join factor (its non-edge graph has
+    # the component {n, s}, but not the facet count of a join of its
+    # components), so it is ranked whole, and then the link of each pole
+    # ranks RP^2, once
+    for cx, expected in ((rp2, [rp2]), (suspension, [suspension, rp2])):
         ranked_over_q.clear()
         ok, violation = is_cohen_macaulay(cx)
         assert ok and violation is None
@@ -424,9 +426,11 @@ def test_non_edge_components_split_only_when_the_facets_count():
     # neither has a non-edge, and neither is a join of its vertices
     assert parts(hollow) == {("a", "b", "c")}
     assert parts(rp2) == {rp2.vertices}
-    # the poles split off; RP^2's vertices fail against the rest
+    # the poles are a component of the non-edge graph, but RP^2's six
+    # vertices are six more, and RP^2 is no join of them, so the suspension
+    # is one factor
     suspension = rp2.join(SimplicialComplex([["n"], ["s"]]))
-    assert parts(suspension) == {("n", "s"), rp2.vertices}
+    assert parts(suspension) == {suspension.vertices}
     # Ind(X + C5) splits along the components of X + C5
     for cx in _with_pentagon(exceptional_catalog().values()):
         assert parts(cx) == {
@@ -451,6 +455,7 @@ def test_non_edge_components_split_only_when_the_facets_count():
             *({f & m for f in core} for m in masks))}
         assert join == core, cx
         split += len(masks) > 1
-    # but one: the join of two hollow triangles has no non-edge, and no
-    # single vertex passes against the rest, so it is ranked whole
-    assert split >= len(small) ** 2 - 1
+    # all but the joins with a hollow triangle, the one core here that is
+    # not flag: it has no non-edge, so its vertices are three components
+    # and it is no join of them, and such a join is ranked whole
+    assert split >= (len(small) - 1) ** 2

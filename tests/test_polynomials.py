@@ -15,8 +15,8 @@ from facebalance.polynomials import (LinearAutomorphism, Multicomplex,
                                      specialization_stream,
                                      stanley_reisner_generators,
                                      standard_monomial_basis)
-from conftest import (cycle_graph, disjoint_union, identity_automorphism,
-                      path_graph)
+from conftest import (check_sweep, cycle_graph, disjoint_union,
+                      identity_automorphism, path_graph)
 
 
 from hypothesis import given, strategies as st
@@ -48,8 +48,7 @@ def _rule_precedes(m1, m2):
 
 def test_revlex_degree_two_chain():
     order = TermOrder(("x", "y", "z"), 0)
-    monomials = [m for m in order.monomials_of_degree(2)]
-    descending = sorted(monomials, key=order.sort_key, reverse=True)
+    descending = sorted(bf.monomials(order.n, 2), key=order.sort_key, reverse=True)
     # x^2, xy, y^2, xz, yz, z^2
     assert descending == [(2, 0, 0), (1, 1, 0), (0, 2, 0),
                           (1, 0, 1), (0, 1, 1), (0, 0, 2)]
@@ -57,7 +56,7 @@ def test_revlex_degree_two_chain():
 
 def test_revlex_matches_rule_bruteforce():
     order = TermOrder(("a", "b", "c", "d"), 0)
-    monos = list(order.monomials_of_degree(3)) + list(order.monomials_of_degree(2))
+    monos = bf.monomials(order.n, 3) + bf.monomials(order.n, 2)
     for m1, m2 in itertools.product(monos, repeat=2):
         if m1 == m2:
             assert order.sort_key(m1) == order.sort_key(m2)
@@ -151,16 +150,17 @@ def test_automorphism_json_uses_rational_strings():
 def test_all_variables_leave_nothing_standard():
     order = TermOrder(("x", "y", "z"), 0)
     gens = [{order.variable(v): Fraction(1)} for v in order.variables]
-    leading, standard = initial_ideal_by_degree(gens, order, 1)
-    assert standard == set()
-    assert leading == set(order.monomials_of_degree(1))
+    result = initial_ideal_by_degree(gens, order, 1)
+    # every monomial is divided, so none is a column at all
+    assert result == (set(), set())
+    check_sweep(result, gens, order, 1)
 
 
 def test_no_generators_leave_everything_standard():
     order = TermOrder(("x", "y"), 0)
-    leading, standard = initial_ideal_by_degree([], order, 2)
-    assert leading == set()
-    assert standard == set(order.monomials_of_degree(2))
+    result = initial_ideal_by_degree([], order, 2)
+    assert result == (set(), set(bf.monomials(order.n, 2)))
+    check_sweep(result, [], order, 2)
 
 
 def test_initial_ideal_rejects_inhomogeneous():
@@ -171,7 +171,7 @@ def test_initial_ideal_rejects_inhomogeneous():
 
 
 def _random_homogeneous(order, degree, rng):
-    monos = list(order.monomials_of_degree(degree))
+    monos = bf.monomials(order.n, degree)
     p = {}
     for m in rng.sample(monos, rng.randint(1, min(4, len(monos)))):
         p[m] = Fraction(rng.randint(-4, 4))
@@ -214,19 +214,23 @@ def test_initial_ideal_matches_the_covered_filter_oracle():
             p = _random_homogeneous(order, rng.randint(1, 3), rng)
             if p:
                 gens.append(p)
-        assert (initial_ideal_by_degree(gens, order, degree)
-                == bf.initial_ideal_by_degree(gens, order, degree))
+        check_sweep(initial_ideal_by_degree(gens, order, degree),
+                    gens, order, degree)
 
 
 def test_a_square_generator_does_not_cover_its_variable():
     # divisibility compares exponents, not supports: z^2 leaves z standard
     order = TermOrder(("x", "y", "z", "w"), 0)
     gens = [{(0, 0, 2, 0): Fraction(3)}]
-    assert initial_ideal_by_degree(gens, order, 1) == (
-        set(), set(order.monomials_of_degree(1)))
-    leading, standard = initial_ideal_by_degree(gens, order, 2)
-    assert leading == {(0, 0, 2, 0)}
+    result = initial_ideal_by_degree(gens, order, 1)
+    assert result == (set(), set(bf.monomials(order.n, 1)))
+    check_sweep(result, gens, order, 1)
+    result = initial_ideal_by_degree(gens, order, 2)
+    pivots, standard = result
+    # z^2 is divided, not a pivot; the other nine are standard
+    assert pivots == set() and (0, 0, 2, 0) not in standard
     assert (1, 0, 1, 0) in standard and len(standard) == 9
+    check_sweep(result, gens, order, 2)
 
 
 def test_pivot_set_invariant_under_generator_shuffles():
@@ -275,11 +279,16 @@ def test_points_squares_are_leading_terms():
     gens = [{order.variable(t): Fraction(1)} for t in order.tail()]
     for nu in stanley_reisner_generators(pts, order):
         gens.append(apply_automorphism(pair.matrix, {nu: Fraction(1)}))
-    leading, _ = initial_ideal_by_degree(gens, order, 2)
+    result = initial_ideal_by_degree(gens, order, 2)
+    pivots, standard = result
     for v in order.free():
         square = tuple(2 * e for e in order.variable(v))
-        assert square in leading
-    assert order.monomial_of(("a", "b")) in leading
+        assert square in pivots
+    # ab is a generator itself, so it is divided and no column
+    ab = order.monomial_of(("a", "b"))
+    assert {ab: Fraction(1)} in gens
+    assert ab not in pivots | standard
+    check_sweep(result, gens, order, 2)
 
 
 def test_overflow_guard_when_tail_is_not_a_parameter_system():
