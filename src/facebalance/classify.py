@@ -153,28 +153,27 @@ def _cycle_graph(n: int) -> Graph:
     return Graph(verts, [(str(i), str(i % n + 1)) for i in range(1, n + 1)])
 
 
-def _graph_1n(n: int, edges: list[tuple[int, int]]) -> Graph:
+# each member as its vertex count and its edges, letter pairs on the
+# vertices A = 1, B = 2, ..., so a graph is compared only with the members
+# of its own size
+_CATALOG = {
+    "C7": (7, "AB BC CD DE EF FG GA"),
+    "P10": (10, "AB CB CD DE EA FC FG GH DH IB IJ HJ"),
+    "P13": (13, "AG AH BD CB DE EF FC DG FH EJ GI IJ JK KH KM ML LI"),
+    "P14": (14, "AB CB CD ED EF FG AG AH BI CJ DK EL FM GN IK KM MH HJ JL LN NI"),
+    "Q13": (13, "AB AI KB AD CB CE DG EF FG EI GK FH HJ IJ JK IL KM LM"),
+}
+
+
+def _catalog_graph(n: int, pairs: str) -> Graph:
     return Graph([str(i) for i in range(1, n + 1)],
-                 [(str(a), str(b)) for a, b in edges])
+                 [(str(ord(a) - 64), str(ord(b) - 64)) for a, b in pairs.split()])
 
 
 def exceptional_catalog() -> dict[str, Graph]:
     """The five connected well-covered girth >= 5 graphs outside the
     pendant/cycle class (besides the single vertex)."""
-    p10 = _graph_1n(10, [(1, 2), (3, 2), (3, 4), (4, 5), (5, 1), (6, 3), (6, 7),
-                         (7, 8), (4, 8), (9, 2), (9, 10), (8, 10)])
-    p13 = _graph_1n(13, [(1, 7), (1, 8), (2, 4), (3, 2), (4, 5), (5, 6), (6, 3),
-                         (4, 7), (6, 8), (5, 10), (7, 9), (9, 10), (10, 11),
-                         (11, 8), (11, 13), (13, 12), (12, 9)])
-    p14_raw = ["AB", "CB", "CD", "ED", "EF", "FG", "AG", "AH", "BI", "CJ", "DK",
-               "EL", "FM", "GN", "IK", "KM", "MH", "HJ", "JL", "LN", "NI"]
-    key = {c: i + 1 for i, c in enumerate("ABCDEFGHIJKLMN")}
-    p14 = _graph_1n(14, [(key[a], key[b]) for a, b in p14_raw])
-    q13_raw = ["AB", "AI", "KB", "AD", "CB", "CE", "DG", "EF", "FG", "EI", "GK",
-               "FH", "HJ", "IJ", "JK", "IL", "KM", "LM"]
-    key = {c: i + 1 for i, c in enumerate("ABCDEFGHIJKLM")}
-    q13 = _graph_1n(13, [(key[a], key[b]) for a, b in q13_raw])
-    return {"C7": _cycle_graph(7), "P10": p10, "P13": p13, "P14": p14, "Q13": q13}
+    return {name: _catalog_graph(*member) for name, member in _CATALOG.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +270,8 @@ def classify_girth5(g: Graph) -> Verdict:
     (size,) = sizes
     if len(g.vertices) == 1:
         return Verdict("K1", beta=size)
-    for name, h in sorted(exceptional_catalog().items()):
-        if is_isomorphic(g, h):
+    for name, (n, pairs) in sorted(_CATALOG.items()):
+        if n == len(g.vertices) and is_isomorphic(g, _catalog_graph(n, pairs)):
             if pg_decomposition(g) is not None:
                 raise VerificationError("catalog graph also decomposes")
             return Verdict("Exceptional", name=name, beta=size)

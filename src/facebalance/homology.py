@@ -15,9 +15,9 @@ projective plane) is ranked again over Q.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 from math import prod
 from operator import and_, or_
 from typing import Iterable, Optional
@@ -229,36 +229,35 @@ def _link_vanishing(delta: SimplicialComplex
     nonempty set of points; neither has homology below its top, so those
     faces are not visited.
 
-    Facets are bitmasks over the vertex indices here.  The link of ``tau``
-    is ``{f - tau : f a facet containing tau}``, read from the facets
-    through the vertex of ``tau`` with the fewest; links with the same
-    facets are ranked once per call, each on the join factors of its
+    Faces and facets are bitmasks over the vertex indices here.  Each link
+    is read off its parent's, one vertex at a time: ``tau`` is extended by
+    each vertex ``v`` of ``lk(tau)`` after its last, and
+    ``lk(tau + v) = lk_{lk(tau)}(v)`` keeps the facets of ``lk(tau)``
+    through ``v``, minus ``v``, still sorted.  The queue holds the rest of
+    one dimension and what is read of the next.  Links with the same facets
+    are ranked once per call, each on the join factors of its
     strong-collapse core, and factors of the same shape once per call.
     """
-    masks = [sum(1 << v for v in f) for f in delta.facets]
-    through: list[list[int]] = [[] for _ in delta.vertices]
-    for f, m in zip(delta.facets, masks):
-        for v in f:
-            through[v].append(m)
     # keyed by the sorted facet masks: a tuple holds them in a fraction of
     # the memory a frozenset takes
     memo: dict[tuple[int, ...], BettiProfile] = {}
     factors: dict[tuple[int, ...], tuple[int, ...]] = {}
-    # the empty face is visited even when no face of dimension >= 0 is
-    faces = chain.from_iterable(delta.faces(k)
-                                for k in range(-1, max(delta.dim - 1, 0)))
-    for tau in faces:
-        t = sum(1 << v for v in tau)
-        around = min((through[v] for v in tau), key=len) if tau else masks
-        link = tuple(sorted(f ^ t for f in around if f & t == t))
+    queue = deque([(0, tuple(sorted(sum(1 << v for v in f)
+                                    for f in delta.facets)))])
+    while queue:
+        t, link = queue.popleft()
         link_betti = memo.get(link)
         if link_betti is None:
             link_betti = memo[link] = _collapsed_betti(delta, link, factors)
-        if not tau:
+        if not t:
             betti = link_betti
         degree = _first_gap(link_betti)
         if degree is not None:
-            return betti, CMViolation(delta.labels(tau), degree, link_betti)
+            return betti, CMViolation(delta.labels(_bits(t)), degree, link_betti)
+        if t.bit_count() < delta.dim - 1:
+            above = reduce(or_, link) >> t.bit_length() << t.bit_length()
+            queue.extend((t | 1 << v, tuple(f ^ 1 << v for f in link if f >> v & 1))
+                         for v in _bits(above))
     if not delta.is_pure():
         raise VerificationError("link-vanishing passed on a non-pure complex")
     return betti, None

@@ -11,7 +11,7 @@ from conftest import (all_complexes_on, cycle_graph, disjoint_union,
 from facebalance import homology, linalg
 from facebalance.classify import exceptional_catalog
 from facebalance.complexes import (SimplicialComplex, VerificationError,
-                                   independence_complex)
+                                   independence_complex, parse_complex)
 from facebalance.homology import (boundary_rank, cm_report, is_cohen_macaulay,
                                   reduced_betti)
 
@@ -302,6 +302,58 @@ def test_links_of_dimension_at_most_zero_are_not_built(monkeypatch):
     ok, violation = is_cohen_macaulay(SimplicialComplex([["a", "b", "c"], ["c", "d"]]))
     assert not ok and violation.face == ("c",) and violation.degree == 0
     assert seen == [2, 1, 1, 1]
+
+
+def test_scan_visits_each_face_once_in_order(monkeypatch):
+    # a gap reported on the n-th visit only must name the n-th face of the
+    # order: the empty face, then by dimension and lexicographically
+    calls = []
+
+    def nth_only(betti):
+        calls.append(betti)
+        return 0 if len(calls) == n else None
+
+    monkeypatch.setattr(homology, "_first_gap", nth_only)
+    rng = random.Random(97)
+    randoms = [cx for cx in (_random_complex(rng, 6) for _ in range(400))
+               if not cx.is_pure()]
+    chains = [independence_complex(pendant_cycle_chain(rng, 1, 2)),
+              independence_complex(pendant_cycle_chain(rng, 2, 1))]
+    assert len(randoms) > 20
+    for cx in randoms + chains:
+        order = [()] + [cx.labels(f) for k in range(cx.dim - 1)
+                        for f in cx.faces(k)]
+        for n, face in enumerate(order, start=1):
+            calls.clear()
+            ok, violation = is_cohen_macaulay(cx)
+            assert not ok and violation.face == face, (cx, n)
+        # past the last face nothing is reported, and nothing more visited
+        n = len(order) + 1
+        calls.clear()
+        if cx.is_pure():
+            assert is_cohen_macaulay(cx) == (True, None)
+        else:
+            with pytest.raises(VerificationError):
+                is_cohen_macaulay(cx)
+        assert len(calls) == len(order)
+
+
+def test_cm_scan_never_expands_the_complex(monkeypatch):
+    # three pentagons and two pendant edges, the shape of the benchmark's
+    # pg_chain(3, 2), read back from its file text
+    graph = pendant_cycle_chain(random.Random(11), 3, 2)
+    delta = parse_complex(independence_complex(graph).to_file_text())
+    expanded = []
+    faces = SimplicialComplex.faces
+
+    def recording(self, k):
+        expanded.append(self is delta)
+        return faces(self, k)
+
+    monkeypatch.setattr(SimplicialComplex, "faces", recording)
+    assert cm_report(delta)["cm"]
+    # the factors of the link cores are still built and expanded
+    assert expanded and not any(expanded)
 
 
 # ---------------------------------------------------------------------------
