@@ -254,67 +254,67 @@ def cmd_golden(args):
 # parser and driver
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="facebalance",
-        description="Face-number invariants, Cohen-Macaulay tests, and "
-                    "verified d-colorable witnesses.")
+_REQUIRED = {"required": True}
+_PATH = {"path": {}}
+
+# name: (handler, help line, {argument: add_argument keywords})
+COMMANDS = {
+    "fvector": (cmd_fvector, "f- and h-vector of a complex file", _PATH),
+    "hvector": (cmd_hvector, "f-vector of a given h-vector",
+                {"entries": {"type": int, "nargs": "+"}}),
+    "cm": (cmd_cm, "Cohen-Macaulay verdict with certificate", _PATH),
+    "homology": (cmd_homology, "reduced rational Betti numbers", _PATH),
+    "balance": (cmd_balance, "build and verify a witness",
+                {"--complex": _REQUIRED, "--cover": _REQUIRED}),
+    "classify": (cmd_classify, "girth >= 5 classification per component",
+                 {"--graph": _REQUIRED}),
+    "catalog": (cmd_catalog, "dump a named graph", {"--name": _REQUIRED}),
+    "embed": (cmd_embed, "covering join of an independence complex",
+              {"--graph": _REQUIRED}),
+    "transversal": (cmd_transversal, "independent set meeting every facet",
+                    _PATH),
+    "turan": (cmd_turan, "edge and triangle counts of a Turan graph",
+              {"n": {"type": int}, "r": {"type": int}}),
+    "golden": (cmd_golden, "replay the bundled worked examples", {}),
+}
+
+
+def _with_shared_flags(parser):
     parser.add_argument("--json", action="store_true",
                         help="emit one canonical JSON line")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="specialization seed")
-    # the same flags are accepted after the subcommand; SUPPRESS keeps a
-    # pre-subcommand value from being clobbered by the default
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    return parser
 
-    p = sub.add_parser("fvector", parents=[shared], help="f- and h-vector of a complex file")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_fvector)
 
-    p = sub.add_parser("hvector", parents=[shared], help="f-vector of a given h-vector")
-    p.add_argument("entries", type=int, nargs="+")
-    p.set_defaults(func=cmd_hvector)
+class _Subcommand(argparse.Action):
+    """Build the parser of the named subcommand, and of no other, and parse
+    the rest of the command line with it into the same namespace."""
 
-    p = sub.add_parser("cm", parents=[shared], help="Cohen-Macaulay verdict with certificate")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_cm)
+    def __call__(self, parser, namespace, values, option_string=None):
+        name, *rest = values
+        func, description, arguments = COMMANDS[name]
+        sub = _with_shared_flags(argparse.ArgumentParser(
+            prog=f"{parser.prog} {name}", description=description))
+        for argument, keywords in arguments.items():
+            sub.add_argument(argument, **keywords)
+        namespace.subcommand, namespace.func = name, func
+        # the shared flags are accepted again after the subcommand; a parser
+        # sets a default only where the namespace has no value, so one given
+        # before the subcommand stands unless it is given again
+        sub.parse_args(rest, namespace)
 
-    p = sub.add_parser("homology", parents=[shared], help="reduced rational Betti numbers")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("balance", parents=[shared], help="build and verify a witness")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--cover", required=True)
-    p.set_defaults(func=cmd_balance)
-
-    p = sub.add_parser("classify", parents=[shared], help="girth >= 5 classification per component")
-    p.add_argument("--graph", required=True)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("catalog", parents=[shared], help="dump a named graph")
-    p.add_argument("--name", required=True)
-    p.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser("embed", parents=[shared], help="covering join of an independence complex")
-    p.add_argument("--graph", required=True)
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("transversal", parents=[shared], help="independent set meeting every facet")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_transversal)
-
-    p = sub.add_parser("turan", parents=[shared], help="edge and triangle counts of a Turan graph")
-    p.add_argument("n", type=int)
-    p.add_argument("r", type=int)
-    p.set_defaults(func=cmd_turan)
-
-    p = sub.add_parser("golden", parents=[shared], help="replay the bundled worked examples")
-    p.set_defaults(func=cmd_golden)
-
+def build_parser() -> argparse.ArgumentParser:
+    parser = _with_shared_flags(argparse.ArgumentParser(
+        prog="facebalance", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Face-number invariants, Cohen-Macaulay tests, and "
+                    "verified\nd-colorable witnesses.",
+        epilog="subcommands:\n" + "\n".join(
+            f"  {name:<13}{line}" for name, (_, line, _) in COMMANDS.items())))
+    parser.add_argument("subcommand", nargs=argparse.PARSER, choices=COMMANDS,
+                        action=_Subcommand, metavar="subcommand",
+                        help="one of the subcommands below, then its arguments")
     return parser
 
 

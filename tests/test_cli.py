@@ -386,6 +386,91 @@ def test_seed_flag_after_subcommand(capsys):
     assert _json_out(capsys)["seed"] == 9
 
 
+def _sample_arguments(arguments):
+    """Values for every argument of a command-table entry."""
+    argv = []
+    for argument, keywords in arguments.items():
+        value = "1" if keywords.get("type") is int else "x"
+        argv += [argument, value] if argument.startswith("--") else [value]
+    return argv
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_one_parse_args_returns_the_whole_namespace(name):
+    # bench/tracer.py calls build_parser() with no arguments and times the
+    # one parse_args of its result: that call must do the whole parse
+    func, _, arguments = cli.COMMANDS[name]
+    rest = _sample_arguments(arguments)
+    for argv, json_flag, seed in (
+            ([name] + rest, False, DEFAULT_SEED),
+            (["--json", "--seed", "5", name] + rest, True, 5),
+            ([name] + rest + ["--json", "--seed", "9"], True, 9),
+            (["--seed", "5", name] + rest, False, 5),
+            (["--seed", "5", name] + rest + ["--seed", "9"], False, 9),
+            (["--seed", "5", name] + rest + ["--json"], True, 5)):
+        args = cli.build_parser().parse_args(argv)
+        assert (args.func, args.subcommand, args.json, args.seed) == (
+            func, name, json_flag, seed), argv
+        for argument in arguments:
+            assert hasattr(args, argument.lstrip("-")), (argv, argument)
+
+
+def test_only_the_invoked_subcommand_parser_is_built(monkeypatch, capsys):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["--json", "turan", "7", "3"]) == 0
+    assert _json_out(capsys)["results"]["edges"] == 16
+    assert built == ["facebalance", "facebalance turan"]
+
+
+@pytest.mark.parametrize("argv, offender", [
+    (["bogus"], "invalid choice: 'bogus'"),
+    ([], "required: subcommand"),
+    (["cm"], "required: path"),
+    (["cm", "a", "b"], "unrecognized arguments: b"),
+    (["--bogus", "cm", "a"], "unrecognized arguments: --bogus"),
+    (["turan", "x", "3"], "argument n: invalid int value: 'x'"),
+], ids=["unknown_subcommand", "no_subcommand", "missing_positional",
+        "extra_positional", "unknown_flag", "not_an_int"])
+def test_usage_error_exits_2_and_names_the_offender(capsys, argv, offender):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert offender in captured.err.splitlines()[-1]
+
+
+def test_negative_ints_reach_the_command(capsys):
+    assert main(["turan", "-2", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: need 1 <= r <= n\n"
+
+
+def test_help_and_readme_list_every_subcommand():
+    from pathlib import Path
+
+    text = cli.build_parser().format_help()
+    for name, (_, help_line, _) in cli.COMMANDS.items():
+        assert any(line.split() == [name] + help_line.split()
+                   for line in text.splitlines()), name
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    usage = readme.split("## Command line", 1)[1].split("```text\n", 1)[1]
+    usage = usage.split("```", 1)[0]
+    assert [line.split()[0] for line in usage.splitlines()] == list(cli.COMMANDS)
+
+
 def test_report_flags_check_failures():
     from facebalance.cli import _report
 
