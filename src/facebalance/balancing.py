@@ -6,9 +6,10 @@ the parameter tail) is squarefree and has degree at most one in each block of
 a partition of the non-tail variables.  Pairs are built for two base shapes,
 point complexes and triangle-free graph complexes that are bipartite after
 one edge removal, then composed along joins and inherited by full-dimensional
-subcomplexes.  Nothing is trusted: every property the construction promises
-is re-verified on the specialized rational data, and any failure triggers a
-resample of the specialization.
+subcomplexes.  The join of the cover's factors is never built: the complex is
+tested against the factor complexes, once per witness.  Nothing is trusted:
+every property the construction promises is re-verified on the specialized
+rational data, and any failure triggers a resample of the specialization.
 """
 
 from __future__ import annotations
@@ -181,11 +182,9 @@ def compose_pairs(p1: BalancingPair, p2: BalancingPair) -> BalancingPair:
     return BalancingPair(order, g, p1.blocks + p2.blocks)
 
 
-def inherit_to_subcomplex(pair: BalancingPair, delta: SimplicialComplex,
-                          gamma: SimplicialComplex) -> BalancingPair:
-    """The same pair, revalidated for a full-dimensional subcomplex."""
-    if not is_full_dimensional_subcomplex(delta, gamma):
-        raise CoverError("not a full-dimensional subcomplex of the cover join")
+def inherit_to_subcomplex(pair: BalancingPair,
+                          delta: SimplicialComplex) -> BalancingPair:
+    """The same pair, revalidated by the rank condition on ``delta``."""
     ok, facet = kind_kleinschmidt(delta, pair)
     if not ok:
         raise VerificationError(f"rank condition fails on facet {facet!r}")
@@ -250,8 +249,9 @@ def factor_complex(factor: dict) -> SimplicialComplex:
                              vertices=g.vertices)
 
 
-def join_of_factors(factors: Iterable[dict]) -> SimplicialComplex:
-    return reduce(SimplicialComplex.join, map(factor_complex, factors))
+def join_of_factors(factors: Iterable[dict]) -> list[SimplicialComplex]:
+    """The factor complexes of a cover; their join is never built."""
+    return [factor_complex(f) for f in factors]
 
 
 def _base_pairs_for(factor: dict, spec: Specialization) -> list[BalancingPair]:
@@ -319,8 +319,7 @@ def balanced_witness(delta: SimplicialComplex, cover: Sequence[dict],
     raise :class:`VerificationError` naming the failed check.
     """
     cover = parse_cover(cover)
-    gamma = join_of_factors(cover)
-    if not is_full_dimensional_subcomplex(delta, gamma):
+    if not is_full_dimensional_subcomplex(delta, *join_of_factors(cover)):
         raise CoverError("complex is not a full-dimensional subcomplex of the "
                          "cover join")
     cm, violation = is_cohen_macaulay(delta)
@@ -341,7 +340,7 @@ def balanced_witness(delta: SimplicialComplex, cover: Sequence[dict],
             if pair.order.d != d:
                 raise CoverError(f"cover tail size {pair.order.d} does not match "
                                  f"the complex ({d})")
-            pair = inherit_to_subcomplex(pair, delta, gamma)
+            pair = inherit_to_subcomplex(pair, delta)
             checks = {"kind_kleinschmidt": True}
             basis = standard_monomial_basis(delta, pair.matrix, pair.order)
             block_idx = [tuple(pair.order.index(v) for v in b) for b in pair.blocks]

@@ -205,18 +205,6 @@ class SimplicialComplex:
         return SimplicialComplex([self.labels(f) for f in rest],
                                  vertices=self.labels(sorted(set().union(*rest))) or None)
 
-    def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
-        """Simplicial join; vertex labels must be disjoint."""
-        clash = set(self.vertices) & set(other.vertices)
-        if clash:
-            raise ComplexError(f"join with colliding vertex labels: {sorted(clash)}")
-        facets = [self.labels(f) + other.labels(g)
-                  for f in self.facets for g in other.facets]
-        out = SimplicialComplex(facets, vertices=self.vertices + other.vertices)
-        if out.f_vector() != convolve(self.f_vector(), other.f_vector()):
-            raise VerificationError("join f-vector is not the convolution")
-        return out
-
     # -- serialization -------------------------------------------------------
 
     def to_file_text(self) -> str:
@@ -226,18 +214,28 @@ class SimplicialComplex:
 
 
 def is_full_dimensional_subcomplex(inner: SimplicialComplex,
-                                   outer: SimplicialComplex) -> bool:
-    """True iff every face of ``inner`` is a face of ``outer`` and dims agree."""
-    if inner.dim != outer.dim:
+                                   *factors: SimplicialComplex) -> bool:
+    """True iff every face of ``inner`` is a face of the join of ``factors``
+    and the dimensions agree.  The join is never built: a set is one of its
+    faces iff its trace on each factor is a face of that factor, and its
+    dimension plus one is the factors' sum.  One factor is the plain test.
+    """
+    where: dict[str, tuple[int, int]] = {}  # vertex -> (factor, its bit there)
+    for k, f in enumerate(factors):
+        clash = where.keys() & set(f.vertices)
+        if clash:
+            raise ComplexError(f"join with colliding vertex labels: {sorted(clash)}")
+        where.update((v, (k, 1 << i)) for i, v in enumerate(f.vertices))
+    if (inner.dim + 1 != sum(f.dim + 1 for f in factors)
+            or not where.keys() >= set(inner.vertices)):
         return False
-    if not set(inner.vertices) <= set(outer.vertices):
-        return False
-    # faces as bitmasks over the outer vertex positions
-    position = [1 << outer._index[v] for v in inner.vertices]
-    facets = {sum(1 << i for i in g) for g in outer.facets}
-    for f in inner.facets:
-        m = sum(position[i] for i in f)
-        if m not in facets and not any(m & g == m for g in facets):
+    masks = [{sum(1 << i for i in g) for g in f.facets} for f in factors]
+    for face in inner.facets:
+        trace = [0] * len(factors)
+        for k, bit in map(where.get, inner.labels(face)):
+            trace[k] |= bit
+        if not all(m in facets or any(m & g == m for g in facets)
+                   for m, facets in zip(trace, masks)):
             return False
     return True
 

@@ -6,7 +6,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 import bruteforce as bf
-from facebalance.complexes import (Graph, SimplicialComplex,
+from facebalance.complexes import (ComplexError, Graph, SimplicialComplex,
+                                   VerificationError, convolve,
                                    maximal_independent_sets)
 from facebalance.polynomials import LinearAutomorphism
 from facebalance.samples import pg_sample_graph
@@ -43,6 +44,20 @@ def disjoint_union(*graphs: Graph) -> Graph:
         verts.extend(g.vertices)
         edges.extend(g.edge_labels())
     return Graph(verts, edges)
+
+
+def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
+    """Simplicial join on disjoint labels, every facet of ``a`` beside every
+    facet of ``b``; its f-vector is checked against the convolution."""
+    clash = set(a.vertices) & set(b.vertices)
+    if clash:
+        raise ComplexError(f"join with colliding vertex labels: {sorted(clash)}")
+    out = SimplicialComplex([a.labels(f) + b.labels(g)
+                             for f in a.facets for g in b.facets],
+                            vertices=a.vertices + b.vertices)
+    if out.f_vector() != convolve(a.f_vector(), b.f_vector()):
+        raise VerificationError("join f-vector is not the convolution")
+    return out
 
 
 def beta(g: Graph) -> int:

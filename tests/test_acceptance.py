@@ -7,9 +7,10 @@ drawn from fixed seeds so the suite is reproducible.
 import itertools
 import random
 import time
+from functools import reduce
 
 import bruteforce as bf
-from conftest import (all_complexes_on, beta, check_sweep, cycle_graph,
+from conftest import (all_complexes_on, beta, check_sweep, cycle_graph, join,
                       path_graph, pendant_cycle_chain, turan_graph)
 from facebalance import polynomials
 from facebalance.balancing import balanced_witness, join_of_factors
@@ -261,7 +262,7 @@ def test_criterion_7_property_suites():
              for _ in range(rng.randint(1, 3))])
         ok_a, _ = is_cohen_macaulay(a)
         ok_b, _ = is_cohen_macaulay(b)
-        ok_join, _ = is_cohen_macaulay(a.join(b))
+        ok_join, _ = is_cohen_macaulay(join(a, b))
         assert ok_join == (ok_a and ok_b)
 
     # f-vector convolution under join, against direct enumeration
@@ -272,7 +273,7 @@ def test_criterion_7_property_suites():
         b = SimplicialComplex(
             [[f"b{i}" for i in rng.sample(range(4), rng.randint(1, 4))]
              for _ in range(rng.randint(1, 3))])
-        j = a.join(b)
+        j = join(a, b)
         assert j.f_vector() == convolve(a.f_vector(), b.f_vector())
         assert j.f_vector() == bf.fvector(bf.faces_from_facets(j.facet_labels()))
 
@@ -409,7 +410,7 @@ def _witness_corpus():
     corpus = []
     for config in configs:
         cover = [pool[name](f"f{i}_") for i, name in enumerate(config)]
-        gamma = join_of_factors(cover)
+        gamma = reduce(join, join_of_factors(cover))
         assert sum(sizes[x] for x in config) <= 14
         facet_pool = sorted(gamma.facets)
         candidates = [gamma]

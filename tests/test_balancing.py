@@ -1,10 +1,15 @@
+import ast
 import json
+import random
 from fractions import Fraction
+from functools import reduce
+from pathlib import Path
 
 import pytest
 
+import bruteforce as bf
 from conftest import (check_sweep, cycle_graph, disjoint_union,
-                      identity_automorphism)
+                      identity_automorphism, join)
 from facebalance import balancing
 from facebalance.balancing import (BalancingPair, CoverError,
                                    VerificationError, balanced_witness,
@@ -12,8 +17,9 @@ from facebalance.balancing import (BalancingPair, CoverError,
                                    compose_pairs, factor_complex,
                                    inherit_to_subcomplex, join_of_factors,
                                    kind_kleinschmidt, parse_cover)
-from facebalance.complexes import (Graph, SimplicialComplex, convolve,
-                                   h_from_f, independence_complex, is_proper)
+from facebalance.complexes import (ComplexError, Graph, SimplicialComplex,
+                                   convolve, h_from_f, independence_complex,
+                                   is_full_dimensional_subcomplex, is_proper)
 from facebalance.polynomials import (LinearAutomorphism, Specialization,
                                      StandardBasisOverflow, TermOrder,
                                      standard_monomial_basis)
@@ -219,10 +225,10 @@ def test_composed_points_pairs_count_join_h():
     p1 = base_pair_points(("a", "b"))
     p2 = base_pair_points(("x", "y", "z"))
     pair = compose_pairs(p1, p2)
-    join = SimplicialComplex([["a"], ["b"]]).join(
-        SimplicialComplex([["x"], ["y"], ["z"]]))
-    basis = standard_monomial_basis(join, pair.matrix, pair.order)
-    assert basis.f_vector() == h_from_f(join.f_vector())  # (1, 3, 2)
+    joined = join(SimplicialComplex([["a"], ["b"]]),
+                  SimplicialComplex([["x"], ["y"], ["z"]]))
+    basis = standard_monomial_basis(joined, pair.matrix, pair.order)
+    assert basis.f_vector() == h_from_f(joined.f_vector())  # (1, 3, 2)
     assert basis.is_squarefree()
 
 
@@ -233,10 +239,10 @@ def test_composed_pentagon_pairs_count_join_h():
         base_pair_near_bipartite(g1, None, Specialization()),
         base_pair_near_bipartite(g2, None, Specialization()))
     both = disjoint_union(cycle_graph(5, "a"), cycle_graph(5, "b"))
-    join = independence_complex(both)
-    basis = standard_monomial_basis(join, pair.matrix, pair.order)
+    joined = independence_complex(both)
+    basis = standard_monomial_basis(joined, pair.matrix, pair.order)
     assert basis.f_vector() == convolve((1, 3, 1), (1, 3, 1)) == (1, 6, 11, 6, 1)
-    ok, _ = kind_kleinschmidt(join, pair)
+    ok, _ = kind_kleinschmidt(joined, pair)
     assert ok
 
 
@@ -247,7 +253,7 @@ def test_composed_pentagon_pairs_count_join_h():
 def test_inherit_identity_case():
     pentagon = independence_complex(cycle_graph(5))
     pair = base_pair_near_bipartite(_pentagram(), None, Specialization())
-    assert inherit_to_subcomplex(pair, pentagon, pentagon) is pair
+    assert inherit_to_subcomplex(pair, pentagon) is pair
 
 
 def test_inherit_to_facet_deleted_subcomplex():
@@ -255,19 +261,11 @@ def test_inherit_to_facet_deleted_subcomplex():
     facets = pentagon.facet_labels()
     smaller = SimplicialComplex(facets[:-1])
     pair = base_pair_near_bipartite(_pentagram(), None, Specialization())
-    pair = inherit_to_subcomplex(pair, smaller, pentagon)
+    pair = inherit_to_subcomplex(pair, smaller)
     basis = standard_monomial_basis(smaller, pair.matrix, pair.order)
     h = h_from_f(smaller.f_vector())  # (1, 3, 0): the last facet carried h_2
     padded = basis.f_vector() + (0,) * (len(h) - len(basis.f_vector()))
     assert padded == h
-
-
-def test_inherit_rejects_wrong_dimension():
-    pentagon = independence_complex(cycle_graph(5))
-    points = SimplicialComplex([[v] for v in pentagon.vertices])
-    pair = base_pair_near_bipartite(_pentagram(), None, Specialization())
-    with pytest.raises(CoverError):
-        inherit_to_subcomplex(pair, points, pentagon)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +319,9 @@ def test_factor_complex_shapes():
 
 
 def test_join_of_factors():
-    joined = join_of_factors([_points_factor(["a"]), _points_factor(["b"])])
-    assert joined.f_vector() == (1, 2, 1)
+    factors = join_of_factors([_points_factor(["a"]), _points_factor(["b"])])
+    assert factors == [SimplicialComplex([["a"]]), SimplicialComplex([["b"]])]
+    assert join(*factors).f_vector() == (1, 2, 1)
 
 
 def test_points_factor_is_an_edgeless_graph_factor():
@@ -354,7 +353,7 @@ def test_witness_for_pentagon():
 
 
 def test_witness_for_point_join_is_the_join_partition():
-    delta = SimplicialComplex([["a"], ["b"]]).join(SimplicialComplex([["x"], ["y"]]))
+    delta = join(SimplicialComplex([["a"], ["b"]]), SimplicialComplex([["x"], ["y"]]))
     witness = balanced_witness(delta, [_points_factor(["a", "b"]),
                                        _points_factor(["x", "y"])])
     assert witness.basis.f_vector() == h_from_f(delta.f_vector())
@@ -425,6 +424,234 @@ def test_witness_rejects_triangle_factor():
     delta = SimplicialComplex(triangle.edge_labels())
     with pytest.raises(CoverError, match="triangle"):
         balanced_witness(delta, [_graph_factor(triangle)])
+
+
+# the subcomplex test against the factors, and against their join
+
+def _random_factor(rng, k: int) -> dict:
+    """A point, edgeless, bipartite or odd graph factor on labels ``f{k}_i``."""
+    kind = rng.choice(("points", "edgeless", "bipartite", "odd"))
+    n = rng.randint(1, 3) if kind in ("points", "edgeless") else rng.randint(3, 6)
+    vs = [f"f{k}_{i}" for i in range(n)]
+    if kind == "points":
+        return _points_factor(vs)
+    if kind == "edgeless":
+        return _graph_factor(Graph(vs, []))
+    if kind == "bipartite":
+        # even positions against odd ones: a path, plus random chords
+        edges = [(vs[i], vs[i + 1]) for i in range(n - 1)]
+        edges += [(vs[i], vs[j]) for i in range(n) for j in range(i + 3, n, 2)
+                  if rng.random() < 0.3]
+        return _graph_factor(Graph(vs, edges))
+    # an odd cycle on the first 3 or 5 vertices; the rest hang off it
+    c = 5 if n >= 5 else 3
+    edges = [(vs[i], vs[(i + 1) % c]) for i in range(c)]
+    edges += [(vs[i], vs[rng.randrange(i)]) for i in range(c, n)]
+    return _graph_factor(Graph(vs, edges))
+
+
+def _mutated(rng, facets: list, vertices: list) -> list:
+    """The facets with one of them changed: a vertex swapped for another
+    vertex of the cover or for one outside it, a vertex dropped, or one
+    added."""
+    facets = [list(f) for f in facets]
+    f = rng.choice(facets)
+    how = rng.choice(("swap", "outside", "drop", "add"))
+    if how == "swap":
+        f[rng.randrange(len(f))] = rng.choice(vertices)
+    elif how == "outside":
+        f[rng.randrange(len(f))] = "zz"
+    elif how == "drop" and len(f) > 1:
+        f.pop(rng.randrange(len(f)))
+    else:
+        f.append(rng.choice(vertices))
+    return [sorted(set(g)) for g in facets]
+
+
+def test_subcomplex_of_factors_agrees_with_the_join():
+    # against the built join, and against its faces listed one by one
+    rng = random.Random(17)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        cover = [_random_factor(rng, k) for k in range(rng.randint(1, 3))]
+        factors = join_of_factors(cover)
+        gamma = reduce(join, factors)
+        pool = gamma.facet_labels()
+        gamma_faces = set(bf.faces_from_facets(pool))
+        for _ in range(6):
+            facets = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+            if rng.random() < 0.6:
+                facets = _mutated(rng, facets, list(gamma.vertices))
+            delta = SimplicialComplex(facets)
+            verdict = is_full_dimensional_subcomplex(delta, *factors)
+            assert verdict == is_full_dimensional_subcomplex(delta, gamma), \
+                (cover, facets)
+            assert verdict == (delta.dim == gamma.dim and gamma_faces.issuperset(
+                bf.faces_from_facets(facets))), (cover, facets)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 200, verdicts
+
+
+def test_subcomplex_of_factors_rejects_colliding_labels():
+    with pytest.raises(ComplexError,
+                       match=r"^join with colliding vertex labels: \['b'\]$"):
+        is_full_dimensional_subcomplex(SimplicialComplex([["a", "b"]]),
+                                       SimplicialComplex([["a"], ["b"]]),
+                                       SimplicialComplex([["b"]]))
+
+
+# every CoverError message the witness can reach, each with its trigger
+
+def _two_pentagons(removed=None) -> dict:
+    # triangle-free and odd, and no one edge removal makes it bipartite
+    both = disjoint_union(cycle_graph(5, "a"), cycle_graph(5, "b"))
+    return _graph_factor(both, removed)
+
+
+_SQUARE_EDGES = SimplicialComplex([("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+_A_TO_E = SimplicialComplex([("a1", "a2"), ("a2", "a3"), ("a3", "a4"),
+                             ("a4", "a5"), ("a5", "a1")])
+_PATH = {"type": "graph", "vertices": ["a", "b", "c"],
+         "edges": [["a", "b"], ["b", "c"]]}
+_FULL_DIM = "complex is not a full-dimensional subcomplex of the cover join"
+_REACHABLE_COVER_ERRORS = [
+    ("empty_cover", _SQUARE_EDGES, [],
+     "cover must be a non-empty list of factors"),
+    ("bad_type", _SQUARE_EDGES, [{"type": "blob", "vertices": ["a"]}],
+     "factor 0: type must be 'points' or 'graph'"),
+    ("vertices_not_a_list", _SQUARE_EDGES, [{"type": "points", "vertices": "ab"}],
+     "factor 0: vertices must be a list"),
+    ("label_not_a_string", _SQUARE_EDGES,
+     [{"type": "points", "vertices": ["a", None]}],
+     "factor 0: vertices holds a label that is not a string or a number"),
+    ("no_vertices", _SQUARE_EDGES, [{"type": "points", "vertices": []}],
+     "factor 0: no vertices"),
+    ("repeated_label", _SQUARE_EDGES, [{"type": "points", "vertices": ["1", 1]}],
+     "factor 0: repeated vertex label"),
+    ("edges_not_a_list", _SQUARE_EDGES,
+     [dict(_PATH, edges={"a": "b"})], "factor 0: edges must be a list"),
+    ("edge_not_a_pair", _SQUARE_EDGES,
+     [dict(_PATH, edges=[["a", "b", "c"]])],
+     "factor 0: each edge must be a list of 2 labels"),
+    ("point_factor_with_edges", _SQUARE_EDGES,
+     [dict(_PATH, type="points")], "factor 0: point factors have no edges"),
+    ("point_factor_with_removed_edge", _SQUARE_EDGES,
+     [{"type": "points", "vertices": ["a", "b"], "removed_edge": ["a", "b"]}],
+     "factor 0: point factors have no removed_edge"),
+    ("removed_edge_not_a_pair", _SQUARE_EDGES,
+     [dict(_PATH, removed_edge="ab")],
+     "factor 0: a non-null removed_edge must be a list of 2 labels"),
+    ("removed_edge_not_an_edge", _SQUARE_EDGES,
+     [dict(_PATH, removed_edge=["a", "c"])],
+     "factor 0: removed edge ('a', 'c') is not an edge of the factor"),
+    # three ways to fail the subcomplex test: the pentagon's vertices as
+    # points lie in its cover but have too small a dimension; a vertex
+    # outside the cover; and the 5-cycle's edges, each a non-edge of the
+    # pentagram that covers it
+    ("wrong_dimension", SimplicialComplex([[v] for v in _pentagram().vertices]),
+     [_graph_factor(_pentagram())], _FULL_DIM),
+    ("vertex_outside_the_cover", SimplicialComplex([("a", "c"), ("a", "z")]),
+     [_points_factor(["a", "b"]), _points_factor(["c", "d"])], _FULL_DIM),
+    ("trace_is_a_non_edge", SimplicialComplex(cycle_graph(5).edge_labels()),
+     [_graph_factor(_pentagram())], _FULL_DIM),
+    ("not_cohen_macaulay", SimplicialComplex([("a", "c"), ("b", "d")]),
+     [_points_factor(["a", "b"]), _points_factor(["c", "d"])],
+     "complex is not Cohen-Macaulay: link of [] has homology in degree 0"),
+    ("triangle", SimplicialComplex([("a", "b"), ("b", "c"), ("a", "c")]),
+     [dict(_PATH, edges=[["a", "b"], ["b", "c"], ["a", "c"]])],
+     "graph factor contains a triangle"),
+    ("no_fixing_edge", _A_TO_E, [_two_pentagons()],
+     "no single edge removal makes the factor bipartite"),
+    ("removed_edge_leaves_an_odd_cycle", _A_TO_E, [_two_pentagons(["a1", "a2"])],
+     "graph factor minus the chosen edge is still odd"),
+]
+
+# raised by the pair constructions, which balanced_witness never lets fail
+_UNREACHABLE_COVER_ERRORS = [
+    # parse_cover rejects an empty factor, and a bipartition's empty side
+    # is skipped
+    "a point factor needs at least one vertex",
+    # a bipartite graph factor is split into two point factors first
+    "graph factor is bipartite: split it into two point factors",
+    # the subcomplex test rejects colliding labels first, as a ComplexError
+    "joined factors share vertex labels",
+    # both base pairs build their twists in the block shape
+    "twist matrix is not in the block shape",
+    # past the subcomplex test each factor has dim + 1 tail variables, and
+    # these sum to the complex's dimension plus one
+    "cover tail size 0 does not match the complex (1)",
+]
+
+
+@pytest.mark.parametrize("delta, cover, message",
+                         [case[1:] for case in _REACHABLE_COVER_ERRORS],
+                         ids=[case[0] for case in _REACHABLE_COVER_ERRORS])
+def test_witness_cover_error_messages(delta, cover, message):
+    with pytest.raises(CoverError) as caught:
+        balanced_witness(delta, cover)
+    assert str(caught.value) == message
+
+
+def test_every_cover_error_message_is_in_the_table():
+    # each literal piece of each CoverError message in the module is part of
+    # a message above, so a new message needs a trigger in the table
+    tree = ast.parse(Path(balancing.__file__).read_text(encoding="utf-8"))
+    pieces = {node.value for call in ast.walk(tree)
+              if isinstance(call, ast.Call)
+              and getattr(call.func, "id", None) == "CoverError"
+              for node in ast.walk(call)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    messages = [case[-1] for case in _REACHABLE_COVER_ERRORS]
+    messages += _UNREACHABLE_COVER_ERRORS
+    assert pieces and not [p for p in pieces
+                           if not any(p in m for m in messages)]
+
+
+# the cover join is never built, and the subcomplex test runs once
+
+def test_witness_never_builds_the_cover_join(monkeypatch):
+    # the join of two pentagrams and two points has 5 * 5 * 2 = 50 facets;
+    # Ind(C5 + C5) coned from one of the points has 25
+    pentagrams = [independence_complex(cycle_graph(5, p)).one_skeleton()
+                  for p in "ab"]
+    cover = [_graph_factor(g) for g in pentagrams] + [_points_factor(["p", "q"])]
+    both = independence_complex(disjoint_union(cycle_graph(5, "a"),
+                                               cycle_graph(5, "b")))
+    delta = SimplicialComplex([f + ("p",) for f in both.facet_labels()])
+    built = []
+    init = SimplicialComplex.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(len(self.facets))
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", recording)
+    witness = balanced_witness(delta, cover)
+    assert all(witness.checks.values())
+    assert built and 50 not in built
+
+
+@pytest.mark.parametrize("resample", [False, True])
+def test_witness_tests_the_subcomplex_once(monkeypatch, resample):
+    calls, attempts = [], []
+    real_test = balancing.is_full_dimensional_subcomplex
+
+    def counting(*args):
+        calls.append(args)
+        return real_test(*args)
+
+    def fail_first(*args):
+        attempts.append(args)
+        if resample and len(attempts) == 1:
+            raise VerificationError("first attempt fails")
+        return standard_monomial_basis(*args)
+
+    monkeypatch.setattr(balancing, "is_full_dimensional_subcomplex", counting)
+    monkeypatch.setattr(balancing, "standard_monomial_basis", fail_first)
+    pentagon = independence_complex(cycle_graph(5))
+    witness = balanced_witness(pentagon, [_graph_factor(_pentagram())])
+    assert witness.specialization.attempt == int(resample)
+    assert len(calls) == 1
 
 
 def test_witness_is_deterministic_given_seed():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import bruteforce as bf
-from conftest import (beta, cycle_graph, disjoint_union,
+from conftest import (beta, cycle_graph, disjoint_union, join,
                       overlinked_pentagon_graph, path_graph, turan_graph)
 from facebalance.balancing import join_of_factors
 from facebalance.cli import main
@@ -358,8 +358,8 @@ def test_embed_single_pentagon():
     cover, cert = embed_in_join(cycle_graph(5))
     assert len(cover) == 1 and cover[0]["type"] == "graph"
     assert cert["dim_matches"]
-    joined = join_of_factors(cover)
-    assert is_full_dimensional_subcomplex(independence_complex(cycle_graph(5)), joined)
+    assert is_full_dimensional_subcomplex(independence_complex(cycle_graph(5)),
+                                          *join_of_factors(cover))
 
 
 def test_embed_sample_graph():
@@ -368,8 +368,8 @@ def test_embed_sample_graph():
     kinds = sorted(f["type"] for f in cover)
     assert kinds == ["graph", "graph", "points"]
     assert cert["dim_matches"] and cert["expected_tail"] == 5
-    joined = join_of_factors(cover)
-    assert is_full_dimensional_subcomplex(independence_complex(g), joined)
+    assert is_full_dimensional_subcomplex(independence_complex(g),
+                                          *join_of_factors(cover))
 
 
 def test_embed_two_disjoint_edges():
@@ -378,7 +378,7 @@ def test_embed_two_disjoint_edges():
     assert all(f["type"] == "points" for f in cover) and len(cover) == 2
     ind = independence_complex(g)
     # the independence complex is the whole join (a 4-cycle complex)
-    assert ind.f_vector() == join_of_factors(cover).f_vector() == (1, 4, 4)
+    assert ind.f_vector() == join(*join_of_factors(cover)).f_vector() == (1, 4, 4)
 
 
 def test_embed_finds_beta_one_component_at_a_time(monkeypatch):
@@ -425,7 +425,7 @@ def test_transversal_single_facet():
 def test_transversal_in_a_point_join():
     points = SimplicialComplex([["p"], ["q"]])
     other = SimplicialComplex([["x", "y"], ["y", "z"]])
-    cx = points.join(other)
+    cx = join(points, other)
     hit = independent_facet_transversal(cx)
     assert hit is not None
     assert all(set(hit) & set(f) for f in cx.facet_labels())

@@ -253,6 +253,17 @@ def test_stray_removed_edge_is_input_error(tmp_path, capsys):
     assert main(argv) == 0
 
 
+def test_colliding_cover_labels_are_an_input_error(tmp_path, capsys):
+    # the first factor holds c, which the second factor holds too
+    factor = {"type": "points", "vertices": ["a", "b", "c"], "edges": [],
+              "removed_edge": None}
+    assert main(_square_with_cover(tmp_path, factor)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: join with colliding vertex "
+                            "labels: ['c']\n")
+
+
 def test_retries_is_not_an_option(tmp_path, capsys):
     points = {"type": "points", "vertices": ["a", "b"], "edges": [],
               "removed_edge": None}

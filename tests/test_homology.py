@@ -6,7 +6,7 @@ from operator import or_
 import pytest
 
 import bruteforce as bf
-from conftest import (all_complexes_on, cycle_graph, disjoint_union,
+from conftest import (all_complexes_on, cycle_graph, disjoint_union, join,
                       pendant_cycle_chain, projective_plane)
 from facebalance import homology, linalg
 from facebalance.classify import exceptional_catalog
@@ -184,7 +184,7 @@ def test_join_cm_equivalence():
              for _ in range(rng.randint(1, 3))])
         ok_a, _ = is_cohen_macaulay(a)
         ok_b, _ = is_cohen_macaulay(b)
-        ok_join, _ = is_cohen_macaulay(a.join(b))
+        ok_join, _ = is_cohen_macaulay(join(a, b))
         assert ok_join == (ok_a and ok_b)
 
 
@@ -246,7 +246,7 @@ def test_gf2_scan_agrees_with_the_exact_scan(monkeypatch):
 
 def test_torsion_sends_only_the_projective_planes_to_q(monkeypatch):
     rp2 = projective_plane()
-    suspension = rp2.join(SimplicialComplex([["n"], ["s"]]))
+    suspension = join(rp2, SimplicialComplex([["n"], ["s"]]))
     assert tuple(reduced_betti(suspension)) == (0, 0, 0, 0, 0)
     ranked_over_q = []
 
@@ -481,7 +481,7 @@ def test_non_edge_components_split_only_when_the_facets_count():
     # the poles are a component of the non-edge graph, but RP^2's six
     # vertices are six more, and RP^2 is no join of them, so the suspension
     # is one factor
-    suspension = rp2.join(SimplicialComplex([["n"], ["s"]]))
+    suspension = join(rp2, SimplicialComplex([["n"], ["s"]]))
     assert parts(suspension) == {suspension.vertices}
     # Ind(X + C5) splits along the components of X + C5
     for cx in _with_pentagon(exceptional_catalog().values()):
@@ -495,17 +495,17 @@ def test_non_edge_components_split_only_when_the_facets_count():
     cases = [_random_complex(rng, 6) for _ in range(200)]
     small = [cx for n in range(1, 4) for cx in all_complexes_on(n)
              if len(homology._strong_core(_masks(cx))) > 1]
-    cases += [SimplicialComplex([["a" + v for v in f] for f in a.facet_labels()]).join(
-        SimplicialComplex([["b" + v for v in f] for f in b.facet_labels()]))
-        for a in small for b in small]
+    cases += [join(SimplicialComplex([["a" + v for v in f] for f in a.facet_labels()]),
+                   SimplicialComplex([["b" + v for v in f] for f in b.facet_labels()]))
+              for a in small for b in small]
     split = 0
     for cx in cases:
         core = homology._strong_core(_masks(cx))
         masks = homology._join_parts(core)
         assert sum(masks) == reduce(or_, masks) == reduce(or_, core), cx
-        join = {reduce(or_, pick) for pick in itertools.product(
+        product = {reduce(or_, pick) for pick in itertools.product(
             *({f & m for f in core} for m in masks))}
-        assert join == core, cx
+        assert product == core, cx
         split += len(masks) > 1
     # all but the joins with a hollow triangle, the one core here that is
     # not flag: it has no non-edge, so its vertices are three components

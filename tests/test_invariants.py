@@ -78,16 +78,6 @@ def test_non_pure_complex_slipping_past_link_vanishing(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# complexes
-# ---------------------------------------------------------------------------
-
-def test_join_f_vector_mismatch(monkeypatch):
-    monkeypatch.setattr(complexes, "convolve", lambda a, b: (1,))
-    with pytest.raises(VerificationError, match="join f-vector"):
-        SimplicialComplex([["a"]]).join(SimplicialComplex([["b"]]))
-
-
-# ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
