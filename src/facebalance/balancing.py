@@ -227,6 +227,14 @@ def parse_cover(obj) -> list[dict]:
         edges = [_labels(k, "each edge", e, 2) for e in edges]
         if factor["type"] == "points" and edges:
             raise CoverError(f"factor {k}: point factors have no edges")
+        for e in edges:
+            if e[0] == e[1]:
+                raise CoverError(f"factor {k}: edge {e!r} is a loop")
+            outside = [v for v in e if v not in vertices]
+            if outside:
+                raise CoverError(f"factor {k}: edge {e!r} has an endpoint "
+                                 f"{outside[0]!r} that is not a vertex of "
+                                 "the factor")
         removed = factor.get("removed_edge")
         if removed is not None:
             if factor["type"] == "points":

@@ -403,25 +403,28 @@ def parse_graph(text: str) -> Graph:
     return Graph(tuple(vertices), edges)
 
 
-def maximal_independent_sets(g: Graph) -> list[tuple[str, ...]]:
-    """All maximal independent sets, as sorted label tuples.
+def _maximal_independent_masks(nb: Sequence[int], within: int,
+                               among: Optional[set[int]] = None) -> list[int]:
+    """Maximal independent sets of the graph induced on the vertex mask
+    ``within``, as masks, where ``nb[i]`` masks the neighbours of vertex i.
 
     Bron-Kerbosch with pivoting (Tomita, Tanaka & Takahashi, TCS 363, 2006)
     on int bitmasks, bit i standing for vertex i.  It lists the maximal
     cliques of the complement graph, where ``co[i]`` masks the
     non-neighbours of i; each branch tries only the candidates outside
-    ``co`` of a pivot that has the most candidates there.
+    ``co`` of a pivot that has the most candidates there.  Given ``among``,
+    only a set outside it is listed, and the search stops there.
     """
-    n = len(g.vertices)
-    full = (1 << n) - 1
-    co = [full & ~(1 << i) & ~sum(1 << w for w in nbrs)
-          for i, nbrs in g.adjacency().items()]
+    co = [within & ~m & ~(1 << i) for i, m in enumerate(nb)]
     found: list[int] = []
 
-    def rec(r: int, p: int, x: int):
+    def rec(r: int, p: int, x: int) -> bool:
+        """Search the branch; False once a set outside ``among`` is found."""
         if not p and not x:
+            if among is not None and r in among:
+                return True
             found.append(r)
-            return
+            return among is None
         best = -1
         rest = p | x
         while rest:
@@ -435,15 +438,23 @@ def maximal_independent_sets(g: Graph) -> list[tuple[str, ...]]:
         while cand:
             low = cand & -cand
             i = low.bit_length() - 1
-            rec(r | low, p & co[i], x & co[i])
+            if not rec(r | low, p & co[i], x & co[i]):
+                return False
             p ^= low
             x |= low
             cand ^= low
+        return True
 
-    rec(0, full, 0)
+    rec(0, within, 0)
+    return found
+
+
+def maximal_independent_sets(g: Graph) -> list[tuple[str, ...]]:
+    """All maximal independent sets, as sorted label tuples."""
+    nb = [sum(1 << w for w in nbrs) for nbrs in g.adjacency().values()]
     labels = g.vertices
     out = []
-    for m in found:
+    for m in _maximal_independent_masks(nb, (1 << len(nb)) - 1):
         face = []
         while m:
             low = m & -m

@@ -22,7 +22,8 @@ from math import prod
 from operator import and_, or_
 from typing import Iterable, Optional
 
-from .complexes import SimplicialComplex, VerificationError, convolve
+from .complexes import (SimplicialComplex, VerificationError,
+                        _maximal_independent_masks, convolve)
 from .linalg import gf2_rank, sparse_rank
 
 
@@ -153,6 +154,23 @@ def _strong_core(facets: Iterable[int]) -> frozenset[int]:
             if f in facets or not any(f & g == f != g for g in kept))
 
 
+def _components(nb: list[int], verts: int) -> list[int]:
+    """Vertex masks of the connected components of the graph with
+    neighbour masks ``nb`` induced on ``verts``, by their lowest vertex."""
+    parts = []
+    while verts:
+        part = grow = verts & -verts
+        while grow:
+            low = grow & -grow
+            grow ^= low
+            new = nb[low.bit_length() - 1] & verts & ~part
+            part |= new
+            grow |= new
+        parts.append(part)
+        verts ^= part
+    return parts
+
+
 def _join_parts(core: frozenset[int]) -> list[int]:
     """Vertex masks of join factors of the complex with facets ``core``
     (bitmasks), certified by counting facets.
@@ -165,22 +183,14 @@ def _join_parts(core: frozenset[int]) -> list[int]:
     that count, the complex is one factor.
     """
     verts = reduce(or_, core)
-
-    def size(part: int) -> int:
-        return len({f & part for f in core})
-
-    parts, left = [], verts
-    while left:
-        part = grow = left & -left
-        while grow:
-            v = grow & -grow
-            grow ^= v
-            far = left & ~part & ~reduce(or_, [f for f in core if f & v])
-            part |= far
-            grow |= far
-        parts.append(part)
-        left ^= part
-    return parts if prod(map(size, parts)) == len(core) else [verts]
+    far = [0] * verts.bit_length()  # far[v]: the vertices sharing no facet with v
+    for v in _bits(verts):
+        bit = 1 << v
+        far[v] = verts & ~reduce(or_, [f for f in core if f & bit])
+    parts = _components(far, verts)
+    if prod(len({f & part for f in core}) for part in parts) == len(core):
+        return parts
+    return [verts]
 
 
 def _collapsed_betti(delta: SimplicialComplex, link: tuple[int, ...],
@@ -218,6 +228,103 @@ def _collapsed_betti(delta: SimplicialComplex, link: tuple[int, ...],
     return BettiProfile(entries + (0,) * (size - len(entries)))
 
 
+def _flag_graph(facets: tuple[int, ...], n: int) -> Optional[list[int]]:
+    """Neighbour masks of the graph G with Ind(G) equal to the complex whose
+    facets are ``facets`` (bitmasks over ``n`` vertices), or None when the
+    complex is not pure or not Ind(G).
+
+    G is the non-edge graph of the 1-skeleton: ``u`` and ``v`` are adjacent
+    iff no facet holds both.  Every face is a clique of the 1-skeleton, so
+    an independent set of G.  When every maximal independent set of G is a
+    facet, every independent set lies in a facet and is a face, so the
+    complex is Ind(G).  The search stops at the first maximal independent
+    set that is not a facet, and a complex that is not pure is not looked
+    at at all.
+    """
+    size = facets[0].bit_count()
+    if any(f.bit_count() != size for f in facets):
+        return None
+    full = (1 << n) - 1
+    seen = [0] * n
+    for f in facets:
+        for v in _bits(f):
+            seen[v] |= f
+    nb = [full & ~m for m in seen]
+    if _maximal_independent_masks(nb, full, set(facets)):
+        return None
+    return nb
+
+
+def _fold(nb: list[int], verts: int) -> int:
+    """Vertex mask of the fold core of the graph with neighbour masks ``nb``
+    induced on ``verts``: Ind of it is the strong-collapse core of
+    Ind(G[verts]).
+
+    In Ind(G[P]) a vertex ``v`` is dominated by ``w != v`` (every facet
+    through ``v`` holds ``w``) iff N(w) & P <= N(v).  If the inclusion
+    holds, ``w`` is not adjacent to ``v`` (else ``v`` is its own
+    neighbour), and a maximal independent set I through ``v`` meets no
+    neighbour of ``w``, so I + w is independent and ``w`` lies in I.  If it
+    fails at some ``u`` in N(w) & P outside N(v), either ``u = v``, and no
+    facet through ``v`` holds its neighbour ``w``, or ``{v, u}`` is
+    independent and lies in a facet that misses ``w``.  Deleting ``v`` is
+    then Engstrom's fold (Discrete Math. 309, 2009), and the complex left is
+    Ind(G[P - v]), whose facets are the maximal traces of Ind(G[P])'s.  The
+    passes are ``_strong_core``'s, so the core is the same.
+    """
+    while True:
+        present = alive = verts
+        for v in _bits(present):
+            far = present & ~nb[v]  # w dominates v iff nb[w] misses it
+            cand = alive & far & ~(1 << v)
+            while cand:
+                low = cand & -cand
+                if not nb[low.bit_length() - 1] & far:
+                    alive ^= 1 << v
+                    break
+                cand ^= low
+        if alive == present:
+            return alive
+        verts = alive
+
+
+def _folded_betti(delta: SimplicialComplex, nb: list[int], verts: int,
+                  size: int, factors: dict[tuple[int, ...], tuple[int, ...]]
+                  ) -> BettiProfile:
+    """Reduced Betti numbers, ``size`` entries from b_-1, of Ind(G[verts])
+    for the graph G with Ind(G) = ``delta`` and neighbour masks ``nb``,
+    ranked on the join factors of its fold core.
+
+    The fold core is the strong-collapse core (``_fold``); one vertex is a
+    simplex.  Ind of a disjoint union is the join of the parts' Ind, so
+    every component of the core's graph is a join factor, with no facet
+    count needed.  A factor is built from its maximal independent sets and
+    ranked once per ``factors`` memo, keyed by its graph relabelled in order
+    onto its own vertices, which fixes Ind of it; a factor that is all of
+    ``delta`` is ``delta``, ranked as it is.  The factors' entries are
+    convolved, as in ``_collapsed_betti``.
+    """
+    core = _fold(nb, verts)
+    entries: tuple[int, ...] = ()
+    if core & (core - 1) or not core:
+        entries = (1,)
+        for part in _components(nb, core):
+            pos = _bits(part)
+            key = tuple(sum(1 << i for i, u in enumerate(pos) if nb[v] >> u & 1)
+                        for v in pos)
+            if key not in factors:
+                if part == (1 << len(delta.vertices)) - 1:
+                    factor = delta
+                else:
+                    factor = SimplicialComplex(
+                        [delta.labels(_bits(f))
+                         for f in _maximal_independent_masks(nb, part)],
+                        vertices=delta.labels(pos))
+                factors[key] = reduced_betti(factor).entries
+            entries = convolve(entries, factors[key])
+    return BettiProfile(entries + (0,) * (size - len(entries)))
+
+
 def _link_vanishing(delta: SimplicialComplex
                     ) -> tuple[BettiProfile, Optional[CMViolation]]:
     """Global Betti numbers and the first face whose link fails to vanish.
@@ -229,35 +336,66 @@ def _link_vanishing(delta: SimplicialComplex
     nonempty set of points; neither has homology below its top, so those
     faces are not visited.
 
-    Faces and facets are bitmasks over the vertex indices here.  Each link
-    is read off its parent's, one vertex at a time: ``tau`` is extended by
-    each vertex ``v`` of ``lk(tau)`` after its last, and
-    ``lk(tau + v) = lk_{lk(tau)}(v)`` keeps the facets of ``lk(tau)``
-    through ``v``, minus ``v``, still sorted.  The queue holds the rest of
-    one dimension and what is read of the next.  Links with the same facets
-    are ranked once per call, each on the join factors of its
-    strong-collapse core, and factors of the same shape once per call.
+    Faces are bitmasks over the vertex indices here.  Each link is read off
+    its parent's, one vertex at a time: ``tau`` is extended by each vertex
+    ``v`` of ``lk(tau)`` after its last, and ``lk(tau + v) =
+    lk_{lk(tau)}(v)``.  The queue holds the rest of one dimension and what
+    is read of the next.  Links that are equal are ranked once per call,
+    each on the join factors of its strong-collapse core, and factors of
+    the same shape once per call.  A link takes one of two forms.
+
+    - Flag: when ``_flag_graph`` proves the complex pure and equal to
+      Ind(G), a link is the vertex mask U with ``lk(tau) = Ind(G[U])``, U the
+      vertices outside ``tau`` with no neighbour in it, and the child through
+      ``v`` keeps U minus ``v`` and its neighbours.  Purity fixes each link's
+      dimension at ``dim - |tau|``.  It is ranked by ``_folded_betti``.
+    - General: a link is its facets as sorted bitmasks, and the child keeps
+      the facets through ``v``, minus ``v``, still sorted.  It is ranked by
+      ``_collapsed_betti``.  A tuple holds the facets in a fraction of the
+      memory a frozenset takes.
+
+    The complex's own faces are expanded only when, on the flag path, the
+    whole complex is the one factor of its own core.
     """
-    # keyed by the sorted facet masks: a tuple holds them in a fraction of
-    # the memory a frozenset takes
-    memo: dict[tuple[int, ...], BettiProfile] = {}
+    n = len(delta.vertices)
+    facets = tuple(sorted(sum(1 << v for v in f) for f in delta.facets))
+    nb = _flag_graph(facets, n)
     factors: dict[tuple[int, ...], tuple[int, ...]] = {}
-    queue = deque([(0, tuple(sorted(sum(1 << v for v in f)
-                                    for f in delta.facets)))])
+    if nb is None:
+        root: object = facets
+
+        def rank(t: int, link: tuple[int, ...]) -> BettiProfile:
+            return _collapsed_betti(delta, link, factors)
+
+        def children(t: int, link: tuple[int, ...]) -> list:
+            above = reduce(or_, link) >> t.bit_length() << t.bit_length()
+            return [(t | 1 << v, tuple(f ^ 1 << v for f in link if f >> v & 1))
+                    for v in _bits(above)]
+    else:
+        root = (1 << n) - 1
+
+        def rank(t: int, link: int) -> BettiProfile:
+            return _folded_betti(delta, nb, link, delta.dim - t.bit_count() + 2,
+                                 factors)
+
+        def children(t: int, link: int) -> list:
+            return [(t | 1 << v, link & ~nb[v] & ~(1 << v))
+                    for v in _bits(link >> t.bit_length() << t.bit_length())]
+
+    memo: dict = {}
+    queue = deque([(0, root)])
     while queue:
         t, link = queue.popleft()
         link_betti = memo.get(link)
         if link_betti is None:
-            link_betti = memo[link] = _collapsed_betti(delta, link, factors)
+            link_betti = memo[link] = rank(t, link)
         if not t:
             betti = link_betti
         degree = _first_gap(link_betti)
         if degree is not None:
             return betti, CMViolation(delta.labels(_bits(t)), degree, link_betti)
         if t.bit_count() < delta.dim - 1:
-            above = reduce(or_, link) >> t.bit_length() << t.bit_length()
-            queue.extend((t | 1 << v, tuple(f ^ 1 << v for f in link if f >> v & 1))
-                         for v in _bits(above))
+            queue.extend(children(t, link))
     if not delta.is_pure():
         raise VerificationError("link-vanishing passed on a non-pure complex")
     return betti, None

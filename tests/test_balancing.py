@@ -533,6 +533,13 @@ _REACHABLE_COVER_ERRORS = [
     ("edge_not_a_pair", _SQUARE_EDGES,
      [dict(_PATH, edges=[["a", "b", "c"]])],
      "factor 0: each edge must be a list of 2 labels"),
+    ("edge_is_a_loop", _SQUARE_EDGES,
+     [dict(_PATH, edges=[["a", "b"], ["b", "b"]])],
+     "factor 0: edge ('b', 'b') is a loop"),
+    ("edge_endpoint_outside_the_factor", _SQUARE_EDGES,
+     [dict(_PATH, edges=[["a", "z"]])],
+     "factor 0: edge ('a', 'z') has an endpoint 'z' that is not a vertex of "
+     "the factor"),
     ("point_factor_with_edges", _SQUARE_EDGES,
      [dict(_PATH, type="points")], "factor 0: point factors have no edges"),
     ("point_factor_with_removed_edge", _SQUARE_EDGES,

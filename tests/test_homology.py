@@ -7,10 +7,11 @@ import pytest
 
 import bruteforce as bf
 from conftest import (all_complexes_on, cycle_graph, disjoint_union, join,
-                      pendant_cycle_chain, projective_plane)
+                      overlinked_pentagon_graph, pendant_cycle_chain,
+                      projective_plane)
 from facebalance import homology, linalg
 from facebalance.classify import exceptional_catalog
-from facebalance.complexes import (SimplicialComplex, VerificationError,
+from facebalance.complexes import (Graph, SimplicialComplex, VerificationError,
                                    independence_complex, parse_complex)
 from facebalance.homology import (boundary_rank, cm_report, is_cohen_macaulay,
                                   reduced_betti)
@@ -383,16 +384,20 @@ def _join_corpus():
             + _with_pentagon(chains))
 
 
+# not a flag complex: the links of e and f have the same vertices, but lk(e)
+# is two triangles on an edge and lk(f) adds the edge cd, which closes a
+# circle below its top, so links are keyed by their facets
+_SHARED = SimplicialComplex([["a", "b", "c", "e"], ["a", "b", "c", "f"],
+                             ["a", "b", "e", "d"], ["a", "b", "d", "f"],
+                             ["c", "d", "f"]])
+
+
 def test_collapsed_scan_agrees_with_the_face_by_face_scan():
-    # not a flag complex: the links of e and f have the same vertices, but
-    # lk(e) is two triangles on an edge and lk(f) adds the edge cd, which
-    # closes a circle below its top, so links are keyed by their facets
-    shared = SimplicialComplex([["a", "b", "c", "e"], ["a", "b", "c", "f"],
-                                ["a", "b", "e", "d"], ["a", "b", "d", "f"],
-                                ["c", "d", "f"]])
-    assert cm_report(shared)["violation"] == {"face": ["f"], "degree": 1}
+    assert cm_report(_SHARED)["violation"] == {"face": ["f"], "degree": 1}
     seen_cm = seen_not = 0
-    for cx in _scan_corpus() + _chains(73, 6) + _join_corpus() + [shared]:
+    # the chains and joins with a pentagon are flag: both paths are checked
+    # on them in test_flag_scan_agrees_with_the_general_and_the_face_by_face_scans
+    for cx in _scan_corpus() + [_SHARED]:
         betti, violation = bf.link_vanishing_scan(cx)
         assert homology._link_vanishing(cx) == (betti, violation), cx
         assert cm_report(cx) == {
@@ -511,3 +516,189 @@ def test_non_edge_components_split_only_when_the_facets_count():
     # not flag: it has no non-edge, so its vertices are three components
     # and it is no join of them, and such a join is ranked whole
     assert split >= (len(small) - 1) ** 2
+
+
+# ---------------------------------------------------------------------------
+# the flag path: links as vertex sets of the non-edge graph
+# ---------------------------------------------------------------------------
+
+def _random_graph(rng, n, p):
+    verts = [f"g{i}" for i in range(n)]
+    return Graph(verts, [e for e in itertools.combinations(verts, 2)
+                         if rng.random() < p])
+
+
+def _pure_random_flag(count):
+    """Pure Ind(G) of seeded random graphs on 5-10 vertices, dimension >= 1."""
+    rng = random.Random(101)
+    out = []
+    while len(out) < count:
+        cx = independence_complex(_random_graph(rng, rng.randint(5, 10),
+                                                rng.choice((0.3, 0.45, 0.6, 0.75))))
+        if cx.is_pure() and cx.dim >= 1:
+            out.append(cx)
+    return out
+
+
+def _peeled_shelling():
+    """C5 * C5 * P2 (5-cycles as graphs, two points) with the last 30 % of
+    its lexicographic shelling peeled off: pure, shellable and not flag."""
+    cycles = [[(f"{p}{i}", f"{p}{(i + 1) % 5}") for i in range(5)] for p in "xy"]
+    shelling = [a + b + (c,) for a in cycles[0] for b in cycles[1] for c in "pq"]
+    return SimplicialComplex(shelling[:35])
+
+
+# two hollow triangles on the edge ab: pure and not flag
+_THETA = SimplicialComplex([["a", "b"], ["b", "c"], ["a", "c"],
+                            ["b", "d"], ["a", "d"]])
+
+
+def _flag_graph_of(cx):
+    return homology._flag_graph(
+        tuple(sorted(sum(1 << v for v in f) for f in cx.facets)), len(cx.vertices))
+
+
+def _must_not_run(*args):
+    raise AssertionError("the other path ran")
+
+
+def _both_paths(cx, monkeypatch):
+    """_link_vanishing with the general path blocked, and with the flag
+    certificate refused so that only the general path runs."""
+    with monkeypatch.context() as m:
+        m.setattr(homology, "_collapsed_betti", _must_not_run)
+        flag = homology._link_vanishing(cx)
+    with monkeypatch.context() as m:
+        m.setattr(homology, "_flag_graph", lambda facets, n: None)
+        general = homology._link_vanishing(cx)
+    return flag, general
+
+
+def test_flag_scan_agrees_with_the_general_and_the_face_by_face_scans(monkeypatch):
+    small = _pure_random_flag(160)
+    small.append(SimplicialComplex([["a", "b", "c"], ["a", "b", "d"]]))
+    catalog = [independence_complex(g) for g in exceptional_catalog().values()]
+    for cx in small + catalog:
+        assert bf.is_flag(bf.faces_from_facets(cx.facet_labels())), cx
+    seen_cm = seen_not = seen_deep = 0
+    for cx in small + catalog + _chains(73, 6) + _join_corpus():
+        betti, violation = bf.link_vanishing_scan(cx)
+        flag, general = _both_paths(cx, monkeypatch)
+        assert flag == general == (betti, violation), cx
+        seen_cm += violation is None
+        seen_not += violation is not None
+        seen_deep += violation is not None and violation.face != ()
+    assert seen_cm > 140 and seen_not > 20 and seen_deep > 5
+
+
+def test_non_flag_or_non_pure_complexes_take_the_general_path(monkeypatch):
+    theta = _THETA
+    peeled = _peeled_shelling()
+    overlinked = independence_complex(overlinked_pentagon_graph())
+    for cx in (projective_plane(), theta, peeled):
+        assert cx.is_pure()
+        assert not bf.is_flag(bf.faces_from_facets(cx.facet_labels())), cx
+    for cx in (_SHARED, overlinked):
+        assert not cx.is_pure()
+    monkeypatch.setattr(homology, "_fold", _must_not_run)
+    for cx in (projective_plane(), _SHARED, theta, peeled, overlinked):
+        assert _flag_graph_of(cx) is None, cx
+        assert homology._link_vanishing(cx) == bf.link_vanishing_scan(cx), cx
+    # a connected graph and a shellable complex are CM; a wrong flag graph
+    # would read theta as a cone over the non-edge cd, with no homology
+    assert cm_report(theta) == {"cm": True, "betti": [0, 0, 2], "violation": None}
+    assert is_cohen_macaulay(peeled)[0]
+
+
+def _non_edge_graph(cx):
+    """Neighbour masks of the vertex pairs that share no facet."""
+    nb = [0] * len(cx.vertices)
+    for a, b in itertools.combinations(range(len(cx.vertices)), 2):
+        if not any(a in f and b in f for f in cx.facets):
+            nb[a] |= 1 << b
+            nb[b] |= 1 << a
+    return nb
+
+
+def test_flag_certificate_stops_at_the_first_non_facet(monkeypatch):
+    # the search for maximal cliques of the 1-skeleton lists only the first
+    # one that is not a facet, and stops there; on Ind(G) it lists none
+    searched = []
+    search = homology._maximal_independent_masks
+
+    def recording(nb, within, among=None):
+        searched.append((nb, within, among))
+        return search(nb, within, among)
+
+    monkeypatch.setattr(homology, "_maximal_independent_masks", recording)
+    more = 0
+    for cx in (_peeled_shelling(), projective_plane(), _THETA):
+        searched.clear()
+        assert _flag_graph_of(cx) is None
+        ((nb, within, facets),) = searched
+        assert nb == _non_edge_graph(cx)
+        assert facets == {sum(1 << v for v in f) for f in cx.facets}
+        every = search(nb, within)
+        outside = [m for m in every if m not in facets]
+        assert search(nb, within, facets) == outside[:1]
+        more += len(outside) > 1
+    assert more
+    for cx in _chains(41, 3):
+        # G is the graph the complex came from, and its maximal independent
+        # sets are the facets
+        assert _flag_graph_of(cx) == _non_edge_graph(cx)
+        nb, within, facets = searched[-1]
+        assert sorted(search(nb, within)) == sorted(facets)
+
+
+def _induced_masks(cx, verts):
+    """Facets of the subcomplex of ``cx`` induced on the vertex mask."""
+    cut = {sum(1 << v for v in f) & verts for f in cx.facets}
+    return frozenset(f for f in cut if not any(f & g == f != g for g in cut))
+
+
+def test_fold_core_is_the_strong_core():
+    # on random graphs, pure or not, and random vertex subsets U, the fold
+    # core of G[U] carries Ind(G[U])'s strong-collapse core, and the
+    # components of G[U] and of its core are the graph's own
+    rng = random.Random(103)
+    folded = split = 0
+    for _ in range(300):
+        g = _random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6)))
+        cx = independence_complex(g)
+        nb = [sum(1 << w for w in nbrs) for nbrs in g.adjacency().values()]
+        verts = rng.getrandbits(len(nb)) | 1
+        ind = _induced_masks(cx, verts)
+        core = homology._fold(nb, verts)
+        assert _induced_masks(cx, core) == homology._strong_core(ind), (g, verts)
+        assert {frozenset(cx.labels(homology._bits(f)))
+                for f in _induced_masks(cx, core)} == bf.strong_core(
+            [cx.labels(homology._bits(f)) for f in ind], cx.vertices), (g, verts)
+        folded += core != verts
+        for part in (verts, core):
+            parts = homology._components(nb, part)
+            sub = g.subgraph(cx.labels(homology._bits(part)))
+            assert [cx.labels(homology._bits(p)) for p in parts] == [
+                tuple(c) for c in sub.components()], (g, part)
+            split += len(parts) > 1
+    assert folded > 100 and split > 100
+
+
+def test_flag_scan_ranks_a_whole_factor_as_the_complex_itself(monkeypatch):
+    # Ind(P13) has no dominated vertex and a connected graph, so the empty
+    # face's core is one factor: the complex itself is ranked, and no other
+    # complex is built before the scan stops there
+    cx = independence_complex(exceptional_catalog()["P13"])
+    ranked, built = [], []
+    init = SimplicialComplex.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(homology, "reduced_betti",
+                        lambda delta: ranked.append(delta) or reduced_betti(delta))
+    monkeypatch.setattr(SimplicialComplex, "__init__", recording)
+    ok, violation = is_cohen_macaulay(cx)
+    assert not ok and violation.face == ()
+    assert len(ranked) == 1 and ranked[0] is cx and built == []
