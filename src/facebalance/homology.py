@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 
 from .complexes import (SimplicialComplex, VerificationError,
                         _maximal_independent_masks, convolve)
-from .linalg import gf2_rank, sparse_rank
+from .linalg import _components, gf2_rank, sparse_rank
 
 
 @dataclass(frozen=True)
@@ -152,23 +152,6 @@ def _strong_core(facets: Iterable[int]) -> frozenset[int]:
         facets = frozenset(
             f for f in kept
             if f in facets or not any(f & g == f != g for g in kept))
-
-
-def _components(nb: list[int], verts: int) -> list[int]:
-    """Vertex masks of the connected components of the graph with
-    neighbour masks ``nb`` induced on ``verts``, by their lowest vertex."""
-    parts = []
-    while verts:
-        part = grow = verts & -verts
-        while grow:
-            low = grow & -grow
-            grow ^= low
-            new = nb[low.bit_length() - 1] & verts & ~part
-            part |= new
-            grow |= new
-        parts.append(part)
-        verts ^= part
-    return parts
 
 
 def _join_parts(core: frozenset[int]) -> list[int]:

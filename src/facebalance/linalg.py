@@ -6,8 +6,9 @@ reduced by cross-multiplication followed by content stripping
 (fraction-free, so no rational blow-up occurs).  A dense rational matrix is
 ranked by clearing each row to integers with :func:`integer_row` and feeding
 it to the same elimination.  The dense inverse is Gauss-Jordan over
-Fractions.  :func:`gf2_rank` is the one elimination over another field: it
-ranks bitmask rows over GF(2) by XOR.
+Fractions, one connected block of the matrix's nonzero pattern at a time.
+:func:`gf2_rank` is the one elimination over another field: it ranks
+bitmask rows over GF(2) by XOR.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ def _strip_content(row: dict) -> dict:
 
 
 def integer_row(row: dict) -> dict:
-    """The rational row scaled to integers with content 1; zeros dropped."""
-    row = {k: Fraction(v) for k, v in row.items() if v}
+    """The row of ints or Fractions scaled to integers with content 1,
+    zeros dropped; no Fraction is built."""
+    row = {k: v for k, v in row.items() if v}
     denom = lcm(*(v.denominator for v in row.values()))
-    return _strip_content({k: int(v * denom) for k, v in row.items()})
+    return _strip_content({k: v.numerator * (denom // v.denominator)
+                           for k, v in row.items()})
 
 
 def bareiss_rank(rows) -> int:
@@ -42,17 +45,28 @@ def bareiss_rank(rows) -> int:
     return sparse_rank(integer_row(dict(enumerate(r))) for r in rows)
 
 
-def invert(rows):
-    """Exact inverse as a tuple of tuples of Fractions.
+def _components(nb: list[int], verts: int) -> list[int]:
+    """Vertex masks of the connected components of the graph with
+    neighbour masks ``nb`` induced on ``verts``, by their lowest vertex."""
+    parts = []
+    while verts:
+        part = grow = verts & -verts
+        while grow:
+            low = grow & -grow
+            grow ^= low
+            new = nb[low.bit_length() - 1] & verts & ~part
+            part |= new
+            grow |= new
+        parts.append(part)
+        verts ^= part
+    return parts
 
-    Raises ValueError on a singular input.
-    """
+
+def _gauss_jordan(rows) -> list[list[Fraction]]:
+    """Gauss-Jordan inverse over Fractions; ValueError if singular."""
     n = len(rows)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(rows)]
-    for row in aug:
-        if len(row) != 2 * n:
-            raise ValueError("inverse of a non-square matrix")
     for c in range(n):
         piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
         if piv is None:
@@ -64,7 +78,33 @@ def invert(rows):
             if i != c and aug[i][c] != 0:
                 f = aug[i][c]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return [row[n:] for row in aug]
+
+
+def invert(rows):
+    """Exact inverse as a tuple of tuples of Fractions.
+
+    Permuted, the matrix is the block sum of the connected blocks of its
+    symmetric nonzero pattern, so its inverse is the block sum of theirs.
+    Raises ValueError on a non-square or singular input.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("inverse of a non-square matrix")
+    nb = [0] * n
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                nb[i] |= 1 << j
+                nb[j] |= 1 << i
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for part in _components(nb, (1 << n) - 1):
+        block = [i for i in range(n) if part >> i & 1]
+        inverse = _gauss_jordan([[rows[i][j] for j in block] for i in block])
+        for i, inv_row in zip(block, inverse):
+            for j, x in zip(block, inv_row):
+                out[i][j] = x
+    return tuple(tuple(row) for row in out)
 
 
 class SparseEchelon:

@@ -242,6 +242,53 @@ def _uncovered_levels(mono_gens: Sequence[Monomial], n: int, width: int,
     return levels
 
 
+def _pivot_ranks(poly_gens: Sequence[dict], levels: list[list[int]],
+                 width: int) -> set[int]:
+    """Positions in ``levels[-1]`` of the pivots of the Macaulay rows that
+    the Koszul criterion keeps; the echelon is freed on return.  An
+    undivided multiple of LM(g_j) in level e is u + LM(g_j), u undivided
+    in level e - deg g_j: ascending u are bisected into the level."""
+    degree = len(levels) - 1
+    rank_of = {m: r for r, m in enumerate(levels[degree])}
+    ech = SparseEchelon()
+    # (degree, packed LM) of each generator fed so far; flags on levels[e]
+    # mark the multiples of the first pruned[e] of those LMs
+    leads: list[tuple[int, int]] = []
+    skip: dict[int, bytearray] = {}
+    pruned: dict[int, int] = {}
+    for p in poly_gens:
+        dp = sum(next(iter(p)))
+        if dp > degree:
+            continue
+        terms = [(_pack(t, width), c) for t, c in p.items()]
+        e = degree - dp
+        level = levels[e]
+        flags = skip.setdefault(e, bytearray(len(level)))
+        for dj, lead in leads[pruned.get(e, 0):]:
+            if dj <= e:
+                k = 0
+                for u in levels[e - dj]:
+                    multiple = u + lead
+                    k = bisect_left(level, multiple, k)
+                    if k == len(level):
+                        break
+                    if level[k] == multiple:
+                        flags[k] = 1
+        pruned[e] = len(leads)
+        leads.append((dp, min(t for t, _ in terms)))
+        for mult, flag in zip(level, flags):
+            if flag:
+                continue
+            row = {}
+            for t, c in terms:
+                r = rank_of.get(mult + t)
+                if r is not None:
+                    row[r] = c
+            if row:
+                ech.add_row(row)
+    return set(ech.pivots)
+
+
 def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
                             ) -> tuple[set, set]:
     """``(pivots, standard)``: the degree-``degree`` monomials that no
@@ -265,6 +312,22 @@ def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
     revlex order, and ``g`` divides ``m`` iff subtracting ``g`` from ``m``
     with the top bit of every field set clears none of those bits (every
     exponent stays below that bit, so no field borrows from the next).
+
+    Rows are pruned by the Koszul criterion (Buchberger's first, on
+    Macaulay rows).  Take the polynomial generators g_1, g_2, ... in the
+    given order and write g = c LM(g) + tail(g), LM(g) its smallest packed
+    term (the revlex leader).  The row m g_i is skipped when LM(g_j)
+    divides m for some j < i.  With m = m' LM(g_j),
+
+        c m g_i = m' g_i g_j - m' tail(g_j) g_i,
+
+    whose right side expands into rows (m' t) g_j for the terms t of g_i,
+    rows (m' t) g_i for the terms t of tail(g_j), whose multipliers pack
+    larger than m, and rows whose multiplier a monomial generator divides,
+    which are 0.  By induction on i, then on m from the largest packed
+    down, every skipped row is in the span of the kept ones.  The pivot
+    set depends only on the span, so (pivots, standard) is unchanged.
+    With j = i the identity would use m g_i itself.
     """
     mono_gens: list[Monomial] = []
     poly_gens: list[dict] = []
@@ -284,26 +347,11 @@ def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
 
     n, width = order.n, degree.bit_length() + 1
     levels = _uncovered_levels(mono_gens, n, width, degree)
-    columns = levels[degree]
-    rank_of = {m: r for r, m in enumerate(columns)}
-    ech = SparseEchelon()
-    for p in poly_gens:
-        dp = sum(next(iter(p)))
-        if dp > degree:
-            continue
-        terms = [(_pack(t, width), c) for t, c in p.items()]
-        for mult in levels[degree - dp]:
-            row = {}
-            for t, c in terms:
-                r = rank_of.get(mult + t)
-                if r is not None:
-                    row[r] = c
-            if row:
-                ech.add_row(row)
+    pivot_ranks = _pivot_ranks(poly_gens, levels, width)
     mask = (1 << width) - 1
     pivots, standard = set(), set()
-    for r, m in enumerate(columns):
-        (pivots if r in ech.pivots else standard).add(
+    for r, m in enumerate(levels[degree]):
+        (pivots if r in pivot_ranks else standard).add(
             tuple(m >> (i * width) & mask for i in range(n)))
     return pivots, standard
 

@@ -81,6 +81,25 @@ def dense_rank(rows) -> int:
     return rank
 
 
+def dense_inverse(rows):
+    """Inverse of a square matrix by Gauss-Jordan on the whole matrix, as
+    lists of Fractions; None when it is singular."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
 def gf2_rank(rows) -> int:
     """Rank over GF(2) of int bitmask rows (bit c is column c), by dense
     elimination on lists of 0/1 entries."""

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -64,6 +65,39 @@ def test_kind_kleinschmidt_identity_cases():
     off_tail = SimplicialComplex([["a"]])
     ok, facet = kind_kleinschmidt(off_tail, pair)
     assert not ok and facet == ("a",)
+
+
+def test_kind_kleinschmidt_reports_the_first_failing_facet_in_sorted_order():
+    # twists that are permuted block sums, so the inverse goes block by
+    # block; the facet reported must be the first in sorted facet order
+    # whose tail rows of the dense inverse lose rank
+    rng = random.Random(17)
+    variables = ("a", "b", "c", "d", "e", "f")
+    order = TermOrder(variables, 2)
+    n, d = order.n, order.d
+    several = 0
+    for _ in range(60):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        sizes = rng.choice([(2, 2, 2), (3, 3), (1, 2, 3), (6,)])
+        block_of = [k for k, size in enumerate(sizes) for _ in range(size)]
+        dense = [[Fraction(rng.randint(-2, 2))
+                  if block_of[perm[i]] == block_of[perm[j]] else Fraction(0)
+                  for j in range(n)] for i in range(n)]
+        inverse = bf.dense_inverse(dense)
+        if inverse is None:
+            continue
+        pair = BalancingPair(order, LinearAutomorphism(variables, tuple(
+            tuple(row) for row in dense)), (("a", "b"), ("c", "d")))
+        facets = rng.sample(list(itertools.combinations(variables, 2)), 6)
+        delta = SimplicialComplex([list(f) for f in facets])
+        failing = [f for f in delta.facet_labels()
+                   if bf.dense_rank([inverse[order.index(v)][n - d:] for v in f])
+                   != len(f)]
+        several += len(failing) > 1
+        assert kind_kleinschmidt(delta, pair) == (
+            (False, failing[0]) if failing else (True, None))
+    assert several > 5
 
 
 def test_points_pair_shape():

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 import bruteforce as bf
+from facebalance import linalg
 from facebalance.linalg import (SparseEchelon, bareiss_rank, gf2_rank,
-                                integer_row, sparse_rank)
+                                integer_row, invert, sparse_rank)
 from facebalance.polynomials import TermOrder
 
 
@@ -106,3 +108,104 @@ def test_integer_row():
     assert whole == {0: 2, 1: -3}
     assert all(type(v) is int for v in whole.values())
     assert integer_row({}) == {}
+
+
+def _fraction_scaled(row):
+    """The scaling ``integer_row`` did through one Fraction per entry."""
+    row = {k: Fraction(v) for k, v in row.items() if v}
+    denom = lcm(*(v.denominator for v in row.values()))
+    scaled = {k: int(v * denom) for k, v in row.items()}
+    g = gcd(*scaled.values())
+    return {k: v // g for k, v in scaled.items()} if g > 1 else scaled
+
+
+def test_integer_row_matches_the_fraction_scaling():
+    rng = random.Random(15)
+    kinds = {
+        "int": lambda: rng.randint(-9, 9),
+        "fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+        "whole fraction": lambda: Fraction(rng.randint(-9, 9)),
+        "zero": lambda: rng.choice([0, Fraction(0)]),
+    }
+    for _ in range(400):
+        mix = rng.sample(sorted(kinds), rng.randint(1, len(kinds)))
+        row = {c: kinds[rng.choice(mix)]() for c in range(rng.randint(0, 8))}
+        scaled = integer_row(row)
+        assert scaled == _fraction_scaled(row), row
+        assert all(type(v) is int for v in scaled.values())
+        assert 0 not in scaled.values()
+    assert integer_row({}) == _fraction_scaled({}) == {}
+    assert integer_row({0: 0, 1: Fraction(0)}) == {}
+    # a negative entry keeps its sign, and a negative lead is not flipped
+    assert integer_row({0: Fraction(-1, 2), 1: Fraction(1, 3)}) == {0: -3, 1: 2}
+
+
+def _block_sum_under_permutation(rng, blocks):
+    """The block sum of ``blocks`` with its indices shuffled: a random
+    simultaneous permutation of its rows and columns."""
+    n = sum(len(b) for b in blocks)
+    dense = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                dense[at + i][at + j] = x
+        at += len(b)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [tuple(dense[perm[i]][perm[j]] for j in range(n)) for i in range(n)]
+
+
+def _random_block(rng, size):
+    return [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+             if rng.random() < 0.7 else 0 for _ in range(size)]
+            for _ in range(size)]
+
+
+def test_invert_matches_the_dense_oracle_on_permuted_block_sums():
+    rng = random.Random(16)
+    inverted = singular = 0
+    for _ in range(200):
+        blocks = [_random_block(rng, rng.randint(1, 4))
+                  for _ in range(rng.randint(1, 4))]
+        a = _block_sum_under_permutation(rng, blocks)
+        expected = bf.dense_inverse(a)
+        if expected is None:
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                invert(a)
+            singular += 1
+            continue
+        inverse = invert(a)
+        assert [list(row) for row in inverse] == expected
+        n = len(a)
+        product = [[sum(a[i][k] * inverse[k][j] for k in range(n))
+                    for j in range(n)] for i in range(n)]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+        assert all(type(x) is Fraction for row in inverse for x in row)
+        inverted += 1
+    assert inverted > 50 and singular > 20
+    assert invert([]) == ()
+
+
+def test_invert_raises_on_a_singular_block():
+    # an invertible 2 x 2 block and a rank-one one, interleaved
+    a = [[1, 0, 2, 0],
+         [0, 1, 0, 2],
+         [3, 0, 4, 0],
+         [0, 2, 0, 4]]
+    assert bf.dense_inverse(a) is None
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        invert(a)
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        invert([[1, 0], [0, 0]])
+
+
+def test_invert_rejects_a_non_square_input_before_any_elimination(monkeypatch):
+    def eliminated(rows):
+        raise AssertionError("a block was eliminated")
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", eliminated)
+    for rows in ([[1, 0], [0]], [[1, 0, 0], [0, 1, 0]], [[1], [0, 1]],
+                 [[0, 0], [0, 0, 0]]):
+        with pytest.raises(ValueError, match="^inverse of a non-square matrix$"):
+            invert(rows)

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 import bruteforce as bf
-from facebalance.balancing import base_pair_points
+from facebalance import linalg
+from facebalance.balancing import (base_pair_near_bipartite, base_pair_points,
+                                   compose_pairs)
 from facebalance.complexes import SimplicialComplex, independence_complex
 from facebalance.polynomials import (LinearAutomorphism, Multicomplex,
                                      Specialization, SpecializationError,
@@ -249,6 +251,96 @@ def test_pivot_set_invariant_under_generator_shuffles():
         scaled = [{m: c * rng.choice([1, 2, -3]) for m, c in p.items()}
                   for p in shuffled]
         assert initial_ideal_by_degree(scaled, order, 3) == reference
+
+
+def _koszul_generators(order, rng):
+    """A random generator set for the Koszul criterion: polynomials of
+    degrees 1 to 3, some sharing a leading monomial (a second tail on the
+    same leader, a scalar multiple, an exact repeat), and monomials."""
+    gens = []
+    for _ in range(rng.randint(1, 5)):
+        p = _random_homogeneous(order, rng.randint(1, 3), rng)
+        if len(p) < 2:
+            continue
+        gens.append(p)
+        lead = max(p, key=order.sort_key)  # the revlex leader
+        roll = rng.random()
+        if roll < 0.3:
+            q = _random_homogeneous(order, sum(lead), rng)
+            q = {m: c for m, c in q.items() if order.sort_key(m) < order.sort_key(lead)}
+            q[lead] = Fraction(rng.choice([1, -2, 3]))
+            gens.append(q)
+        elif roll < 0.45:
+            gens.append({m: c * rng.choice([-1, 2]) for m, c in p.items()})
+        elif roll < 0.55:
+            gens.append(dict(p))
+    for _ in range(rng.randint(0, 2)):
+        m = [0] * order.n
+        for _ in range(rng.randint(1, 3)):
+            m[rng.randrange(order.n)] += 1
+        gens.append({tuple(m): Fraction(rng.randint(1, 5))})
+    rng.shuffle(gens)
+    return gens
+
+
+def test_koszul_pruned_sweep_matches_the_covered_filter_oracle():
+    # the oracle feeds every row whose multiplier no monomial generator
+    # divides; the package skips the rows the Koszul criterion proves
+    # redundant, and must still find the same pivots in every degree
+    rng = random.Random(53)
+    order = TermOrder(("x", "y", "z", "w"), 0)
+    shared = 0
+    for _ in range(120):
+        gens = _koszul_generators(order, rng)
+        leads = [max(p, key=order.sort_key) for p in gens if len(p) > 1]
+        shared += len(set(leads)) < len(leads)
+        for degree in range(6):
+            check_sweep(initial_ideal_by_degree(gens, order, degree),
+                        gens, order, degree)
+    assert shared > 20
+
+
+def _fed_rows(sweep, gens, order, degree):
+    """``sweep(gens, order, degree)`` and the number of rows it handed to
+    ``SparseEchelon.add_row``."""
+    fed = []
+    real = linalg.SparseEchelon.add_row
+
+    def add_row(self, row):
+        fed.append(row)
+        return real(self, row)
+
+    linalg.SparseEchelon.add_row = add_row
+    try:
+        return sweep(gens, order, degree), len(fed)
+    finally:
+        linalg.SparseEchelon.add_row = real
+
+
+def test_koszul_criterion_feeds_fewer_rows_for_the_same_pivots():
+    # the sweep's generators for Ind(C5 + C5) under the composed pentagon
+    # twist, at its stop degree 5: 296 rows are undivided, 60 of them are
+    # multiples m g_i with LM(g_j) | m for an earlier g_j, and the 236 left
+    # span the same rows
+    spec = Specialization()
+    pentagons = [base_pair_near_bipartite(
+        independence_complex(cycle_graph(5, tag)).one_skeleton(), None, spec)
+        for tag in ("", "q")]
+    pair = compose_pairs(*pentagons)
+    delta = independence_complex(disjoint_union(cycle_graph(5),
+                                                cycle_graph(5, "q")))
+    order, free = pair.order, TermOrder(pair.order.free(), 0)
+    gens = []
+    for nu in stanley_reisner_generators(delta, order):
+        image = apply_automorphism(pair.matrix, {nu: Fraction(1)})
+        gens.append({m[:free.n]: c for m, c in image.items()
+                     if not any(m[free.n:])})
+    result, rows = _fed_rows(initial_ideal_by_degree, gens, free, 5)
+    _, oracle_rows = _fed_rows(bf.initial_ideal_by_degree, gens, free, 5)
+    assert (rows, oracle_rows) == (236, 296)
+    # the same pivots as the oracle's: all 146 undivided monomials
+    check_sweep(result, gens, free, 5)
+    assert len(result[0]) == 146 and not result[1]
 
 
 # ---------------------------------------------------------------------------
