@@ -251,8 +251,7 @@ def parse_cover(obj) -> list[dict]:
 def factor_complex(factor: dict) -> SimplicialComplex:
     """The simplicial complex of one cover factor."""
     g = Graph(factor["vertices"], factor["edges"])
-    adj = g.adjacency()
-    lonely = [v for i, v in enumerate(g.vertices) if not adj[i]]
+    lonely = [v for v, m in zip(g.vertices, g.nb) if not m]
     return SimplicialComplex(list(g.edge_labels()) + [[v] for v in lonely],
                              vertices=g.vertices)
 

@@ -10,12 +10,11 @@ that class, a single vertex, or one of five exceptional graphs.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import (ComplexError, Graph, SimplicialComplex,
-                        VerificationError, maximal_independent_sets)
+                        VerificationError, _bits, maximal_independent_sets)
 
 INFINITE = math.inf
 
@@ -27,30 +26,34 @@ INFINITE = math.inf
 def girth(g: Graph):
     """Length of a shortest cycle; ``math.inf`` for forests.
 
-    A BFS from every vertex: a non-tree edge u-w closes a walk through the
-    root of length dist(u) + dist(w) + 1, which contains a cycle at most
-    that long.  An edge first seen from u closes at least 2 * dist(u) + 1
-    (an edge to depth dist(u) - 1 was already seen from its other end), so
-    each BFS stops once that bound reaches the shortest cycle found so far.
+    A BFS from every vertex, a layer of vertex masks at a time.  An edge
+    inside layer k closes a walk of length 2k + 1 through the root, which
+    contains a cycle at most that long; a vertex of layer k + 1 with two
+    neighbours in layer k lies on two paths from the root, which close a
+    cycle of length at most 2k + 2.  A shortest cycle through the root is
+    found at its far end, so the least of these over all roots is the
+    girth.  Deeper layers close only longer cycles, so each BFS stops once
+    2k + 1 reaches the shortest cycle found so far.
     """
-    adj = g.adjacency()
+    nb = g.nb
     best = INFINITE
-    for s in range(len(g.vertices)):
-        dist = {s: 0}
-        parent = {s: None}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            if 2 * du + 1 >= best:
-                break
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = du + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    best = min(best, du + dist[w] + 1)
+    for s in range(len(nb)):
+        seen = layer = 1 << s
+        k = 0
+        while layer and 2 * k + 1 < best:
+            inside = once = twice = 0
+            for v in _bits(layer):
+                inside |= nb[v] & layer
+                new = nb[v] & ~seen
+                twice |= once & new
+                once |= new
+            if inside:
+                best = 2 * k + 1
+            elif twice:
+                best = 2 * k + 2
+            seen |= once
+            layer = once
+            k += 1
         if best == 3:
             return 3
     return best
@@ -64,9 +67,8 @@ def is_well_covered(g: Graph) -> bool:
 
 def pendant_edges(g: Graph) -> list[tuple[str, str]]:
     """Edges incident to a degree-1 vertex, sorted."""
-    adj = g.adjacency()
-    return sorted(g.labels(e) for e in g.edges
-                  if len(adj[e[0]]) == 1 or len(adj[e[1]]) == 1)
+    return sorted(g.labels((a, b)) for a, b in g.edges
+                  if g.nb[a].bit_count() == 1 or g.nb[b].bit_count() == 1)
 
 
 def basic_5_cycles(g: Graph) -> list[tuple[str, ...]]:
@@ -76,22 +78,22 @@ def basic_5_cycles(g: Graph) -> list[tuple[str, ...]]:
     vertex, toward its smaller neighbor; the list is sorted.  The cycles are
     walked as induced paths s-a-b-c closed by a common neighbour e of c and
     s, with every vertex above s and a < e; each vertex added misses the
-    earlier path vertices it is not next to.  That is O(n * D^4) set
+    earlier path vertices it is not next to.  That is O(n * D^4) mask
     operations for maximum degree D, and pruning the path as it grows keeps
     dense graphs cheap too.
     """
-    adj = g.adjacency()
-    high = {i for i in adj if len(adj[i]) >= 3}
+    nb = g.nb
+    high = sum(1 << v for v, m in enumerate(nb) if m.bit_count() >= 3)
     out = []
-    for s in adj:
-        up = {v for v in adj if v > s}
-        for a in adj[s] & up:
-            for b in (adj[a] & up) - adj[s]:
-                for c in (adj[b] & up) - adj[s] - adj[a]:
-                    for e in (adj[c] & adj[s]) - adj[a] - adj[b]:
+    for s in range(len(nb)):
+        up = -(2 << s)  # the vertices above s
+        for a in _bits(nb[s] & up):
+            for b in _bits(nb[a] & up & ~nb[s]):
+                for c in _bits(nb[b] & up & ~nb[s] & ~nb[a]):
+                    for e in _bits(nb[c] & nb[s] & ~nb[a] & ~nb[b] & -(2 << a)):
                         cyc = (s, a, b, c, e)
-                        if a < e and not any(u in high and w in high
-                                             for u, w in zip(cyc, cyc[1:] + cyc[:1])):
+                        if not any(high >> u & 1 and high >> w & 1
+                                   for u, w in zip(cyc, cyc[1:] + cyc[:1])):
                             out.append(g.labels(cyc))
     return sorted(out)
 
@@ -190,44 +192,42 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     n = len(g1.vertices)
     if n != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False
-    a1, a2 = g1.adjacency(), g2.adjacency()
+    nb1, nb2 = g1.nb, g2.nb
 
-    def profile(adj):
-        deg = {v: len(adj[v]) for v in adj}
-        return {v: (deg[v], tuple(sorted(deg[w] for w in adj[v]))) for v in adj}
+    def profile(nb):
+        deg = [m.bit_count() for m in nb]
+        return [(deg[v], tuple(sorted(deg[w] for w in _bits(m))))
+                for v, m in enumerate(nb)]
 
-    p1, p2 = profile(a1), profile(a2)
-    if sorted(p1.values()) != sorted(p2.values()):
+    p1, p2 = profile(nb1), profile(nb2)
+    if sorted(p1) != sorted(p2):
         return False
     by_profile: dict = {}
-    for v, key in p2.items():
-        by_profile.setdefault(key, []).append(v)
-    order = sorted(range(n), key=lambda v: (len(by_profile.get(p1[v], ())), -len(a1[v]), v))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
+    for w, key in enumerate(p2):
+        by_profile.setdefault(key, []).append(w)
+    order = sorted(range(n), key=lambda v: (len(by_profile[p1[v]]),
+                                            -nb1[v].bit_count(), v))
+    image = [0] * n  # image[v]: the bit of v's image, for v mapped so far
 
-    def extend(pos: int) -> bool:
+    def extend(pos: int, mapped: int, used: int) -> bool:
+        """Map ``order[pos:]``, given the masks of the vertices mapped so
+        far and of their images: w can take v iff w's neighbours among
+        the images are the images of v's mapped neighbours."""
         if pos == n:
             return True
         v = order[pos]
-        for w in by_profile.get(p1[v], ()):
-            if w in used:
-                continue
-            ok = True
-            for u in mapping:
-                if (u in a1[v]) != (mapping[u] in a2[w]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(pos + 1):
+        want = 0
+        for u in _bits(nb1[v] & mapped):
+            want |= image[u]
+        for w in by_profile[p1[v]]:
+            bit = 1 << w
+            if not used & bit and nb2[w] & used == want:
+                image[v] = bit
+                if extend(pos + 1, mapped | 1 << v, used | bit):
                     return True
-                del mapping[v]
-                used.remove(w)
         return False
 
-    return extend(0)
+    return extend(0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

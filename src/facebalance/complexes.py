@@ -58,6 +58,94 @@ def convolve(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# vertex bitmasks
+# ---------------------------------------------------------------------------
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _components(nb: Sequence[int], verts: int) -> list[int]:
+    """Vertex masks of the connected components of the graph with
+    neighbour masks ``nb`` induced on ``verts``, by their lowest vertex."""
+    parts = []
+    while verts:
+        part = grow = verts & -verts
+        while grow:
+            low = grow & -grow
+            grow ^= low
+            new = nb[low.bit_length() - 1] & verts & ~part
+            part |= new
+            grow |= new
+        parts.append(part)
+        verts ^= part
+    return parts
+
+
+def _skeleton(facets: Iterable[int], n: int) -> list[int]:
+    """The 1-skeleton of the complex with facets ``facets`` (bitmasks over
+    ``n`` vertices): ``seen[v]`` masks the vertices that share a facet with
+    ``v``, ``v`` itself included when it lies in a facet."""
+    seen = [0] * n
+    for f in facets:
+        for v in _bits(f):
+            seen[v] |= f
+    return seen
+
+
+def _maximal_independent_masks(nb: Sequence[int], within: int,
+                               among: Optional[set[int]] = None) -> list[int]:
+    """Maximal independent sets of the graph induced on the vertex mask
+    ``within``, as masks, where ``nb[i]`` masks the neighbours of vertex i.
+
+    Bron-Kerbosch with pivoting (Tomita, Tanaka & Takahashi, TCS 363, 2006)
+    on int bitmasks, bit i standing for vertex i.  It lists the maximal
+    cliques of the complement graph, where ``co[i]`` masks the
+    non-neighbours of i; each branch tries only the candidates outside
+    ``co`` of a pivot that has the most candidates there.  Given ``among``,
+    only a set outside it is listed, and the search stops there.
+    """
+    co = [within & ~m & ~(1 << i) for i, m in enumerate(nb)]
+    found: list[int] = []
+
+    def rec(r: int, p: int, x: int) -> bool:
+        """Search the branch; False once a set outside ``among`` is found."""
+        if not p and not x:
+            if among is not None and r in among:
+                return True
+            found.append(r)
+            return among is None
+        best = -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            k = (co[i] & p).bit_count()
+            if k > best:
+                best, pivot = k, i
+            rest ^= low
+        cand = p & ~co[pivot]
+        while cand:
+            low = cand & -cand
+            i = low.bit_length() - 1
+            if not rec(r | low, p & co[i], x & co[i]):
+                return False
+            p ^= low
+            x |= low
+            cand ^= low
+        return True
+
+    rec(0, within, 0)
+    return found
+
+
+# ---------------------------------------------------------------------------
 # simplicial complexes
 # ---------------------------------------------------------------------------
 
@@ -162,30 +250,24 @@ class SimplicialComplex:
         """Inclusion-minimal index sets that are not faces, by size and then
         lexicographically.
 
-        Every vertex is a face, so the pairs are the non-edges.  Every pair
-        inside a larger minimal non-face is an edge, so a candidate of size
-        ``k >= 3`` is a face of size ``k - 1`` extended by a common neighbour
-        above its last vertex.
+        Every vertex is a face, so the pairs are the non-edges of the
+        1-skeleton.  Every pair inside a larger minimal non-face is an edge,
+        so a candidate of size ``k >= 3`` is a face of size ``k - 1``
+        extended by a common neighbour above its last vertex.
         """
         n = len(self.vertices)
-        edges = self.faces(1)
-        nbrs = [0] * n
-        for a, b in edges:
-            nbrs[a] |= 1 << b
-            nbrs[b] |= 1 << a
-        edge_set = set(edges)
-        out = [c for c in itertools.combinations(range(n), 2) if c not in edge_set]
+        seen = _skeleton((sum(1 << v for v in f) for f in self.facets), n)
+        out = [(a, b) for a in range(n)
+               for b in _bits((1 << n) - 1 & ~seen[a] & -(2 << a))]
         for k in range(3, self.dim + 3):
             lower = set(self.faces(k - 2))
             here = set(self.faces(k - 1))
             for f in self.faces(k - 2):
                 common = -(2 << f[-1])  # the vertices above the last one
                 for v in f:
-                    common &= nbrs[v]
-                while common:
-                    low = common & -common
-                    common ^= low
-                    c = f + (low.bit_length() - 1,)
+                    common &= seen[v]
+                for w in _bits(common):
+                    c = f + (w,)
                     if c not in here and all(c[:i] + c[i + 1:] in lower
                                              for i in range(k - 1)):
                         out.append(c)
@@ -264,9 +346,13 @@ def parse_complex(text: str) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 class Graph:
-    """Undirected simple graph with string vertex labels."""
+    """Undirected simple graph with string vertex labels.
 
-    __slots__ = ("vertices", "_index", "edges", "_adj")
+    ``nb`` is its adjacency, built once: bit j of ``nb[i]`` is set iff the
+    vertices at positions i and j are adjacent.
+    """
+
+    __slots__ = ("vertices", "_index", "edges", "nb")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Iterable[str]]):
         self.vertices = tuple(str(v) for v in vertices)
@@ -284,11 +370,11 @@ class Graph:
                 raise ComplexError(f"edge endpoint {exc.args[0]!r} not declared") from None
             es.add((min(i, j), max(i, j)))
         self.edges = frozenset(es)
-        nbrs: list[set[int]] = [set() for _ in self.vertices]
+        nb = [0] * len(self.vertices)
         for a, b in es:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        self._adj = tuple(frozenset(s) for s in nbrs)
+            nb[a] |= 1 << b
+            nb[b] |= 1 << a
+        self.nb = tuple(nb)
 
     def labels(self, idxs: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.vertices[i] for i in idxs)
@@ -296,43 +382,23 @@ class Graph:
     def edge_labels(self) -> list[tuple[str, str]]:
         return [self.labels(e) for e in sorted(self.edges)]
 
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        """Neighbour sets by vertex position, built once in the constructor."""
-        return dict(enumerate(self._adj))
-
     def complement(self) -> "Graph":
         n = len(self.vertices)
-        edges = [(self.vertices[i], self.vertices[j])
-                 for i in range(n) for j in range(i + 1, n)
-                 if (i, j) not in self.edges]
-        return Graph(self.vertices, edges)
+        return Graph(self.vertices,
+                     [(self.vertices[i], self.vertices[j]) for i in range(n)
+                      for j in _bits((1 << n) - 1 & ~self.nb[i] & -(2 << i))])
 
     def subgraph(self, keep_labels: Iterable[str]) -> "Graph":
         keep_set = set(keep_labels)
         keep = [v for v in self.vertices if v in keep_set]
-        ki = {self._index[v] for v in keep}
-        edges = [self.labels(e) for e in self.edges if set(e) <= ki]
-        return Graph(keep, edges)
+        ki = sum(1 << self._index[v] for v in keep)
+        return Graph(keep, [(self.vertices[i], self.vertices[j]) for i in _bits(ki)
+                            for j in _bits(self.nb[i] & ki & -(2 << i))])
 
     def components(self) -> list[list[str]]:
         """Connected components, each ordered, listed by smallest vertex position."""
-        adj = self.adjacency()
-        seen: set[int] = set()
-        comps = []
-        for s in range(len(self.vertices)):
-            if s in seen:
-                continue
-            stack, comp = [s], []
-            seen.add(s)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comps.append([self.vertices[i] for i in sorted(comp)])
-        return comps
+        return [list(self.labels(_bits(part)))
+                for part in _components(self.nb, (1 << len(self.vertices)) - 1)]
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -340,28 +406,26 @@ class Graph:
     def bipartition(self) -> Optional[tuple[tuple[str, ...], tuple[str, ...]]]:
         """A 2-coloring as two label tuples, or None.  Deterministic: each
         component is colored by BFS from its smallest vertex, which lands in
-        the first class."""
-        adj = self.adjacency()
-        color: dict[int, int] = {}
-        for s in range(len(self.vertices)):
-            if s in color:
-                continue
-            color[s] = 0
-            queue = [s]
-            while queue:
-                u = queue.pop(0)
-                for w in sorted(adj[u]):
-                    if w not in color:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        return None
-        side = lambda c: tuple(v for i, v in enumerate(self.vertices) if color[i] == c)
-        return side(0), side(1)
+        the first class.  The BFS goes a layer at a time, the layers
+        alternating between the classes; a component is bipartite iff no
+        edge joins two vertices of one layer."""
+        sides = [0, 0]
+        todo = (1 << len(self.vertices)) - 1
+        while todo:
+            layer, k = todo & -todo, 0
+            while layer:
+                todo ^= layer
+                reach = 0
+                for v in _bits(layer):
+                    reach |= self.nb[v]
+                if reach & layer:
+                    return None
+                sides[k] |= layer
+                layer, k = reach & todo, 1 - k
+        return self.labels(_bits(sides[0])), self.labels(_bits(sides[1]))
 
     def is_triangle_free(self) -> bool:
-        adj = self.adjacency()
-        return not any(adj[a] & adj[b] for a, b in self.edges)
+        return not any(self.nb[a] & self.nb[b] for a, b in self.edges)
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.vertices == other.vertices
@@ -374,7 +438,7 @@ class Graph:
         return f"Graph({list(self.vertices)!r}, {self.edge_labels()!r})"
 
     def to_file_text(self) -> str:
-        lonely = [v for v, nbrs in zip(self.vertices, self._adj) if not nbrs]
+        lonely = [v for v, m in zip(self.vertices, self.nb) if not m]
         lines = [f"vertex: {v}" for v in lonely]
         lines += [f"{u} {w}" for u, w in self.edge_labels()]
         return "".join(line + "\n" for line in lines)
@@ -403,59 +467,11 @@ def parse_graph(text: str) -> Graph:
     return Graph(tuple(vertices), edges)
 
 
-def _maximal_independent_masks(nb: Sequence[int], within: int,
-                               among: Optional[set[int]] = None) -> list[int]:
-    """Maximal independent sets of the graph induced on the vertex mask
-    ``within``, as masks, where ``nb[i]`` masks the neighbours of vertex i.
-
-    Bron-Kerbosch with pivoting (Tomita, Tanaka & Takahashi, TCS 363, 2006)
-    on int bitmasks, bit i standing for vertex i.  It lists the maximal
-    cliques of the complement graph, where ``co[i]`` masks the
-    non-neighbours of i; each branch tries only the candidates outside
-    ``co`` of a pivot that has the most candidates there.  Given ``among``,
-    only a set outside it is listed, and the search stops there.
-    """
-    co = [within & ~m & ~(1 << i) for i, m in enumerate(nb)]
-    found: list[int] = []
-
-    def rec(r: int, p: int, x: int) -> bool:
-        """Search the branch; False once a set outside ``among`` is found."""
-        if not p and not x:
-            if among is not None and r in among:
-                return True
-            found.append(r)
-            return among is None
-        best = -1
-        rest = p | x
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            k = (co[i] & p).bit_count()
-            if k > best:
-                best, pivot = k, i
-            rest ^= low
-        cand = p & ~co[pivot]
-        while cand:
-            low = cand & -cand
-            i = low.bit_length() - 1
-            if not rec(r | low, p & co[i], x & co[i]):
-                return False
-            p ^= low
-            x |= low
-            cand ^= low
-        return True
-
-    rec(0, within, 0)
-    return found
-
-
 def maximal_independent_sets(g: Graph) -> list[tuple[str, ...]]:
     """All maximal independent sets, as sorted label tuples."""
-    nb = [sum(1 << w for w in nbrs) for nbrs in g.adjacency().values()]
-    labels = g.vertices
-    out = []
-    for m in _maximal_independent_masks(nb, (1 << len(nb)) - 1):
-        face = []
+    labels, out = g.vertices, []
+    for m in _maximal_independent_masks(g.nb, (1 << len(labels)) - 1):
+        face = []  # built inline, not by _bits: this loop is the hot one
         while m:
             low = m & -m
             face.append(labels[low.bit_length() - 1])

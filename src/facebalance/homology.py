@@ -22,9 +22,10 @@ from math import prod
 from operator import and_, or_
 from typing import Iterable, Optional
 
-from .complexes import (SimplicialComplex, VerificationError,
-                        _maximal_independent_masks, convolve)
-from .linalg import _components, gf2_rank, sparse_rank
+from .complexes import (SimplicialComplex, VerificationError, _bits,
+                        _components, _maximal_independent_masks, _skeleton,
+                        convolve)
+from .linalg import gf2_rank, sparse_rank
 
 
 @dataclass(frozen=True)
@@ -114,16 +115,6 @@ def _first_gap(betti: BettiProfile) -> Optional[int]:
     return next((i for i in range(-1, betti.dim) if betti.degree(i)), None)
 
 
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _strong_core(facets: Iterable[int]) -> frozenset[int]:
     """Strong-collapse core of a complex given by its facets as bitmasks.
 
@@ -166,14 +157,38 @@ def _join_parts(core: frozenset[int]) -> list[int]:
     that count, the complex is one factor.
     """
     verts = reduce(or_, core)
-    far = [0] * verts.bit_length()  # far[v]: the vertices sharing no facet with v
-    for v in _bits(verts):
-        bit = 1 << v
-        far[v] = verts & ~reduce(or_, [f for f in core if f & bit])
+    # far[v]: the vertices sharing no facet with v
+    far = [verts & ~m for m in _skeleton(core, verts.bit_length())]
     parts = _components(far, verts)
     if prod(len({f & part for f in core}) for part in parts) == len(core):
         return parts
     return [verts]
+
+
+def _join_betti(parts: list[int], size: int, rows, build,
+                factors: dict[tuple[int, ...], tuple[int, ...]]
+                ) -> BettiProfile:
+    """Reduced Betti numbers, ``size`` entries from b_-1, of a core that is
+    the join of factors on the vertex masks ``parts``.
+
+    A factor on the vertices ``pos`` (the bits of ``part``) is ranked once
+    per ``factors`` memo, keyed by the masks ``rows(part, pos)`` relabelled
+    in order onto ``pos``, and built by ``build(part, pos)``.  Over a field
+    the reduced homology of a join is the shifted tensor product of the
+    factors' (Milnor, Ann. Math. 63, 1956), so the core's entries, from
+    b_-1, are the convolution of the factors' entries.  A core has the same
+    reduced homology in every degree as the complex it collapses from, so
+    its Betti numbers padded with zeros are that complex's.
+    """
+    entries: tuple[int, ...] = (1,)
+    for part in parts:
+        pos = _bits(part)
+        key = tuple(sum(1 << i for i, v in enumerate(pos) if m >> v & 1)
+                    for m in rows(part, pos))
+        if key not in factors:
+            factors[key] = reduced_betti(build(part, pos)).entries
+        entries = convolve(entries, factors[key])
+    return BettiProfile(entries + (0,) * (size - len(entries)))
 
 
 def _collapsed_betti(delta: SimplicialComplex, link: tuple[int, ...],
@@ -181,34 +196,26 @@ def _collapsed_betti(delta: SimplicialComplex, link: tuple[int, ...],
                      ) -> BettiProfile:
     """Reduced Betti numbers of the subcomplex of ``delta`` with facets
     ``link`` (bitmasks), ranked on the join factors of its strong-collapse
-    core.
+    core by ``_join_betti``.
 
-    The core has the same reduced homology in every degree, so its Betti
-    numbers padded with zeros up to the link's dimension are the link's.  A
-    core with one nonempty facet is a simplex and has none.  Any other core
-    is split by ``_join_parts``; each factor is built with the link's labels
-    in their order and ranked, once per ``factors`` memo, which is keyed by
-    its facets relabelled in order onto the factor's own vertices.  Over a
-    field the reduced homology of a join is the shifted tensor product of
-    the factors' (Milnor, Ann. Math. 63, 1956), so the core's entries, from
-    b_-1, are the convolution of the factors' entries.
+    A core with one nonempty facet is a simplex and has none.  Any other
+    core is split by ``_join_parts``; each factor is keyed by its facets
+    and built from them with the link's labels in their order.
     """
     core = _strong_core(link)
-    entries: tuple[int, ...] = ()
-    if len(core) > 1 or 0 in core:
-        entries = (1,)
-        for part in _join_parts(core):
-            facets = sorted({f & part for f in core})
-            pos = _bits(part)
-            key = tuple(sum(1 << i for i, v in enumerate(pos) if f >> v & 1)
-                        for f in facets)
-            if key not in factors:
-                factors[key] = reduced_betti(SimplicialComplex(
-                    [delta.labels(_bits(f)) for f in facets],
-                    vertices=delta.labels(pos))).entries
-            entries = convolve(entries, factors[key])
     size = max(map(int.bit_count, link)) + 1  # entries b_-1 .. b_dim
-    return BettiProfile(entries + (0,) * (size - len(entries)))
+    if len(core) == 1 and 0 not in core:
+        return BettiProfile((0,) * size)
+
+    def facets(part: int, pos: list[int]) -> list[int]:
+        return sorted({f & part for f in core})
+
+    def build(part: int, pos: list[int]) -> SimplicialComplex:
+        return SimplicialComplex(
+            [delta.labels(_bits(f)) for f in facets(part, pos)],
+            vertices=delta.labels(pos))
+
+    return _join_betti(_join_parts(core), size, facets, build, factors)
 
 
 def _flag_graph(facets: tuple[int, ...], n: int) -> Optional[list[int]]:
@@ -228,11 +235,7 @@ def _flag_graph(facets: tuple[int, ...], n: int) -> Optional[list[int]]:
     if any(f.bit_count() != size for f in facets):
         return None
     full = (1 << n) - 1
-    seen = [0] * n
-    for f in facets:
-        for v in _bits(f):
-            seen[v] |= f
-    nb = [full & ~m for m in seen]
+    nb = [full & ~m for m in _skeleton(facets, n)]
     if _maximal_independent_masks(nb, full, set(facets)):
         return None
     return nb
@@ -276,36 +279,30 @@ def _folded_betti(delta: SimplicialComplex, nb: list[int], verts: int,
                   ) -> BettiProfile:
     """Reduced Betti numbers, ``size`` entries from b_-1, of Ind(G[verts])
     for the graph G with Ind(G) = ``delta`` and neighbour masks ``nb``,
-    ranked on the join factors of its fold core.
+    ranked on the join factors of its fold core by ``_join_betti``.
 
     The fold core is the strong-collapse core (``_fold``); one vertex is a
-    simplex.  Ind of a disjoint union is the join of the parts' Ind, so
-    every component of the core's graph is a join factor, with no facet
-    count needed.  A factor is built from its maximal independent sets and
-    ranked once per ``factors`` memo, keyed by its graph relabelled in order
-    onto its own vertices, which fixes Ind of it; a factor that is all of
-    ``delta`` is ``delta``, ranked as it is.  The factors' entries are
-    convolved, as in ``_collapsed_betti``.
+    simplex and has none.  Ind of a disjoint union is the join of the
+    parts' Ind, so every component of the core's graph is a join factor,
+    with no facet count needed.  A factor is keyed by its graph, which
+    fixes Ind of it, and built from its maximal independent sets; a factor
+    that is all of ``delta`` is ``delta``, ranked as it is.
     """
     core = _fold(nb, verts)
-    entries: tuple[int, ...] = ()
-    if core & (core - 1) or not core:
-        entries = (1,)
-        for part in _components(nb, core):
-            pos = _bits(part)
-            key = tuple(sum(1 << i for i, u in enumerate(pos) if nb[v] >> u & 1)
-                        for v in pos)
-            if key not in factors:
-                if part == (1 << len(delta.vertices)) - 1:
-                    factor = delta
-                else:
-                    factor = SimplicialComplex(
-                        [delta.labels(_bits(f))
-                         for f in _maximal_independent_masks(nb, part)],
-                        vertices=delta.labels(pos))
-                factors[key] = reduced_betti(factor).entries
-            entries = convolve(entries, factors[key])
-    return BettiProfile(entries + (0,) * (size - len(entries)))
+    if core and not core & (core - 1):
+        return BettiProfile((0,) * size)
+
+    def graph(part: int, pos: list[int]) -> list[int]:
+        return [nb[v] for v in pos]
+
+    def build(part: int, pos: list[int]) -> SimplicialComplex:
+        if part == (1 << len(delta.vertices)) - 1:
+            return delta
+        return SimplicialComplex([delta.labels(_bits(f))
+                                  for f in _maximal_independent_masks(nb, part)],
+                                 vertices=delta.labels(pos))
+
+    return _join_betti(_components(nb, core), size, graph, build, factors)
 
 
 def _link_vanishing(delta: SimplicialComplex

@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .complexes import _components
+
 
 def _strip_content(row: dict) -> dict:
     """Divide an integer row by the gcd of its entries; raises TypeError on a
@@ -43,23 +45,6 @@ def bareiss_rank(rows) -> int:
     it by name.
     """
     return sparse_rank(integer_row(dict(enumerate(r))) for r in rows)
-
-
-def _components(nb: list[int], verts: int) -> list[int]:
-    """Vertex masks of the connected components of the graph with
-    neighbour masks ``nb`` induced on ``verts``, by their lowest vertex."""
-    parts = []
-    while verts:
-        part = grow = verts & -verts
-        while grow:
-            low = grow & -grow
-            grow ^= low
-            new = nb[low.bit_length() - 1] & verts & ~part
-            part |= new
-            grow |= new
-        parts.append(part)
-        verts ^= part
-    return parts
 
 
 def _gauss_jordan(rows) -> list[list[Fraction]]:

@@ -391,6 +391,44 @@ def is_colorable(vertices, edges, k: int) -> bool:
                for c in itertools.product(range(k), repeat=len(vertices)))
 
 
+def distances(vertices, edges) -> dict:
+    """Edge distance of every connected ordered pair, keyed ``(u, w)``, by
+    relaxing every pair through every edge until nothing shortens."""
+    dist = {(v, v): 0 for v in vertices}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), d in list(dist.items()):
+            for u, w in edges:
+                for x, y in ((u, w), (w, u)):
+                    if x == b and dist.get((a, y), d + 2) > d + 1:
+                        dist[a, y] = d + 1
+                        changed = True
+    return dist
+
+
+def components(vertices, edges) -> list[list]:
+    """Connected components in ``vertices`` order, each listed by its
+    earliest vertex."""
+    dist = distances(vertices, edges)
+    out = []
+    for v in vertices:
+        if not any(v in comp for comp in out):
+            out.append([w for w in vertices if (v, w) in dist])
+    return out
+
+
+def bipartition(vertices, edges) -> tuple[tuple, tuple]:
+    """The vertices at even and at odd distance from the earliest vertex
+    of their component, each in ``vertices`` order (a 2-colouring only
+    when there is no odd cycle)."""
+    dist = distances(vertices, edges)
+    parity = {w: dist[comp[0], w] % 2 for comp in components(vertices, edges)
+              for w in comp}
+    return (tuple(v for v in vertices if parity[v] == 0),
+            tuple(v for v in vertices if parity[v] == 1))
+
+
 def induced_cycle_lengths(vertices, edges) -> set[int]:
     """Lengths of all chordless cycles, by testing every vertex subset.
 

@@ -243,15 +243,17 @@ def test_isomorphism_against_the_catalog_needs_no_budget(monkeypatch):
     # before any adjacency is read or any backtracking starts
     catalog = exceptional_catalog()
     assert max(len(g.vertices) for g in catalog.values()) == 14
-    big = cycle_graph(5000)
+    big, ring = cycle_graph(5000), cycle_graph(14)
 
     def no_adjacency(self):
         raise AssertionError("adjacency read")
 
-    monkeypatch.setattr(Graph, "adjacency", no_adjacency)
+    monkeypatch.setattr(Graph, "nb", property(no_adjacency))
+    with pytest.raises(AssertionError):
+        big.nb
     assert not is_isomorphic(big, catalog["P14"])
     # same vertex count, another edge count
-    assert not is_isomorphic(cycle_graph(14), catalog["P14"])
+    assert not is_isomorphic(ring, catalog["P14"])
 
 
 def test_isomorphism_on_regular_lookalikes():

@@ -8,8 +8,8 @@ import bruteforce as bf
 from conftest import (cycle_graph, disjoint_union, join, path_graph,
                       projective_plane)
 from facebalance.complexes import (ComplexError, Graph, SimplicialComplex,
-                                   clique_complex, convolve, f_from_h,
-                                   h_from_f, independence_complex,
+                                   _skeleton, clique_complex, convolve,
+                                   f_from_h, h_from_f, independence_complex,
                                    is_full_dimensional_subcomplex,
                                    maximal_independent_sets, parse_complex,
                                    parse_graph)
@@ -334,21 +334,98 @@ def test_subgraph_accepts_a_one_shot_iterable():
 
 
 def test_adjacency_matches_the_edge_set():
+    # nb[i] masks the neighbours of vertex i: symmetric, loop-free, equal
+    # to the edge set, and an immutable tuple the graph keeps
     rng = random.Random(23)
     for _ in range(50):
         n = rng.randint(1, 8)
         pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4]
         g = Graph([f"x{i}" for i in range(n)],
                   [(f"x{a}", f"x{b}") for a, b in pairs])
-        adj = g.adjacency()
-        assert list(adj) == list(range(n))
+        assert isinstance(g.nb, tuple) and len(g.nb) == n
         for i in range(n):
-            assert adj[i] == {j for e in pairs for j in e if i in e and j != i}
-            assert isinstance(adj[i], frozenset)
-            assert all((j in adj[i]) == ((min(i, j), max(i, j)) in g.edges)
-                       for j in range(n) if j != i)
-        adj.clear()  # the caller's copy: the graph keeps its own
-        assert len(g.adjacency()) == n
+            assert g.nb[i] == sum(1 << j for e in pairs for j in e
+                                  if i in e and j != i)
+            assert not g.nb[i] >> i & 1
+            for j in range(n):
+                assert (g.nb[i] >> j & 1) == (g.nb[j] >> i & 1)
+                assert (g.nb[i] >> j & 1) == ((min(i, j), max(i, j)) in g.edges)
+
+
+def _shuffled_graph(rng, n, p):
+    """A random graph whose vertex order is not the order of its labels,
+    with its edges given in random order."""
+    verts = [f"v{i}" for i in range(n)]
+    rng.shuffle(verts)
+    edges = [e for e in itertools.combinations(verts, 2) if rng.random() < p]
+    rng.shuffle(edges)
+    return Graph(verts, edges)
+
+
+def test_components_and_bipartition_against_bruteforce():
+    rng = random.Random(131)
+    split = odd = even = 0
+    for _ in range(300):
+        g = _shuffled_graph(rng, rng.randint(1, 9), rng.choice((0.1, 0.25, 0.45)))
+        verts, edges = g.vertices, g.edge_labels()
+        comps = g.components()
+        assert comps == bf.components(verts, edges), g
+        assert g.is_connected() == (len(comps) == 1)
+        # None exactly when an odd cycle exists; otherwise each component's
+        # first vertex is in the first side, and the sides alternate along
+        # every shortest path from it
+        has_odd = any(k % 2 for k in bf.induced_cycle_lengths(verts, edges))
+        sides = g.bipartition()
+        assert (sides is None) == has_odd, g
+        if sides is not None:
+            assert sides == bf.bipartition(verts, edges), g
+            assert all(c[0] in sides[0] for c in comps)
+        split += len(comps) > 1
+        odd += has_odd
+        even += not has_odd and bool(edges)
+    assert split > 100 and odd > 50 and even > 50
+
+
+def test_complement_subgraph_and_triangles_against_bruteforce():
+    rng = random.Random(137)
+    triangles = 0
+    for _ in range(200):
+        g = _shuffled_graph(rng, rng.randint(1, 8), rng.choice((0.2, 0.4, 0.7)))
+        verts, edges = g.vertices, g.edge_labels()
+        co = g.complement()
+        assert co.vertices == verts
+        assert {frozenset(e) for e in co.edge_labels()} == {
+            frozenset(s) for s in bf.independent_subsets(verts, edges) if len(s) == 2}
+        keep = rng.sample(verts, rng.randint(0, len(verts)))
+        sub = g.subgraph(keep)
+        assert sub.vertices == tuple(v for v in verts if v in keep)
+        assert {frozenset(e) for e in sub.edge_labels()} == {
+            frozenset(e) for e in edges if set(e) <= set(keep)}
+        has_triangle = bf.count_triangles(verts, edges) > 0
+        assert g.is_triangle_free() == (not has_triangle), g
+        triangles += has_triangle
+    assert 50 < triangles < 150
+
+
+def test_skeleton_masks_are_the_edges_of_the_faces():
+    rng = random.Random(139)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        verts = [f"v{i}" for i in range(n)]
+        rng.shuffle(verts)
+        cx = SimplicialComplex([rng.sample(verts, rng.randint(1, n))
+                                for _ in range(rng.randint(1, 6))])
+        n = len(cx.vertices)
+        seen = _skeleton([sum(1 << v for v in f) for f in cx.facets], n)
+        edges = {frozenset(e) for e in bf.faces_from_facets(cx.facet_labels())
+                 if len(e) == 2}
+        assert len(seen) == n
+        for u in range(n):
+            assert seen[u] >> u & 1  # every vertex lies in a facet
+            for w in range(n):
+                if w != u:
+                    assert bool(seen[u] >> w & 1) == (
+                        frozenset(cx.labels((u, w))) in edges), cx
 
 
 # ---------------------------------------------------------------------------

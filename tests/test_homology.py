@@ -666,7 +666,7 @@ def test_fold_core_is_the_strong_core():
     for _ in range(300):
         g = _random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6)))
         cx = independence_complex(g)
-        nb = [sum(1 << w for w in nbrs) for nbrs in g.adjacency().values()]
+        nb = g.nb
         verts = rng.getrandbits(len(nb)) | 1
         ind = _induced_masks(cx, verts)
         core = homology._fold(nb, verts)
