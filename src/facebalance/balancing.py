@@ -20,7 +20,7 @@ from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .complexes import (ComplexError, Graph, SimplicialComplex,
-                        VerificationError, h_from_f,
+                        VerificationError, _bits, h_from_f,
                         is_full_dimensional_subcomplex, is_proper)
 from .homology import is_cohen_macaulay
 from .linalg import bareiss_rank, invert
@@ -61,11 +61,12 @@ def kind_kleinschmidt(delta: SimplicialComplex, pair: BalancingPair
 
     For every facet, the rows of the inverse matrix indexed by its vertices,
     restricted to the last ``d`` columns, must have rank equal to the facet
-    size.  Returns the first failing facet in sorted order, if any.
+    size.  Returns the first failing facet in lexicographic order of its
+    vertex positions, if any.
     """
     ginv = pair.matrix.inverse()
     n, d = pair.order.n, pair.order.d
-    for facet in sorted(delta.facets):
+    for facet in sorted(delta.facets, key=_bits):
         labels = delta.labels(facet)
         rows = [ginv.matrix[pair.order.index(v)][n - d:] for v in labels]
         if bareiss_rank(rows) != len(labels):
@@ -344,9 +345,6 @@ def balanced_witness(delta: SimplicialComplex, cover: Sequence[dict],
             # every factor yields a base pair and the cover is not empty
             pair = reduce(compose_pairs, (base for factor in cover
                                           for base in _base_pairs_for(factor, spec)))
-            if pair.order.d != d:
-                raise CoverError(f"cover tail size {pair.order.d} does not match "
-                                 f"the complex ({d})")
             pair = inherit_to_subcomplex(pair, delta)
             checks = {"kind_kleinschmidt": True}
             basis = standard_monomial_basis(delta, pair.matrix, pair.order)

@@ -1,17 +1,19 @@
 """Simplicial complexes, graphs, and face-number calculus.
 
-Complexes are immutable: a fixed vertex order plus the set of facets, stored
-as sorted index tuples.  All faces are expanded on demand from the facets and
-cached per dimension, which is cheap at the intended scale (a few dozen
-vertices).  The complex containing only the empty face is allowed (dimension
--1); the void complex with no faces at all is rejected everywhere.
+Complexes are immutable: a fixed vertex order plus the set of facets.  A
+face is an int vertex mask, bit i standing for the i-th vertex.  All faces
+are expanded on demand from the facets and cached, which is cheap at the
+intended scale (a few dozen vertices).  The complex containing only the
+empty face is allowed (dimension -1); the void complex with no faces at all
+is rejected everywhere.
 """
 
 from __future__ import annotations
 
-import itertools
+from functools import reduce
 from math import comb
-from typing import Iterable, Optional, Sequence
+from operator import or_
+from typing import Collection, Iterable, Optional, Sequence
 
 
 class ComplexError(ValueError):
@@ -99,6 +101,24 @@ def _skeleton(facets: Iterable[int], n: int) -> list[int]:
     return seen
 
 
+def _face_levels(facets: Collection[int]) -> list[tuple[int, ...]]:
+    """Every face of the complex with facets ``facets`` (bitmasks, maximal
+    or not), by size: entry j holds the faces of j vertices, ascending.
+    Each level is read off the one above, every face minus each vertex."""
+    levels = [set() for _ in range(max(map(int.bit_count, facets)) + 1)]
+    for f in facets:
+        levels[f.bit_count()].add(f)
+    for k in range(len(levels) - 1, 0, -1):
+        below = levels[k - 1]
+        for face in levels[k]:
+            rest = face
+            while rest:
+                low = rest & -rest
+                below.add(face ^ low)
+                rest ^= low
+    return [tuple(sorted(level)) for level in levels]
+
+
 def _maximal_independent_masks(nb: Sequence[int], within: int,
                                among: Optional[set[int]] = None) -> list[int]:
     """Maximal independent sets of the graph induced on the vertex mask
@@ -155,10 +175,11 @@ class SimplicialComplex:
     ``facets`` is any iterable of label iterables; non-maximal and duplicate
     entries are dropped.  The vertex order is the order of first appearance
     unless ``vertices`` is given, and the vertex set always equals the union
-    of the facets.
+    of the facets.  A face is a vertex mask, bit i for ``vertices[i]``:
+    ``self.facets`` is a frozenset of them, and ``faces(k)`` lists them.
     """
 
-    __slots__ = ("vertices", "_index", "facets", "dim", "_faces_by_dim")
+    __slots__ = ("vertices", "_bit", "facets", "dim", "_levels")
 
     def __init__(self, facets: Iterable[Iterable[str]],
                  vertices: Optional[Sequence[str]] = None):
@@ -180,42 +201,33 @@ class SimplicialComplex:
             if support != set(vertices):
                 raise ComplexError("vertex list must equal the union of the facets")
         self.vertices = vertices
-        self._index = {v: i for i, v in enumerate(vertices)}
-        idx_facets = {tuple(sorted(self._index[v] for v in f)) for f in facet_sets}
-        # a strict subset is shorter, so a facet is tested against longer ones only
-        sets = {f: frozenset(f) for f in idx_facets}
-        longer = {n: [g for g in sets.values() if len(g) > n]
-                  for n in {len(f) for f in idx_facets}}
-        self.facets = frozenset(f for f, fs in sets.items()
-                                if not any(fs < g for g in longer[len(f)]))
-        self.dim = max(len(f) for f in self.facets) - 1
-        self._faces_by_dim: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._bit = {v: 1 << i for i, v in enumerate(vertices)}
+        masks = {sum(map(self._bit.__getitem__, f)) for f in facet_sets}
+        # a strict subset is smaller, so a facet is tested against larger ones only
+        larger = {k: [g for g in masks if g.bit_count() > k]
+                  for k in {f.bit_count() for f in masks}}
+        self.facets = frozenset(f for f in masks
+                                if not any(f & g == f for g in larger[f.bit_count()]))
+        self.dim = max(map(int.bit_count, self.facets)) - 1
+        self._levels: Optional[list[tuple[int, ...]]] = None
 
     # -- basic structure ----------------------------------------------------
 
     def facet_labels(self) -> list[tuple[str, ...]]:
-        return [self.labels(f) for f in sorted(self.facets)]
+        """The facets' labels, lexicographic in vertex positions."""
+        return [self.labels(f) for f in sorted(self.facets, key=_bits)]
 
-    def labels(self, face: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.vertices[i] for i in face)
+    def labels(self, face: int) -> tuple[str, ...]:
+        """The labels of the vertices of the mask ``face``, in vertex order."""
+        return tuple([self.vertices[i] for i in _bits(face)])
 
-    def index_face(self, labels: Iterable[str]) -> tuple[int, ...]:
-        try:
-            return tuple(sorted(self._index[str(v)] for v in labels))
-        except KeyError as e:
-            raise ComplexError(f"unknown vertex {e.args[0]!r}") from None
-
-    def faces(self, k: int) -> tuple[tuple[int, ...], ...]:
-        """All faces of dimension ``k`` as sorted index tuples, sorted."""
+    def faces(self, k: int) -> tuple[int, ...]:
+        """All faces of dimension ``k`` as vertex masks, ascending."""
         if k < -1 or k > self.dim:
             return ()
-        if k not in self._faces_by_dim:
-            found = set()
-            for f in self.facets:
-                if len(f) >= k + 1:
-                    found.update(itertools.combinations(f, k + 1))
-            self._faces_by_dim[k] = tuple(sorted(found))
-        return self._faces_by_dim[k]
+        if self._levels is None:
+            self._levels = _face_levels(self.facets)
+        return self._levels[k + 1]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SimplicialComplex)
@@ -238,54 +250,53 @@ class SimplicialComplex:
         return h_from_f(self.f_vector())
 
     def is_pure(self) -> bool:
-        sizes = {len(f) for f in self.facets}
-        return len(sizes) == 1
+        return len({f.bit_count() for f in self.facets}) == 1
 
     def one_skeleton(self) -> "Graph":
-        verts = self.labels(range(len(self.vertices)))
-        edges = [self.labels(e) for e in self.faces(1)]
-        return Graph(verts, edges)
+        vs, seen = self.vertices, _skeleton(self.facets, len(self.vertices))
+        return Graph(vs, [(vs[a], vs[b]) for a in range(len(vs))
+                          for b in _bits(seen[a] & -(2 << a))])
 
-    def minimal_nonfaces(self) -> list[tuple[int, ...]]:
-        """Inclusion-minimal index sets that are not faces, by size and then
-        lexicographically.
+    def minimal_nonfaces(self) -> list[int]:
+        """Inclusion-minimal vertex sets that are not faces, as masks, by
+        size and then lexicographically in vertex positions.
 
         Every vertex is a face, so the pairs are the non-edges of the
         1-skeleton.  Every pair inside a larger minimal non-face is an edge,
         so a candidate of size ``k >= 3`` is a face of size ``k - 1``
-        extended by a common neighbour above its last vertex.
+        extended by a common neighbour above its last vertex; common
+        neighbours are carried up a level at a time, one vertex more.
         """
         n = len(self.vertices)
-        seen = _skeleton((sum(1 << v for v in f) for f in self.facets), n)
-        out = [(a, b) for a in range(n)
+        seen = _skeleton(self.facets, n)
+        out = [1 << a | 1 << b for a in range(n)
                for b in _bits((1 << n) - 1 & ~seen[a] & -(2 << a))]
+        common = {1 << v: m for v, m in enumerate(seen)}
         for k in range(3, self.dim + 3):
-            lower = set(self.faces(k - 2))
-            here = set(self.faces(k - 1))
+            lower, here, carried = set(self.faces(k - 2)), set(self.faces(k - 1)), {}
             for f in self.faces(k - 2):
-                common = -(2 << f[-1])  # the vertices above the last one
-                for v in f:
-                    common &= seen[v]
-                for w in _bits(common):
-                    c = f + (w,)
-                    if c not in here and all(c[:i] + c[i + 1:] in lower
-                                             for i in range(k - 1)):
+                last = f.bit_length() - 1
+                carried[f] = both = common[f ^ 1 << last] & seen[last]
+                for w in _bits(both & -(2 << last)):
+                    c = f | 1 << w
+                    if c not in here and all(c ^ 1 << v in lower for v in _bits(f)):
                         out.append(c)
-        return out
+            common = carried
+        return sorted(out, key=lambda m: (m.bit_count(), _bits(m)))
 
     # -- constructions -------------------------------------------------------
 
     def link(self, face_labels: Iterable[str]) -> "SimplicialComplex":
         """Link of a face: faces disjoint from it whose union with it is a face."""
-        tau = self.index_face(face_labels)
-        taus = set(tau)
-        # facets are sorted, so each remainder is too
-        rest = [tuple(v for v in f if v not in taus)
-                for f in self.facets if taus.issubset(f)]
+        try:
+            tau = reduce(or_, (self._bit[str(v)] for v in face_labels), 0)
+        except KeyError as e:
+            raise ComplexError(f"unknown vertex {e.args[0]!r}") from None
+        rest = [f ^ tau for f in self.facets if f & tau == tau]
         if not rest:
             raise ComplexError(f"{self.labels(tau)!r} is not a face")
         return SimplicialComplex([self.labels(f) for f in rest],
-                                 vertices=self.labels(sorted(set().union(*rest))) or None)
+                                 vertices=self.labels(reduce(or_, rest)) or None)
 
     # -- serialization -------------------------------------------------------
 
@@ -311,13 +322,12 @@ def is_full_dimensional_subcomplex(inner: SimplicialComplex,
     if (inner.dim + 1 != sum(f.dim + 1 for f in factors)
             or not where.keys() >= set(inner.vertices)):
         return False
-    masks = [{sum(1 << i for i in g) for g in f.facets} for f in factors]
     for face in inner.facets:
         trace = [0] * len(factors)
         for k, bit in map(where.get, inner.labels(face)):
             trace[k] |= bit
-        if not all(m in facets or any(m & g == m for g in facets)
-                   for m, facets in zip(trace, masks)):
+        if not all(m in f.facets or any(m & g == m for g in f.facets)
+                   for m, f in zip(trace, factors)):
             return False
     return True
 
@@ -496,5 +506,4 @@ def clique_complex(g: Graph) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 def is_proper(delta: SimplicialComplex, coloring: dict[str, int]) -> bool:
-    return all(coloring[delta.vertices[a]] != coloring[delta.vertices[b]]
-               for a, b in delta.faces(1))
+    return all(coloring[a] != coloring[b] for a, b in map(delta.labels, delta.faces(1)))

@@ -2,8 +2,8 @@
 
 Chains are augmented: the empty face spans the (-1)-st chain group, so the
 boundary of a vertex is the empty face and the Betti numbers are reduced.
-Faces are oriented by their sorted vertex order with alternating signs, and
-all rational ranks are exact.
+Faces are vertex masks, oriented by their vertex order with alternating
+signs, and all rational ranks are exact.
 
 Every boundary matrix is ranked over GF(2) first.  An integer matrix has
 rank over GF(2) at most its rank over Q, so every Betti number over GF(2) is
@@ -23,8 +23,8 @@ from operator import and_, or_
 from typing import Iterable, Optional
 
 from .complexes import (SimplicialComplex, VerificationError, _bits,
-                        _components, _maximal_independent_masks, _skeleton,
-                        convolve)
+                        _components, _face_levels, _maximal_independent_masks,
+                        _skeleton, convolve)
 from .linalg import gf2_rank, sparse_rank
 
 
@@ -57,57 +57,65 @@ class CMViolation:
         return {"face": list(self.face), "degree": self.degree}
 
 
-def _boundary_rows(delta: SimplicialComplex, i: int) -> list[list[int]]:
-    """For each ``i``-face, the positions in ``faces(i - 1)`` of its
-    codimension-1 faces, by the position of the deleted vertex."""
-    below = {f: k for k, f in enumerate(delta.faces(i - 1))}
-    return [[below[face[:pos] + face[pos + 1:]] for pos in range(len(face))]
-            for face in delta.faces(i)]
+def _boundary_rows(levels: list[tuple[int, ...]], i: int) -> list[list[int]]:
+    """For each ``i``-face, the positions in ``levels[i]`` (the faces of
+    ``i`` vertices) of its codimension-1 faces ``face ^ low``, one per
+    vertex bit ``low``, lowest first."""
+    below = {f: k for k, f in enumerate(levels[i])}
+    rows = []
+    for face in levels[i + 1]:
+        row, rest = [], face
+        while rest:
+            low = rest & -rest
+            row.append(below[face ^ low])
+            rest ^= low
+        rows.append(row)
+    return rows
+
+
+def _q_boundary_rank(levels: list[tuple[int, ...]], i: int) -> int:
+    """Exact rank over Q of the boundary map from ``i``-chains."""
+    return sparse_rank([{k: (-1) ** pos for pos, k in enumerate(cols)}
+                        for cols in _boundary_rows(levels, i)])
+
+
+def _gf2_boundary_rank(levels: list[tuple[int, ...]], i: int) -> int:
+    """Rank over GF(2) of the boundary map from ``i``-chains."""
+    return gf2_rank(sum(1 << k for k in cols) for cols in _boundary_rows(levels, i))
+
+
+def _betti(levels: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Reduced rational Betti numbers ``(b_-1, ..., b_dim)`` of the complex
+    whose faces, by size, are ``levels``.
+
+    If the GF(2) Betti numbers vanish below the top degree, the rational
+    ones do too, and the top entry is then the reduced Euler characteristic
+    up to sign, the same over every field.  Otherwise the rational numbers
+    are computed from exact boundary ranks over Q.  The entries sum, with
+    alternating signs, to the reduced Euler characteristic whatever the
+    ranks are; an over-reported rank makes an entry negative, which raises.
+    """
+    for rank in (_gf2_boundary_rank, _q_boundary_rank):
+        ranks = [rank(levels, i) for i in range(len(levels) - 1)] + [0]
+        entries = [1 - ranks[0]] + [len(levels[i + 1]) - ranks[i] - ranks[i + 1]
+                                    for i in range(len(levels) - 1)]
+        if min(entries) < 0:
+            raise VerificationError(f"negative Betti number in {entries}")
+        if not any(entries[:-1]):
+            break
+    return tuple(entries)
 
 
 def boundary_rank(delta: SimplicialComplex, i: int) -> int:
     """Exact rank of the boundary map from ``i``-chains to ``(i-1)``-chains."""
     if i < 0 or i > delta.dim:
         raise ValueError(f"no boundary map in degree {i}")
-    return sparse_rank([{k: 1 if pos % 2 == 0 else -1
-                         for pos, k in enumerate(cols)}
-                        for cols in _boundary_rows(delta, i)])
-
-
-def _gf2_boundary_rank(delta: SimplicialComplex, i: int) -> int:
-    """Rank over GF(2) of the boundary map from ``i``-chains."""
-    return gf2_rank(sum(1 << k for k in cols) for cols in _boundary_rows(delta, i))
-
-
-def _betti_entries(delta: SimplicialComplex, rank) -> list[int]:
-    """``(b_-1, ..., b_dim)`` from the boundary ranks ``rank(delta, i)``.
-
-    The entries sum, with alternating signs, to the reduced Euler
-    characteristic whatever the ranks are; an over-reported rank makes an
-    entry negative, which raises.
-    """
-    d = delta.dim
-    ranks = [rank(delta, i) for i in range(d + 1)] + [0]
-    entries = [1 - ranks[0]]
-    for i in range(d + 1):
-        entries.append(len(delta.faces(i)) - ranks[i] - ranks[i + 1])
-    if min(entries) < 0:
-        raise VerificationError(f"negative Betti number in {entries}")
-    return entries
+    return _q_boundary_rank([delta.faces(k) for k in range(-1, i + 1)], i)
 
 
 def reduced_betti(delta: SimplicialComplex) -> BettiProfile:
-    """Reduced rational Betti numbers of the complex.
-
-    If the GF(2) Betti numbers vanish below the top degree, the rational
-    ones do too, and the top entry is then the reduced Euler characteristic
-    up to sign, the same over every field.  Otherwise the rational numbers
-    are computed from exact boundary ranks over Q.
-    """
-    entries = _betti_entries(delta, _gf2_boundary_rank)
-    if any(entries[:-1]):
-        entries = _betti_entries(delta, boundary_rank)
-    return BettiProfile(tuple(entries))
+    """Reduced rational Betti numbers of the complex (see :func:`_betti`)."""
+    return BettiProfile(_betti([delta.faces(k) for k in range(-1, delta.dim + 1)]))
 
 
 def _first_gap(betti: BettiProfile) -> Optional[int]:
@@ -165,7 +173,7 @@ def _join_parts(core: frozenset[int]) -> list[int]:
     return [verts]
 
 
-def _join_betti(parts: list[int], size: int, rows, build,
+def _join_betti(parts: list[int], size: int, rows, facets_of,
                 factors: dict[tuple[int, ...], tuple[int, ...]]
                 ) -> BettiProfile:
     """Reduced Betti numbers, ``size`` entries from b_-1, of a core that is
@@ -173,12 +181,13 @@ def _join_betti(parts: list[int], size: int, rows, build,
 
     A factor on the vertices ``pos`` (the bits of ``part``) is ranked once
     per ``factors`` memo, keyed by the masks ``rows(part, pos)`` relabelled
-    in order onto ``pos``, and built by ``build(part, pos)``.  Over a field
-    the reduced homology of a join is the shifted tensor product of the
-    factors' (Milnor, Ann. Math. 63, 1956), so the core's entries, from
-    b_-1, are the convolution of the factors' entries.  A core has the same
-    reduced homology in every degree as the complex it collapses from, so
-    its Betti numbers padded with zeros are that complex's.
+    in order onto ``pos``; its facets, in those labels, are
+    ``facets_of(key)``.  Over a field the reduced homology of a join is the
+    shifted tensor product of the factors' (Milnor, Ann. Math. 63, 1956), so
+    the core's entries, from b_-1, are the convolution of the factors'
+    entries.  A core has the same reduced homology in every degree as the
+    complex it collapses from, so its Betti numbers padded with zeros are
+    that complex's.
     """
     entries: tuple[int, ...] = (1,)
     for part in parts:
@@ -186,36 +195,29 @@ def _join_betti(parts: list[int], size: int, rows, build,
         key = tuple(sum(1 << i for i, v in enumerate(pos) if m >> v & 1)
                     for m in rows(part, pos))
         if key not in factors:
-            factors[key] = reduced_betti(build(part, pos)).entries
+            factors[key] = _betti(_face_levels(facets_of(key)))
         entries = convolve(entries, factors[key])
     return BettiProfile(entries + (0,) * (size - len(entries)))
 
 
-def _collapsed_betti(delta: SimplicialComplex, link: tuple[int, ...],
+def _collapsed_betti(link: tuple[int, ...],
                      factors: dict[tuple[int, ...], tuple[int, ...]]
                      ) -> BettiProfile:
-    """Reduced Betti numbers of the subcomplex of ``delta`` with facets
-    ``link`` (bitmasks), ranked on the join factors of its strong-collapse
-    core by ``_join_betti``.
+    """Reduced Betti numbers of the complex with facets ``link``
+    (bitmasks), ranked on the join factors of its strong-collapse core by
+    ``_join_betti``.
 
     A core with one nonempty facet is a simplex and has none.  Any other
-    core is split by ``_join_parts``; each factor is keyed by its facets
-    and built from them with the link's labels in their order.
+    core is split by ``_join_parts``; each factor is keyed by its facets,
+    which are ranked as they are.
     """
     core = _strong_core(link)
     size = max(map(int.bit_count, link)) + 1  # entries b_-1 .. b_dim
     if len(core) == 1 and 0 not in core:
         return BettiProfile((0,) * size)
-
-    def facets(part: int, pos: list[int]) -> list[int]:
-        return sorted({f & part for f in core})
-
-    def build(part: int, pos: list[int]) -> SimplicialComplex:
-        return SimplicialComplex(
-            [delta.labels(_bits(f)) for f in facets(part, pos)],
-            vertices=delta.labels(pos))
-
-    return _join_betti(_join_parts(core), size, facets, build, factors)
+    return _join_betti(_join_parts(core), size,
+                       lambda part, pos: sorted({f & part for f in core}),
+                       lambda key: key, factors)
 
 
 def _flag_graph(facets: tuple[int, ...], n: int) -> Optional[list[int]]:
@@ -274,35 +276,26 @@ def _fold(nb: list[int], verts: int) -> int:
         verts = alive
 
 
-def _folded_betti(delta: SimplicialComplex, nb: list[int], verts: int,
-                  size: int, factors: dict[tuple[int, ...], tuple[int, ...]]
+def _folded_betti(nb: list[int], verts: int, size: int,
+                  factors: dict[tuple[int, ...], tuple[int, ...]]
                   ) -> BettiProfile:
     """Reduced Betti numbers, ``size`` entries from b_-1, of Ind(G[verts])
-    for the graph G with Ind(G) = ``delta`` and neighbour masks ``nb``,
-    ranked on the join factors of its fold core by ``_join_betti``.
+    for the graph G with neighbour masks ``nb``, ranked on the join factors
+    of its fold core by ``_join_betti``.
 
     The fold core is the strong-collapse core (``_fold``); one vertex is a
     simplex and has none.  Ind of a disjoint union is the join of the
     parts' Ind, so every component of the core's graph is a join factor,
     with no facet count needed.  A factor is keyed by its graph, which
-    fixes Ind of it, and built from its maximal independent sets; a factor
-    that is all of ``delta`` is ``delta``, ranked as it is.
+    fixes Ind of it, and ranked on its maximal independent sets.
     """
     core = _fold(nb, verts)
     if core and not core & (core - 1):
         return BettiProfile((0,) * size)
-
-    def graph(part: int, pos: list[int]) -> list[int]:
-        return [nb[v] for v in pos]
-
-    def build(part: int, pos: list[int]) -> SimplicialComplex:
-        if part == (1 << len(delta.vertices)) - 1:
-            return delta
-        return SimplicialComplex([delta.labels(_bits(f))
-                                  for f in _maximal_independent_masks(nb, part)],
-                                 vertices=delta.labels(pos))
-
-    return _join_betti(_components(nb, core), size, graph, build, factors)
+    return _join_betti(_components(nb, core), size,
+                       lambda part, pos: [nb[v] for v in pos],
+                       lambda key: _maximal_independent_masks(key, (1 << len(key)) - 1),
+                       factors)
 
 
 def _link_vanishing(delta: SimplicialComplex
@@ -334,18 +327,18 @@ def _link_vanishing(delta: SimplicialComplex
       ``_collapsed_betti``.  A tuple holds the facets in a fraction of the
       memory a frozenset takes.
 
-    The complex's own faces are expanded only when, on the flag path, the
-    whole complex is the one factor of its own core.
+    No complex is built and the complex's own faces are never expanded:
+    every factor is ranked from its facet masks.
     """
     n = len(delta.vertices)
-    facets = tuple(sorted(sum(1 << v for v in f) for f in delta.facets))
+    facets = tuple(sorted(delta.facets))
     nb = _flag_graph(facets, n)
     factors: dict[tuple[int, ...], tuple[int, ...]] = {}
     if nb is None:
         root: object = facets
 
         def rank(t: int, link: tuple[int, ...]) -> BettiProfile:
-            return _collapsed_betti(delta, link, factors)
+            return _collapsed_betti(link, factors)
 
         def children(t: int, link: tuple[int, ...]) -> list:
             above = reduce(or_, link) >> t.bit_length() << t.bit_length()
@@ -355,8 +348,7 @@ def _link_vanishing(delta: SimplicialComplex
         root = (1 << n) - 1
 
         def rank(t: int, link: int) -> BettiProfile:
-            return _folded_betti(delta, nb, link, delta.dim - t.bit_count() + 2,
-                                 factors)
+            return _folded_betti(nb, link, delta.dim - t.bit_count() + 2, factors)
 
         def children(t: int, link: int) -> list:
             return [(t | 1 << v, link & ~nb[v] & ~(1 << v))
@@ -373,7 +365,7 @@ def _link_vanishing(delta: SimplicialComplex
             betti = link_betti
         degree = _first_gap(link_betti)
         if degree is not None:
-            return betti, CMViolation(delta.labels(_bits(t)), degree, link_betti)
+            return betti, CMViolation(delta.labels(t), degree, link_betti)
         if t.bit_count() < delta.dim - 1:
             queue.extend(children(t, link))
     if not delta.is_pure():

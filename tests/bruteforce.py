@@ -160,7 +160,8 @@ def link_vanishing_scan(delta):
     """``(global Betti numbers, first violation or None)`` with every link
     built by ``SimplicialComplex.link`` and ranked by ``reduced_betti``, one
     visited face at a time: the empty face, then the faces of dimension at
-    most ``dim - 2`` by dimension and lexicographic order."""
+    most ``dim - 2`` by dimension and lexicographic order of their vertex
+    positions."""
     def first_gap(b):
         return next((i for i in range(-1, b.dim) if b.degree(i)), None)
 
@@ -168,9 +169,11 @@ def link_vanishing_scan(delta):
     degree = first_gap(betti)
     if degree is not None:
         return betti, CMViolation((), degree, betti)
-    for k in range(delta.dim - 1):
-        for tau in delta.faces(k):
-            labels = delta.labels(tau)
+    position = {v: i for i, v in enumerate(delta.vertices)}
+    for tau in faces_from_facets([position[v] for v in f]
+                                 for f in delta.facet_labels()):
+        if 0 < len(tau) < delta.dim:
+            labels = tuple(delta.vertices[i] for i in tau)
             link_betti = reduced_betti(delta.link(labels))
             degree = first_gap(link_betti)
             if degree is not None:

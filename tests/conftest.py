@@ -52,8 +52,8 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     clash = set(a.vertices) & set(b.vertices)
     if clash:
         raise ComplexError(f"join with colliding vertex labels: {sorted(clash)}")
-    out = SimplicialComplex([a.labels(f) + b.labels(g)
-                             for f in a.facets for g in b.facets],
+    out = SimplicialComplex([f + g for f in a.facet_labels()
+                             for g in b.facet_labels()],
                             vertices=a.vertices + b.vertices)
     if out.f_vector() != convolve(a.f_vector(), b.f_vector()):
         raise VerificationError("join f-vector is not the convolution")

@@ -18,8 +18,8 @@ from facebalance.classify import (classify_girth5, embed_in_join, girth,
                                   exceptional_catalog,
                                   independent_facet_transversal, is_isomorphic,
                                   pendant_edges)
-from facebalance.complexes import (Graph, SimplicialComplex, clique_complex,
-                                   convolve, f_from_h, h_from_f,
+from facebalance.complexes import (Graph, SimplicialComplex, _bits,
+                                   clique_complex, convolve, f_from_h, h_from_f,
                                    independence_complex, is_proper)
 from facebalance.homology import cm_report, is_cohen_macaulay, reduced_betti
 from facebalance.samples import (colorable_h_witness, flag_sphere_graph,
@@ -369,7 +369,7 @@ def _graph_factor_dict(g: Graph) -> dict:
 def _peel_cm_chain(gamma, rng, steps):
     """Full-dimensional CM subcomplexes made by deleting facets one at a time."""
     out = []
-    current = sorted(gamma.facets)
+    current = sorted(gamma.facets, key=_bits)
     for _ in range(steps):
         found = None
         for f in rng.sample(current, len(current)):
@@ -412,7 +412,7 @@ def _witness_corpus():
         cover = [pool[name](f"f{i}_") for i, name in enumerate(config)]
         gamma = reduce(join, join_of_factors(cover))
         assert sum(sizes[x] for x in config) <= 14
-        facet_pool = sorted(gamma.facets)
+        facet_pool = sorted(gamma.facets, key=_bits)
         candidates = [gamma]
         for _ in range(4):
             chosen = [f for f in facet_pool if rng.random() < 0.7]

@@ -618,9 +618,6 @@ _UNREACHABLE_COVER_ERRORS = [
     "joined factors share vertex labels",
     # both base pairs build their twists in the block shape
     "twist matrix is not in the block shape",
-    # past the subcomplex test each factor has dim + 1 tail variables, and
-    # these sum to the complex's dimension plus one
-    "cover tail size 0 does not match the complex (1)",
 ]
 
 

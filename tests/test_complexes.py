@@ -8,7 +8,8 @@ import bruteforce as bf
 from conftest import (cycle_graph, disjoint_union, join, path_graph,
                       projective_plane)
 from facebalance.complexes import (ComplexError, Graph, SimplicialComplex,
-                                   _skeleton, clique_complex, convolve,
+                                   _bits, _face_levels, _skeleton,
+                                   clique_complex, convolve,
                                    f_from_h, h_from_f, independence_complex,
                                    is_full_dimensional_subcomplex,
                                    maximal_independent_sets, parse_complex,
@@ -100,6 +101,42 @@ def test_f_vector_matches_bruteforce_on_random_complexes():
         cx = SimplicialComplex(facets)
         faces = bf.faces_from_facets(cx.facet_labels())
         assert cx.f_vector() == bf.fvector(faces)
+
+
+def test_face_enumerator_and_maximality_filter_against_bruteforce():
+    # random inputs with shuffled labels, duplicate, nested and empty
+    # facets, besides {()}, a single vertex and a non-pure complex
+    rng = random.Random(149)
+    inputs = [[[]], [["a"]], [["a", "b", "c"], ["c", "d"], ["e"]]]
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        verts = [f"v{i}" for i in range(n)]
+        rng.shuffle(verts)
+        facets = [rng.sample(verts, rng.randint(0, n))
+                  for _ in range(rng.randint(1, 5))]
+        facets += [rng.sample(f, rng.randint(0, len(f))) for f in facets[:2]]
+        facets += facets[:1]
+        rng.shuffle(facets)
+        inputs.append(facets)
+    nested = 0
+    for facets in inputs:
+        cx = SimplicialComplex(facets)
+        faces = bf.faces_from_facets(facets)
+        maximal = [f for f in faces if not any(set(f) < set(g) for g in faces)]
+        assert {frozenset(f) for f in cx.facet_labels()} == set(map(frozenset, maximal))
+        nested += len(maximal) < len({frozenset(f) for f in facets})
+        position = {v: i for i, v in enumerate(cx.vertices)}
+        assert cx.facet_labels() == sorted(
+            cx.facet_labels(), key=lambda f: [position[v] for v in f]), facets
+        for k in range(-1, cx.dim + 1):
+            masks = cx.faces(k)
+            assert list(masks) == sorted(set(masks)), facets
+            assert {frozenset(cx.labels(m)) for m in masks} == {
+                frozenset(f) for f in faces if len(f) == k + 1}, facets
+        # the enumerator reads any facet list, maximal or not
+        given = [sum(1 << position[v] for v in set(f)) for f in facets]
+        assert _face_levels(given) == [cx.faces(k) for k in range(-1, cx.dim + 1)]
+    assert nested > 100
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +278,10 @@ def test_minimal_nonfaces_match_the_subset_oracle_in_order():
             [rng.sample(verts, rng.randint(1, min(n, 5)))
              for _ in range(rng.randint(1, 6))]))
     for cx in cases:
-        assert cx.minimal_nonfaces() == bf.minimal_nonfaces(
-            range(len(cx.vertices)), bf.faces_from_facets(cx.facets))
+        assert [tuple(_bits(m)) for m in cx.minimal_nonfaces()] == bf.minimal_nonfaces(
+            range(len(cx.vertices)), bf.faces_from_facets(map(_bits, cx.facets)))
     rp2 = projective_plane().minimal_nonfaces()
-    assert len(rp2) == 10 and all(len(c) == 3 for c in rp2)
+    assert len(rp2) == 10 and all(c.bit_count() == 3 for c in rp2)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +453,7 @@ def test_skeleton_masks_are_the_edges_of_the_faces():
         cx = SimplicialComplex([rng.sample(verts, rng.randint(1, n))
                                 for _ in range(rng.randint(1, 6))])
         n = len(cx.vertices)
-        seen = _skeleton([sum(1 << v for v in f) for f in cx.facets], n)
+        seen = _skeleton(cx.facets, n)
         edges = {frozenset(e) for e in bf.faces_from_facets(cx.facet_labels())
                  if len(e) == 2}
         assert len(seen) == n
@@ -425,7 +462,7 @@ def test_skeleton_masks_are_the_edges_of_the_faces():
             for w in range(n):
                 if w != u:
                     assert bool(seen[u] >> w & 1) == (
-                        frozenset(cx.labels((u, w))) in edges), cx
+                        frozenset(cx.labels(1 << u | 1 << w)) in edges), cx
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,17 @@ def _random_complex(rng, max_vertices):
     return SimplicialComplex(facets)
 
 
+def _levels(cx):
+    """The faces of ``cx`` by size, as the ranker takes them."""
+    return tuple(cx.faces(k) for k in range(-1, cx.dim + 1))
+
+
+def _facets_of(levels):
+    """The maximal faces among the face levels ``levels``."""
+    faces = [f for level in levels for f in level]
+    return {f for f in faces if not any(f & g == f != g for g in faces)}
+
+
 # ---------------------------------------------------------------------------
 # boundary ranks
 # ---------------------------------------------------------------------------
@@ -49,14 +60,18 @@ def test_boundary_of_boundary_is_zero():
     rng = random.Random(17)
     for _ in range(15):
         cx = _random_complex(rng, 6)
+
+        def faces(k):
+            return [tuple(homology._bits(f)) for f in cx.faces(k)]
+
         for i in range(1, cx.dim + 1):
-            below = {f: k for k, f in enumerate(cx.faces(i - 1))}
-            above = {f: k for k, f in enumerate(cx.faces(i))}
+            below = {f: k for k, f in enumerate(faces(i - 1))}
+            above = {f: k for k, f in enumerate(faces(i))}
             # compose two boundary maps entrywise and check they cancel
             if i == 1:
                 continue
-            below2 = {f: k for k, f in enumerate(cx.faces(i - 2))}
-            for face in cx.faces(i):
+            below2 = {f: k for k, f in enumerate(faces(i - 2))}
+            for face in faces(i):
                 total = {}
                 for pos in range(len(face)):
                     sub = face[:pos] + face[pos + 1:]
@@ -210,7 +225,7 @@ def test_projective_plane_is_rationally_trivial_and_cm():
 def _exact_scan(cx, monkeypatch):
     """cm_report and the violation with every boundary ranked over Q."""
     with monkeypatch.context() as m:
-        m.setattr(homology, "_gf2_boundary_rank", boundary_rank)
+        m.setattr(homology, "_gf2_boundary_rank", homology._q_boundary_rank)
         return cm_report(cx), is_cohen_macaulay(cx)[1]
 
 
@@ -250,12 +265,13 @@ def test_torsion_sends_only_the_projective_planes_to_q(monkeypatch):
     suspension = join(rp2, SimplicialComplex([["n"], ["s"]]))
     assert tuple(reduced_betti(suspension)) == (0, 0, 0, 0, 0)
     ranked_over_q = []
+    rank = homology._q_boundary_rank
 
-    def counting(delta, i):
-        ranked_over_q.append((delta, i))
-        return boundary_rank(delta, i)
+    def counting(levels, i):
+        ranked_over_q.append((tuple(levels), i))
+        return rank(levels, i)
 
-    monkeypatch.setattr(homology, "boundary_rank", counting)
+    monkeypatch.setattr(homology, "_q_boundary_rank", counting)
     # every other link is a circle, a suspended circle or a set of points;
     # the suspension RP^2 * S^0 is one join factor (its non-edge graph has
     # the component {n, s}, but not the facet count of a join of its
@@ -265,7 +281,7 @@ def test_torsion_sends_only_the_projective_planes_to_q(monkeypatch):
         ranked_over_q.clear()
         ok, violation = is_cohen_macaulay(cx)
         assert ok and violation is None
-        assert ranked_over_q == [(delta, i) for delta in expected
+        assert ranked_over_q == [(_levels(delta), i) for delta in expected
                                  for i in range(delta.dim + 1)]
     assert suspension.link(["n"]) == suspension.link(["s"]) == rp2
 
@@ -323,7 +339,7 @@ def test_scan_visits_each_face_once_in_order(monkeypatch):
     assert len(randoms) > 20
     for cx in randoms + chains:
         order = [()] + [cx.labels(f) for k in range(cx.dim - 1)
-                        for f in cx.faces(k)]
+                        for f in sorted(cx.faces(k), key=homology._bits)]
         for n, face in enumerate(order, start=1):
             calls.clear()
             ok, violation = is_cohen_macaulay(cx)
@@ -341,20 +357,34 @@ def test_scan_visits_each_face_once_in_order(monkeypatch):
 
 def test_cm_scan_never_expands_the_complex(monkeypatch):
     # three pentagons and two pendant edges, the shape of the benchmark's
-    # pg_chain(3, 2), read back from its file text
+    # pg_chain(3, 2), read back from its file text, takes the flag scan; a
+    # peeled shelling takes the general one
     graph = pendant_cycle_chain(random.Random(11), 3, 2)
-    delta = parse_complex(independence_complex(graph).to_file_text())
-    expanded = []
-    faces = SimplicialComplex.faces
+    flag = parse_complex(independence_complex(graph).to_file_text())
+    general = _peeled_shelling()
+    assert _flag_graph_of(flag) is not None and _flag_graph_of(general) is None
+    built, expanded, ranked = [], [], []
+    init, faces = SimplicialComplex.__init__, SimplicialComplex.faces
+    betti = homology._betti
 
-    def recording(self, k):
-        expanded.append(self is delta)
+    def building(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def expanding(self, k):
+        expanded.append(k)
         return faces(self, k)
 
-    monkeypatch.setattr(SimplicialComplex, "faces", recording)
-    assert cm_report(delta)["cm"]
-    # the factors of the link cores are still built and expanded
-    assert expanded and not any(expanded)
+    monkeypatch.setattr(SimplicialComplex, "__init__", building)
+    monkeypatch.setattr(SimplicialComplex, "faces", expanding)
+    monkeypatch.setattr(homology, "_betti",
+                        lambda levels: ranked.append(levels) or betti(levels))
+    for delta in (flag, general):
+        ranked.clear()
+        assert cm_report(delta)["cm"]
+        # every factor is ranked from its facet masks: no complex is built
+        # inside the scan, and no complex's faces are expanded
+        assert ranked and built == [] and expanded == [], delta
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +438,6 @@ def test_collapsed_scan_agrees_with_the_face_by_face_scan():
     assert seen_cm > 100 and seen_not > 100
 
 
-def _masks(cx):
-    return frozenset(sum(1 << v for v in f) for f in cx.facets)
-
-
 def test_strong_core_keeps_the_reduced_homology():
     rng = random.Random(79)
     cases = [_random_complex(rng, 6) for _ in range(150)]
@@ -419,8 +445,7 @@ def test_strong_core_keeps_the_reduced_homology():
     cases += [projective_plane(), SimplicialComplex([[]])] + _chains(81, 2)
     collapsed = 0
     for cx in cases:
-        core = [cx.labels(homology._bits(f))
-                for f in homology._strong_core(_masks(cx))]
+        core = [cx.labels(f) for f in homology._strong_core(cx.facets)]
         assert {frozenset(f) for f in core} == bf.strong_core(
             cx.facet_labels(), cx.vertices), cx
         assert bf.dominated(core) == [], cx
@@ -453,19 +478,22 @@ def _shape(facets, order):
 def test_each_distinct_factor_is_ranked_once(monkeypatch):
     cx = independence_complex(pendant_cycle_chain(random.Random(5), 2, 1))
     order = list(cx.vertices)
-    visited = [()] + [f for k in range(cx.dim - 1) for f in cx.faces(k)]
+    visited = [0] + [f for k in range(cx.dim - 1) for f in cx.faces(k)]
     links = {cx.link(cx.labels(f)) for f in visited}
     cores = {bf.strong_core(lk.facet_labels(), order) for lk in links}
     factors = [factor for core in cores if len(core) > 1
                for factor in _join_factors(core, order)]
     expected = {_shape(f, order) for f in factors}
     ranked = []
+    betti = homology._betti
 
-    def counting(delta):
-        ranked.append(_shape(delta.facet_labels(), order))
-        return reduced_betti(delta)
+    def counting(levels):
+        # a factor's vertices are relabelled in order onto 0, 1, ...
+        ranked.append(frozenset(frozenset(homology._bits(f))
+                                for f in _facets_of(levels)))
+        return betti(levels)
 
-    monkeypatch.setattr(homology, "reduced_betti", counting)
+    monkeypatch.setattr(homology, "_betti", counting)
     assert cm_report(cx)["cm"]
     assert len(ranked) == len(set(ranked)) == len(expected)
     assert set(ranked) == expected
@@ -475,8 +503,7 @@ def test_each_distinct_factor_is_ranked_once(monkeypatch):
 
 def test_non_edge_components_split_only_when_the_facets_count():
     def parts(cx):
-        return {cx.labels(homology._bits(p))
-                for p in homology._join_parts(_masks(cx))}
+        return {cx.labels(p) for p in homology._join_parts(cx.facets)}
 
     hollow = SimplicialComplex([["a", "b"], ["b", "c"], ["a", "c"]])
     rp2 = projective_plane()
@@ -499,13 +526,13 @@ def test_non_edge_components_split_only_when_the_facets_count():
     rng = random.Random(89)
     cases = [_random_complex(rng, 6) for _ in range(200)]
     small = [cx for n in range(1, 4) for cx in all_complexes_on(n)
-             if len(homology._strong_core(_masks(cx))) > 1]
+             if len(homology._strong_core(cx.facets)) > 1]
     cases += [join(SimplicialComplex([["a" + v for v in f] for f in a.facet_labels()]),
                    SimplicialComplex([["b" + v for v in f] for f in b.facet_labels()]))
               for a in small for b in small]
     split = 0
     for cx in cases:
-        core = homology._strong_core(_masks(cx))
+        core = homology._strong_core(cx.facets)
         masks = homology._join_parts(core)
         assert sum(masks) == reduce(or_, masks) == reduce(or_, core), cx
         product = {reduce(or_, pick) for pick in itertools.product(
@@ -554,8 +581,7 @@ _THETA = SimplicialComplex([["a", "b"], ["b", "c"], ["a", "c"],
 
 
 def _flag_graph_of(cx):
-    return homology._flag_graph(
-        tuple(sorted(sum(1 << v for v in f) for f in cx.facets)), len(cx.vertices))
+    return homology._flag_graph(tuple(sorted(cx.facets)), len(cx.vertices))
 
 
 def _must_not_run(*args):
@@ -614,7 +640,7 @@ def _non_edge_graph(cx):
     """Neighbour masks of the vertex pairs that share no facet."""
     nb = [0] * len(cx.vertices)
     for a, b in itertools.combinations(range(len(cx.vertices)), 2):
-        if not any(a in f and b in f for f in cx.facets):
+        if not any(f >> a & f >> b & 1 for f in cx.facets):
             nb[a] |= 1 << b
             nb[b] |= 1 << a
     return nb
@@ -637,7 +663,7 @@ def test_flag_certificate_stops_at_the_first_non_facet(monkeypatch):
         assert _flag_graph_of(cx) is None
         ((nb, within, facets),) = searched
         assert nb == _non_edge_graph(cx)
-        assert facets == {sum(1 << v for v in f) for f in cx.facets}
+        assert facets == set(cx.facets)
         every = search(nb, within)
         outside = [m for m in every if m not in facets]
         assert search(nb, within, facets) == outside[:1]
@@ -653,7 +679,7 @@ def test_flag_certificate_stops_at_the_first_non_facet(monkeypatch):
 
 def _induced_masks(cx, verts):
     """Facets of the subcomplex of ``cx`` induced on the vertex mask."""
-    cut = {sum(1 << v for v in f) & verts for f in cx.facets}
+    cut = {f & verts for f in cx.facets}
     return frozenset(f for f in cut if not any(f & g == f != g for g in cut))
 
 
@@ -671,14 +697,14 @@ def test_fold_core_is_the_strong_core():
         ind = _induced_masks(cx, verts)
         core = homology._fold(nb, verts)
         assert _induced_masks(cx, core) == homology._strong_core(ind), (g, verts)
-        assert {frozenset(cx.labels(homology._bits(f)))
+        assert {frozenset(cx.labels(f))
                 for f in _induced_masks(cx, core)} == bf.strong_core(
-            [cx.labels(homology._bits(f)) for f in ind], cx.vertices), (g, verts)
+            [cx.labels(f) for f in ind], cx.vertices), (g, verts)
         folded += core != verts
         for part in (verts, core):
             parts = homology._components(nb, part)
-            sub = g.subgraph(cx.labels(homology._bits(part)))
-            assert [cx.labels(homology._bits(p)) for p in parts] == [
+            sub = g.subgraph(cx.labels(part))
+            assert [cx.labels(p) for p in parts] == [
                 tuple(c) for c in sub.components()], (g, part)
             split += len(parts) > 1
     assert folded > 100 and split > 100
@@ -690,15 +716,15 @@ def test_flag_scan_ranks_a_whole_factor_as_the_complex_itself(monkeypatch):
     # complex is built before the scan stops there
     cx = independence_complex(exceptional_catalog()["P13"])
     ranked, built = [], []
-    init = SimplicialComplex.__init__
+    init, betti = SimplicialComplex.__init__, homology._betti
 
     def recording(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(homology, "reduced_betti",
-                        lambda delta: ranked.append(delta) or reduced_betti(delta))
+    monkeypatch.setattr(homology, "_betti",
+                        lambda levels: ranked.append(tuple(levels)) or betti(levels))
     monkeypatch.setattr(SimplicialComplex, "__init__", recording)
     ok, violation = is_cohen_macaulay(cx)
     assert not ok and violation.face == ()
-    assert len(ranked) == 1 and ranked[0] is cx and built == []
+    assert ranked == [_levels(cx)] and built == []

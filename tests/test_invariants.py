@@ -21,7 +21,7 @@ from facebalance.classify import (PGDecomposition, classify_girth5,
 from facebalance.cli import main
 from facebalance.complexes import (Graph, SimplicialComplex, VerificationError,
                                    independence_complex)
-from facebalance.homology import BettiProfile, is_cohen_macaulay, reduced_betti
+from facebalance.homology import is_cohen_macaulay, reduced_betti
 from facebalance.polynomials import (Multicomplex, Specialization,
                                      standard_monomial_basis)
 from facebalance.samples import pg_sample_graph
@@ -62,17 +62,16 @@ def test_negative_betti_number(monkeypatch):
     # an over-reported rank could hide homology; two disjoint edges have
     # b_0 = 1 below the top over GF(2), so they are ranked again over Q,
     # where a rank of 3 in degree 1 leaves b_1 = 2 - 3 - 0 = -1
-    real = homology.boundary_rank
-    monkeypatch.setattr(homology, "boundary_rank",
-                        lambda cx, i: 3 if i == 1 else real(cx, i))
+    real = homology._q_boundary_rank
+    monkeypatch.setattr(homology, "_q_boundary_rank",
+                        lambda levels, i: 3 if i == 1 else real(levels, i))
     two_edges = SimplicialComplex([["a", "b"], ["c", "d"]])
     with pytest.raises(VerificationError, match="negative Betti number"):
         reduced_betti(two_edges)
 
 
 def test_non_pure_complex_slipping_past_link_vanishing(monkeypatch):
-    monkeypatch.setattr(homology, "reduced_betti",
-                        lambda cx: BettiProfile((0,) * (cx.dim + 2)))
+    monkeypatch.setattr(homology, "_betti", lambda levels: (0,) * len(levels))
     with pytest.raises(VerificationError, match="non-pure"):
         is_cohen_macaulay(SimplicialComplex([["a", "b"], ["c"]]))
 
