@@ -5,8 +5,7 @@ from .complexes import (ComplexError, Graph, SimplicialComplex, VerificationErro
                         clique_complex, convolve, f_from_h, h_from_f,
                         independence_complex, is_full_dimensional_subcomplex,
                         maximal_independent_sets, parse_complex, parse_graph)
-from .homology import (BettiProfile, CMViolation, cm_report, is_cohen_macaulay,
-                       reduced_betti)
+from .homology import CMViolation, cm_report, is_cohen_macaulay, reduced_betti
 from .polynomials import (LinearAutomorphism, Multicomplex, Specialization,
                           StandardBasisOverflow, TermOrder,
                           specialization_stream, standard_monomial_basis)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import (ComplexError, Graph, SimplicialComplex,
-                        VerificationError, _bits, maximal_independent_sets)
+                        VerificationError, _bits, _maximal_independent_masks,
+                        maximal_independent_sets)
 
 INFINITE = math.inf
 
@@ -264,7 +265,8 @@ def classify_girth5(g: Graph) -> Verdict:
         raise ComplexError("classification needs a connected graph")
     if girth(g) < 5:
         return Verdict("GirthTooSmall")
-    sizes = {len(s) for s in maximal_independent_sets(g)}
+    full = (1 << len(g.vertices)) - 1
+    sizes = {m.bit_count() for m in _maximal_independent_masks(g.nb, full)}
     if len(sizes) != 1:
         return Verdict("NotWellCovered")
     (size,) = sizes

@@ -226,7 +226,7 @@ def cmd_golden(args):
     record("flag_sphere_h", sphere.h_vector() == (1, 7, 7, 1))
     cmS, _ = is_cohen_macaulay(sphere)
     record("flag_sphere_cm", cmS)
-    record("flag_sphere_betti", tuple(reduced_betti(sphere)) == (0, 0, 0, 1))
+    record("flag_sphere_betti", reduced_betti(sphere) == (0, 0, 0, 1))
     # a closed odd walk needs 3 colours and a hub adjacent to all of it a
     # fourth: re-check the pinned wheel on the sphere's 1-skeleton
     hub, rim = odd_wheel()

@@ -29,29 +29,13 @@ from .linalg import gf2_rank, sparse_rank
 
 
 @dataclass(frozen=True)
-class BettiProfile:
-    """Reduced Betti numbers ``(b_-1, b_0, ..., b_dim)`` over the rationals."""
-
-    entries: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries) - 2
-
-    def degree(self, i: int) -> int:
-        return self.entries[i + 1]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-@dataclass(frozen=True)
 class CMViolation:
-    """A face whose link has homology below its top dimension."""
+    """A face whose link has homology below its top dimension; the link's
+    reduced Betti numbers are the tuple ``(b_-1, b_0, ..., b_dim)``."""
 
     face: tuple[str, ...]
     degree: int
-    link_betti: BettiProfile
+    link_betti: tuple[int, ...]
 
     def to_json_obj(self) -> dict:
         return {"face": list(self.face), "degree": self.degree}
@@ -113,14 +97,16 @@ def boundary_rank(delta: SimplicialComplex, i: int) -> int:
     return _q_boundary_rank([delta.faces(k) for k in range(-1, i + 1)], i)
 
 
-def reduced_betti(delta: SimplicialComplex) -> BettiProfile:
-    """Reduced rational Betti numbers of the complex (see :func:`_betti`)."""
-    return BettiProfile(_betti([delta.faces(k) for k in range(-1, delta.dim + 1)]))
+def reduced_betti(delta: SimplicialComplex) -> tuple[int, ...]:
+    """Reduced rational Betti numbers ``(b_-1, b_0, ..., b_dim)`` of the
+    complex (see :func:`_betti`)."""
+    return _betti([delta.faces(k) for k in range(-1, delta.dim + 1)])
 
 
-def _first_gap(betti: BettiProfile) -> Optional[int]:
-    """Lowest degree below the top with nonzero reduced homology."""
-    return next((i for i in range(-1, betti.dim) if betti.degree(i)), None)
+def _first_gap(entries: tuple[int, ...]) -> Optional[int]:
+    """Lowest degree below the top with nonzero reduced homology, given the
+    Betti numbers ``(b_-1, ..., b_dim)``: entry ``i`` is degree ``i - 1``."""
+    return next((i - 1 for i in range(len(entries) - 1) if entries[i]), None)
 
 
 def _strong_core(facets: Iterable[int]) -> frozenset[int]:
@@ -175,7 +161,7 @@ def _join_parts(core: frozenset[int]) -> list[int]:
 
 def _join_betti(parts: list[int], size: int, rows, facets_of,
                 factors: dict[tuple[int, ...], tuple[int, ...]]
-                ) -> BettiProfile:
+                ) -> tuple[int, ...]:
     """Reduced Betti numbers, ``size`` entries from b_-1, of a core that is
     the join of factors on the vertex masks ``parts``.
 
@@ -197,12 +183,12 @@ def _join_betti(parts: list[int], size: int, rows, facets_of,
         if key not in factors:
             factors[key] = _betti(_face_levels(facets_of(key)))
         entries = convolve(entries, factors[key])
-    return BettiProfile(entries + (0,) * (size - len(entries)))
+    return entries + (0,) * (size - len(entries))
 
 
 def _collapsed_betti(link: tuple[int, ...],
                      factors: dict[tuple[int, ...], tuple[int, ...]]
-                     ) -> BettiProfile:
+                     ) -> tuple[int, ...]:
     """Reduced Betti numbers of the complex with facets ``link``
     (bitmasks), ranked on the join factors of its strong-collapse core by
     ``_join_betti``.
@@ -214,7 +200,7 @@ def _collapsed_betti(link: tuple[int, ...],
     core = _strong_core(link)
     size = max(map(int.bit_count, link)) + 1  # entries b_-1 .. b_dim
     if len(core) == 1 and 0 not in core:
-        return BettiProfile((0,) * size)
+        return (0,) * size
     return _join_betti(_join_parts(core), size,
                        lambda part, pos: sorted({f & part for f in core}),
                        lambda key: key, factors)
@@ -278,7 +264,7 @@ def _fold(nb: list[int], verts: int) -> int:
 
 def _folded_betti(nb: list[int], verts: int, size: int,
                   factors: dict[tuple[int, ...], tuple[int, ...]]
-                  ) -> BettiProfile:
+                  ) -> tuple[int, ...]:
     """Reduced Betti numbers, ``size`` entries from b_-1, of Ind(G[verts])
     for the graph G with neighbour masks ``nb``, ranked on the join factors
     of its fold core by ``_join_betti``.
@@ -291,7 +277,7 @@ def _folded_betti(nb: list[int], verts: int, size: int,
     """
     core = _fold(nb, verts)
     if core and not core & (core - 1):
-        return BettiProfile((0,) * size)
+        return (0,) * size
     return _join_betti(_components(nb, core), size,
                        lambda part, pos: [nb[v] for v in pos],
                        lambda key: _maximal_independent_masks(key, (1 << len(key)) - 1),
@@ -299,7 +285,7 @@ def _folded_betti(nb: list[int], verts: int, size: int,
 
 
 def _link_vanishing(delta: SimplicialComplex
-                    ) -> tuple[BettiProfile, Optional[CMViolation]]:
+                    ) -> tuple[tuple[int, ...], Optional[CMViolation]]:
     """Global Betti numbers and the first face whose link fails to vanish.
 
     Faces are visited the empty one first, then by dimension and
@@ -337,7 +323,7 @@ def _link_vanishing(delta: SimplicialComplex
     if nb is None:
         root: object = facets
 
-        def rank(t: int, link: tuple[int, ...]) -> BettiProfile:
+        def rank(t: int, link: tuple[int, ...]) -> tuple[int, ...]:
             return _collapsed_betti(link, factors)
 
         def children(t: int, link: tuple[int, ...]) -> list:
@@ -347,7 +333,7 @@ def _link_vanishing(delta: SimplicialComplex
     else:
         root = (1 << n) - 1
 
-        def rank(t: int, link: int) -> BettiProfile:
+        def rank(t: int, link: int) -> tuple[int, ...]:
             return _folded_betti(nb, link, delta.dim - t.bit_count() + 2, factors)
 
         def children(t: int, link: int) -> list:

@@ -290,14 +290,15 @@ def _pivot_ranks(poly_gens: Sequence[dict], levels: list[list[int]],
 
 
 def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
-                            ) -> tuple[set, set]:
-    """``(pivots, standard)``: the degree-``degree`` monomials that no
-    monomial generator divides, split by whether each one leads a row of the
-    reduced span of the other generators' monomial multiples.
+                            ) -> tuple[int, set]:
+    """``(rank, standard)`` of the degree-``degree`` monomials that no
+    monomial generator divides: ``rank`` of them lead a row of the reduced
+    span of the other generators' monomial multiples, and ``standard`` are
+    the rest.
 
     The leading monomials of the ideal's degree-``degree`` piece are the
-    divided monomials and ``pivots``, the pivot columns under the descending
-    revlex column order; the divided ones are never listed.  ``standard`` is
+    divided monomials and the pivot columns under the descending revlex
+    column order, ``rank`` of them; neither kind is listed.  ``standard`` is
     the degree's share of the standard monomial basis:
     :func:`standard_monomial_basis` calls this once per degree and reads
     ``result[1]``, as does ``bench/tracer.py``, whose count ``bench/run.py``
@@ -326,7 +327,7 @@ def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
     larger than m, and rows whose multiplier a monomial generator divides,
     which are 0.  By induction on i, then on m from the largest packed
     down, every skipped row is in the span of the kept ones.  The pivot
-    set depends only on the span, so (pivots, standard) is unchanged.
+    set depends only on the span, so (rank, standard) is unchanged.
     With j = i the identity would use m g_i itself.
     """
     mono_gens: list[Monomial] = []
@@ -349,11 +350,9 @@ def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
     levels = _uncovered_levels(mono_gens, n, width, degree)
     pivot_ranks = _pivot_ranks(poly_gens, levels, width)
     mask = (1 << width) - 1
-    pivots, standard = set(), set()
-    for r, m in enumerate(levels[degree]):
-        (pivots if r in pivot_ranks else standard).add(
-            tuple(m >> (i * width) & mask for i in range(n)))
-    return pivots, standard
+    standard = {tuple(m >> (i * width) & mask for i in range(n))
+                for r, m in enumerate(levels[degree]) if r not in pivot_ranks}
+    return len(pivot_ranks), standard
 
 
 # ---------------------------------------------------------------------------

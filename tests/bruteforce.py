@@ -156,15 +156,18 @@ def is_cm(faces) -> bool:
     return True
 
 
+def first_gap(b):
+    """Lowest degree ``i`` below the top, ``dim = len(b) - 2``, with
+    ``b_i = b[i + 1]`` nonzero, or None."""
+    return next((i for i in range(-1, len(b) - 2) if b[i + 1]), None)
+
+
 def link_vanishing_scan(delta):
     """``(global Betti numbers, first violation or None)`` with every link
     built by ``SimplicialComplex.link`` and ranked by ``reduced_betti``, one
     visited face at a time: the empty face, then the faces of dimension at
     most ``dim - 2`` by dimension and lexicographic order of their vertex
     positions."""
-    def first_gap(b):
-        return next((i for i in range(-1, b.dim) if b.degree(i)), None)
-
     betti = reduced_betti(delta)
     degree = first_gap(betti)
     if degree is not None:

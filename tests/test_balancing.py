@@ -163,8 +163,11 @@ def test_near_bipartite_block_squares_lead():
     for nu in stanley_reisner_generators(pentagon, order):
         gens.append(apply_automorphism(pair.matrix, {nu: Fraction(1)}))
     result = initial_ideal_by_degree(gens, order, 2)
+    # a pivot is an undivided monomial that is not standard
+    undivided = bf.undivided_monomials(gens, order.n, 2)
     for v in order.free():
-        assert order.monomial_of((v, v)) in result[0]
+        square = order.monomial_of((v, v))
+        assert square in undivided and square not in result[1]
     check_sweep(result, gens, order, 2)
 
 

@@ -387,14 +387,14 @@ def test_embed_finds_beta_one_component_at_a_time(monkeypatch):
     # beta over the whole graph would enumerate the product of the
     # components' maximal independent sets: 11^8 for eight pentagons
     import facebalance.classify as classify
-    from facebalance.complexes import maximal_independent_sets
+    from facebalance.complexes import _components, _maximal_independent_masks
 
-    def connected_only(g):
-        if not g.is_connected():
+    def connected_only(nb, within, among=None):
+        if len(_components(nb, within)) != 1:
             pytest.fail("maximal independent sets of a disconnected graph")
-        return maximal_independent_sets(g)
+        return _maximal_independent_masks(nb, within, among)
 
-    monkeypatch.setattr(classify, "maximal_independent_sets", connected_only)
+    monkeypatch.setattr(classify, "_maximal_independent_masks", connected_only)
     g = disjoint_union(*(cycle_graph(5, f"c{k}_") for k in range(8)))
     cover, cert = embed_in_join(g)
     assert len(cover) == 8

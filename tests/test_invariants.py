@@ -86,11 +86,11 @@ def test_standard_set_missing_a_divisor(monkeypatch):
     real = polynomials.initial_ideal_by_degree
 
     def dropping(gens, order, degree):
-        pivots, standard = real(gens, order, degree)
+        rank, standard = real(gens, order, degree)
         if degree == 1:
             (top,) = real(gens, order, 2)[1]  # h_2 = 1
             standard = {m for m in standard if not bf.monomial_divides(m, top)}
-        return pivots, standard
+        return rank, standard
 
     monkeypatch.setattr(polynomials, "initial_ideal_by_degree", dropping)
     with pytest.raises(VerificationError, match="divisibility-closed"):
