@@ -23,7 +23,7 @@ from .complexes import (ComplexError, Graph, SimplicialComplex,
                         VerificationError, _bits, h_from_f,
                         is_full_dimensional_subcomplex, is_proper)
 from .homology import is_cohen_macaulay
-from .linalg import bareiss_rank, invert
+from .linalg import integer_row, invert, sparse_rank
 from .polynomials import (DEFAULT_SEED, LinearAutomorphism, Multicomplex,
                           Specialization, StandardBasisOverflow, TermOrder,
                           specialization_stream, standard_monomial_basis)
@@ -61,15 +61,17 @@ def kind_kleinschmidt(delta: SimplicialComplex, pair: BalancingPair
 
     For every facet, the rows of the inverse matrix indexed by its vertices,
     restricted to the last ``d`` columns, must have rank equal to the facet
-    size.  Returns the first failing facet in lexicographic order of its
-    vertex positions, if any.
+    size.  Each vertex's tail row is cleared to integers once.  Returns the
+    first failing facet in lexicographic order of its vertex positions, if
+    any.
     """
-    ginv = pair.matrix.inverse()
-    n, d = pair.order.n, pair.order.d
+    tail_start = pair.order.n - pair.order.d
+    tail = {v: integer_row(dict(enumerate(row[tail_start:])))
+            for v, row in zip(pair.order.variables,
+                              pair.matrix.inverse().matrix)}
     for facet in sorted(delta.facets, key=_bits):
         labels = delta.labels(facet)
-        rows = [ginv.matrix[pair.order.index(v)][n - d:] for v in labels]
-        if bareiss_rank(rows) != len(labels):
+        if sparse_rank(tail[v] for v in labels) != len(labels):
             return False, labels
     return True, None
 
@@ -164,21 +166,12 @@ def compose_pairs(p1: BalancingPair, p2: BalancingPair) -> BalancingPair:
             raise CoverError("twist matrix is not in the block shape")
     merged = (p1.order.free() + p2.order.free() + p1.order.tail() + p2.order.tail())
     order = TermOrder(merged, p1.order.d + p2.order.d)
-    source = {}
-    for p in (p1, p2):
-        for v in p.order.variables:
-            source[v] = p
-    n = len(merged)
-    rows = []
-    for vi in merged:
-        row = []
-        for vj in merged:
-            if source[vi] is source[vj]:
-                p = source[vi]
-                row.append(p.matrix.matrix[p.order.index(vi)][p.order.index(vj)])
-            else:
-                row.append(Fraction(0))
-        rows.append(tuple(row))
+    position = {v: (p, i) for p in (p1, p2)
+                for i, v in enumerate(p.order.variables)}
+    cells = [position[v] for v in merged]
+    zero = Fraction(0)
+    rows = [tuple(p.matrix.matrix[i][j] if p is q else zero
+                  for q, j in cells) for p, i in cells]
     g = LinearAutomorphism(merged, tuple(rows))
     return BalancingPair(order, g, p1.blocks + p2.blocks)
 

@@ -43,7 +43,7 @@ def _load(path: str) -> tuple[str, str]:
 
 def _report(args, inputs: dict, results: dict, checks=None):
     report = {"command": args.echo, "inputs": inputs,
-              "seed": getattr(args, "seed", DEFAULT_SEED), "results": results}
+              "seed": args.seed, "results": results}
     if checks is None:
         return report, 0
     report["checks"] = checks

@@ -387,7 +387,7 @@ class Graph:
         self.nb = tuple(nb)
 
     def labels(self, idxs: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.vertices[i] for i in idxs)
+        return tuple([self.vertices[i] for i in idxs])
 
     def edge_labels(self) -> list[tuple[str, str]]:
         return [self.labels(e) for e in sorted(self.edges)]

@@ -5,8 +5,8 @@ Every rational rank and pivot set comes from one elimination,
 reduced by cross-multiplication followed by content stripping
 (fraction-free, so no rational blow-up occurs).  A dense rational matrix is
 ranked by clearing each row to integers with :func:`integer_row` and feeding
-it to the same elimination.  The dense inverse is Gauss-Jordan over
-Fractions, one connected block of the matrix's nonzero pattern at a time.
+it to the same elimination, and the dense inverse is read off the same
+elimination of ``[A | I]``, back-substituted to a diagonal left half.
 :func:`gf2_rank` is the one elimination over another field: it ranks
 bitmask rows over GF(2) by XOR.
 """
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-from .complexes import _components
 
 
 def _strip_content(row: dict) -> dict:
@@ -40,56 +38,50 @@ def integer_row(row: dict) -> dict:
 def bareiss_rank(rows) -> int:
     """Exact rank of a dense matrix given as an iterable of rows of rationals.
 
-    Each row is cleared to integers and ranked by :func:`sparse_rank`.  The
-    name is kept because the benchmark's tracer (``bench/tracer.py``) wraps
-    it by name.
+    Each row is cleared to integers and ranked by :func:`sparse_rank`.  No
+    code of the package calls it; the name is kept because the benchmark's
+    tracer (``bench/tracer.py``) wraps it by name.
     """
     return sparse_rank(integer_row(dict(enumerate(r))) for r in rows)
 
 
-def _gauss_jordan(rows) -> list[list[Fraction]]:
-    """Gauss-Jordan inverse over Fractions; ValueError if singular."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv_p = 1 / aug[c][c]
-        aug[c] = [x * inv_p for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+def _cross(row: dict, piv: dict, c) -> dict:
+    """``row`` with column ``c`` cleared by the pivot row ``piv``:
+    cross-multiplied, then content-stripped."""
+    a, b = piv[c], row[c]
+    new = {}
+    for k in row.keys() | piv.keys():
+        val = a * row.get(k, 0) - b * piv.get(k, 0)
+        if val:
+            new[k] = val
+    return _strip_content(new)
 
 
 def invert(rows):
     """Exact inverse as a tuple of tuples of Fractions.
 
-    Permuted, the matrix is the block sum of the connected blocks of its
-    symmetric nonzero pattern, so its inverse is the block sum of theirs.
-    Raises ValueError on a non-square or singular input.
+    Row i of ``[A | I]`` is fed to one :class:`SparseEchelon` with the
+    identity half in columns ``n + i``; a pivot there means A is singular.
+    Back-substitution clears each pivot column from the rows of lower lead,
+    so the rows are E·[A | I] = [D | M] with D diagonal: E·A = D and E = M,
+    hence A⁻¹ = D⁻¹M.  Raises ValueError on a non-square or singular input.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("inverse of a non-square matrix")
-    nb = [0] * n
+    ech = SparseEchelon()
     for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x:
-                nb[i] |= 1 << j
-                nb[j] |= 1 << i
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for part in _components(nb, (1 << n) - 1):
-        block = [i for i in range(n) if part >> i & 1]
-        inverse = _gauss_jordan([[rows[i][j] for j in block] for i in block])
-        for i, inv_row in zip(block, inverse):
-            for j, x in zip(block, inv_row):
-                out[i][j] = x
-    return tuple(tuple(row) for row in out)
+        ech.add_row(integer_row({**dict(enumerate(row)), n + i: 1}))
+    pivots = ech.pivots
+    if any(c >= n for c in pivots):
+        raise ValueError("matrix is singular")
+    for c in range(n - 1, 0, -1):
+        piv = pivots[c]
+        for r in range(c):
+            if c in pivots[r]:
+                pivots[r] = _cross(pivots[r], piv, c)
+    return tuple(tuple(Fraction(pivots[i].get(n + j, 0), pivots[i][i])
+                       for j in range(n)) for i in range(n))
 
 
 class SparseEchelon:
@@ -112,6 +104,7 @@ class SparseEchelon:
             if piv is None:
                 self.pivots[lead] = row
                 return True
+            # the step of _cross, inlined: this is the hottest loop of balance
             a, b = piv[lead], row[lead]
             new = {}
             for c in row.keys() | piv.keys():

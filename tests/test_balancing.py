@@ -68,9 +68,9 @@ def test_kind_kleinschmidt_identity_cases():
 
 
 def test_kind_kleinschmidt_reports_the_first_failing_facet_in_sorted_order():
-    # twists that are permuted block sums, so the inverse goes block by
-    # block; the facet reported must be the first in sorted facet order
-    # whose tail rows of the dense inverse lose rank
+    # twists that are permuted block sums, as composed twists are; the
+    # facet reported must be the first in sorted facet order whose tail
+    # rows of the dense inverse lose rank
     rng = random.Random(17)
     variables = ("a", "b", "c", "d", "e", "f")
     order = TermOrder(variables, 2)
@@ -241,6 +241,50 @@ def test_compose_points_pairs_order_and_blocks():
     assert pair.order.tail() == ("b", "z")
     assert pair.blocks == (("a",), ("x", "y"))
     assert pair.matrix.is_block_upper_triangular(2)
+
+
+def _random_block_pair(rng, prefix):
+    """A pair on shuffled labels whose twist has random entries, zero on the
+    tail rows against the free columns."""
+    n = rng.randint(1, 5)
+    d = rng.randint(1, n)
+    variables = [f"{prefix}{k}" for k in range(n)]
+    rng.shuffle(variables)
+    matrix = tuple(tuple(Fraction(0) if i >= n - d > j or rng.random() < 0.3
+                         else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         for j in range(n)) for i in range(n))
+    blocks = [[] for _ in range(d)]
+    for v in variables[:n - d]:
+        rng.choice(blocks).append(v)
+    return BalancingPair(TermOrder(tuple(variables), d),
+                         LinearAutomorphism(tuple(variables), matrix),
+                         tuple(tuple(b) for b in blocks))
+
+
+def test_compose_places_each_cell_from_its_own_pair():
+    # the oracle is the cell rule: (u, v) is the owning pair's entry when
+    # both variables are in one pair, and 0 otherwise
+    rng = random.Random(18)
+    for _ in range(100):
+        p1, p2 = _random_block_pair(rng, "a"), _random_block_pair(rng, "b")
+        pair = compose_pairs(p1, p2)
+        merged = pair.order.variables
+        assert merged == (p1.order.free() + p2.order.free()
+                          + p1.order.tail() + p2.order.tail())
+        assert pair.order.d == p1.order.d + p2.order.d
+        assert pair.blocks == p1.blocks + p2.blocks
+        expected = []
+        for u in merged:
+            row = []
+            for v in merged:
+                owner = next((p for p in (p1, p2)
+                              if {u, v} <= set(p.order.variables)), None)
+                row.append(0 if owner is None else owner.matrix.matrix[
+                    owner.order.index(u)][owner.order.index(v)])
+            expected.append(row)
+        assert [list(row) for row in pair.matrix.matrix] == expected
+        assert all(type(x) is Fraction for row in pair.matrix.matrix
+                   for x in row)
 
 
 def test_compose_rejects_label_collisions():

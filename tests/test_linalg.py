@@ -201,11 +201,14 @@ def test_invert_raises_on_a_singular_block():
 
 
 def test_invert_rejects_a_non_square_input_before_any_elimination(monkeypatch):
-    def eliminated(rows):
-        raise AssertionError("a block was eliminated")
+    def fed(echelon, row):
+        raise AssertionError("a row was fed to the elimination")
 
-    monkeypatch.setattr(linalg, "_gauss_jordan", eliminated)
+    monkeypatch.setattr(linalg.SparseEchelon, "add_row", fed)
     for rows in ([[1, 0], [0]], [[1, 0, 0], [0, 1, 0]], [[1], [0, 1]],
                  [[0, 0], [0, 0, 0]]):
         with pytest.raises(ValueError, match="^inverse of a non-square matrix$"):
             invert(rows)
+    # the patch bites: a square input is fed row by row
+    with pytest.raises(AssertionError, match="fed"):
+        invert([[1, 0], [0, 1]])
