@@ -186,6 +186,36 @@ def link_vanishing_scan(delta):
     return betti, None
 
 
+def is_vertex_decomposable(facets) -> bool:
+    """Vertex decomposability in the sense of Björner and Wachs, by trying
+    every shedding vertex at every step.
+
+    A simplex is decomposable, and so is a complex with a vertex ``v`` such
+    that no facet of its link is a facet of its deletion (``v`` sheds) and
+    the deletion and the link are both decomposable.  The deletion and the
+    link are read off the full face list.
+    """
+    memo: dict = {}
+
+    def maximal(faces):
+        return frozenset(f for f in faces if not any(f < g for g in faces))
+
+    def search(fs):
+        if len(fs) == 1:
+            return True
+        if fs not in memo:
+            faces = {frozenset(c) for f in fs for r in range(len(f) + 1)
+                     for c in itertools.combinations(sorted(f), r)}
+            memo[fs] = any(
+                not (lk & dl) and search(dl) and search(lk)
+                for v in sorted(set().union(*fs))
+                for dl, lk in [(maximal({f for f in faces if v not in f}),
+                                maximal({f - {v} for f in faces if v in f}))])
+        return memo[fs]
+
+    return search(frozenset(frozenset(f) for f in facets))
+
+
 def dominated(facets) -> list:
     """Vertices v such that another vertex lies in every facet through v."""
     facets = [set(f) for f in facets]

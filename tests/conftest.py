@@ -100,6 +100,34 @@ def pendant_cycle_chain(rng, pentagons: int, pendants: int) -> Graph:
     return Graph(verts, edges)
 
 
+def pg_chain(j: int, l: int, overlink: bool = False) -> Graph:
+    """The benchmark's chain, with its construction labels: j basic
+    pentagons ``ck_0 .. ck_4``, each entered at vertex 0 and left from
+    vertex 2, then l pendant edges ``pk_a - pk_b``, entered and left through
+    ``pk_a``, each bridged to the one before.  ``overlink`` adds the bridge
+    ``c0_4 - c1_1``, which makes pentagon 1 not basic and the graph not
+    well-covered."""
+    verts: list[str] = []
+    edges: list[tuple[str, str]] = []
+    prev = None
+    for k in range(j + l):
+        if k < j:
+            vs = [f"c{k}_{i}" for i in range(5)]
+            edges += [(vs[i], vs[(i + 1) % 5]) for i in range(5)]
+            entry, exit_ = vs[0], vs[2]
+        else:
+            vs = [f"p{k - j}_a", f"p{k - j}_b"]
+            edges.append((vs[0], vs[1]))
+            entry = exit_ = vs[0]
+        if prev is not None:
+            edges.append((prev, entry))
+        verts += vs
+        prev = exit_
+    if overlink:
+        edges.append(("c0_4", "c1_1"))
+    return Graph(verts, edges)
+
+
 def turan_graph(n: int, r: int) -> Graph:
     """Complete multipartite graph with r classes as equal as possible,
     every edge listed."""

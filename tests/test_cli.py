@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from conftest import cycle_graph
-from facebalance import cli
+from conftest import cycle_graph, projective_plane
+from facebalance import cli, homology
 from facebalance.balancing import CHECK_NAMES
 from facebalance.cli import main
 from facebalance.complexes import (SimplicialComplex, independence_complex,
@@ -53,6 +53,22 @@ def test_cm_subcommand(pentagon_file, capsys):
     assert main(["--json", "cm", pentagon_file]) == 0
     report = _json_out(capsys)
     assert report["results"] == {"cm": True, "betti": [0, 0, 1], "violation": None}
+
+
+def test_cm_on_the_projective_plane_takes_the_walk(tmp_path, capsys, monkeypatch):
+    # RP^2 is CM over Q but not over GF(2), so it has no vertex
+    # decomposition: the certificate declines, and the walk prints the
+    # rational answer
+    answers = []
+    search = homology._vertex_decomposable
+    monkeypatch.setattr(homology, "_vertex_decomposable",
+                        lambda facets: answers.append(search(facets)) or answers[-1])
+    path = tmp_path / "rp2.cx"
+    path.write_text(projective_plane().to_file_text())
+    assert main(["--json", "cm", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert '"betti":[0,0,0,0]' in out and '"cm":true' in out
+    assert answers == [False]
 
 
 def test_homology_subcommand(pentagon_file, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 import bruteforce as bf
 from conftest import (all_complexes_on, cycle_graph, disjoint_union, join,
-                      overlinked_pentagon_graph, pendant_cycle_chain,
+                      overlinked_pentagon_graph, pendant_cycle_chain, pg_chain,
                       projective_plane)
 from facebalance import homology, linalg
 from facebalance.classify import exceptional_catalog
@@ -259,6 +259,8 @@ def _scan_corpus():
 
 
 def test_gf2_scan_agrees_with_the_exact_scan(monkeypatch):
+    # on the walk, so that every visited link is ranked both ways
+    _walk_only(monkeypatch)
     seen_cm = seen_not = 0
     for cx in _scan_corpus():
         report, violation = _exact_scan(cx, monkeypatch)
@@ -309,9 +311,20 @@ def test_over_reported_gf2_rank_is_caught(monkeypatch):
     assert is_cohen_macaulay(SimplicialComplex([["a", "b", "c"]]))[0]
 
 
+def _walk_only(monkeypatch):
+    """Make the vertex-decomposition certificate decline, so that every
+    input whose empty face passes takes the link walk."""
+    monkeypatch.setattr(homology, "_vertex_decomposable", lambda facets: False)
+
+
+_OCTAHEDRON_JOIN_EDGE = SimplicialComplex(
+    [[a, b, c, "x", "y"] for a in "aA" for b in "bB" for c in "cC"])
+
+
 def test_links_of_dimension_at_most_zero_are_not_built(monkeypatch):
     # every visited face has its link's Betti numbers searched for a gap
     # once, so the dimensions seen there list the visited links in order
+    _walk_only(monkeypatch)
     seen = []
     first_gap = homology._first_gap
 
@@ -320,9 +333,7 @@ def test_links_of_dimension_at_most_zero_are_not_built(monkeypatch):
         return first_gap(betti)
 
     monkeypatch.setattr(homology, "_first_gap", recording)
-    octahedron_join_edge = SimplicialComplex(
-        [[a, b, c, "x", "y"] for a in "aA" for b in "bB" for c in "cC"])
-    for cx in (octahedron_join_edge, independence_complex(cycle_graph(5))):
+    for cx in (_OCTAHEDRON_JOIN_EDGE, independence_complex(cycle_graph(5))):
         seen.clear()
         assert is_cohen_macaulay(cx)[0]
         assert seen == [cx.dim] + [cx.dim - k - 1 for k in range(cx.dim - 1)
@@ -334,9 +345,20 @@ def test_links_of_dimension_at_most_zero_are_not_built(monkeypatch):
     assert seen == [2, 1, 1, 1]
 
 
+def _visit_corpus():
+    """Seeded complexes that are not pure, and two CM chains."""
+    rng = random.Random(97)
+    randoms = [cx for cx in (_random_complex(rng, 6) for _ in range(400))
+               if not cx.is_pure()]
+    chains = [independence_complex(pendant_cycle_chain(rng, 1, 2)),
+              independence_complex(pendant_cycle_chain(rng, 2, 1))]
+    return randoms, chains
+
+
 def test_scan_visits_each_face_once_in_order(monkeypatch):
     # a gap reported on the n-th visit only must name the n-th face of the
     # order: the empty face, then by dimension and lexicographically
+    _walk_only(monkeypatch)
     calls = []
 
     def nth_only(betti):
@@ -344,11 +366,7 @@ def test_scan_visits_each_face_once_in_order(monkeypatch):
         return 0 if len(calls) == n else None
 
     monkeypatch.setattr(homology, "_first_gap", nth_only)
-    rng = random.Random(97)
-    randoms = [cx for cx in (_random_complex(rng, 6) for _ in range(400))
-               if not cx.is_pure()]
-    chains = [independence_complex(pendant_cycle_chain(rng, 1, 2)),
-              independence_complex(pendant_cycle_chain(rng, 2, 1))]
+    randoms, chains = _visit_corpus()
     assert len(randoms) > 20
     for cx in randoms + chains:
         order = [()] + [cx.labels(f) for k in range(cx.dim - 1)
@@ -368,13 +386,18 @@ def test_scan_visits_each_face_once_in_order(monkeypatch):
         assert len(calls) == len(order)
 
 
-def test_cm_scan_never_expands_the_complex(monkeypatch):
-    # three pentagons and two pendant edges, the shape of the benchmark's
-    # pg_chain(3, 2), read back from its file text, takes the flag scan; a
-    # peeled shelling takes the general one
+def _expansion_corpus():
+    """Three pentagons and two pendant edges, the shape of the benchmark's
+    pg_chain(3, 2), read back from its file text, and a peeled shelling."""
     graph = pendant_cycle_chain(random.Random(11), 3, 2)
-    flag = parse_complex(independence_complex(graph).to_file_text())
-    general = _peeled_shelling()
+    return (parse_complex(independence_complex(graph).to_file_text()),
+            _peeled_shelling())
+
+
+def test_cm_scan_never_expands_the_complex(monkeypatch):
+    # the chain takes the flag scan, the peeled shelling the general one
+    _walk_only(monkeypatch)
+    flag, general = _expansion_corpus()
     assert _flag_graph_of(flag) is not None and _flag_graph_of(general) is None
     built, expanded, ranked = [], [], []
     init, faces = SimplicialComplex.__init__, SimplicialComplex.faces
@@ -435,7 +458,7 @@ _SHARED = SimplicialComplex([["a", "b", "c", "e"], ["a", "b", "c", "f"],
                              ["c", "d", "f"]])
 
 
-def test_collapsed_scan_agrees_with_the_face_by_face_scan():
+def test_collapsed_scan_agrees_with_the_face_by_face_scan(monkeypatch):
     assert cm_report(_SHARED)["violation"] == {"face": ["f"], "degree": 1}
     seen_cm = seen_not = 0
     # the chains and joins with a pentagon are flag: both paths are checked
@@ -443,6 +466,9 @@ def test_collapsed_scan_agrees_with_the_face_by_face_scan():
     for cx in _scan_corpus() + [_SHARED]:
         betti, violation = bf.link_vanishing_scan(cx)
         assert homology._link_vanishing(cx) == (betti, violation), cx
+        with monkeypatch.context() as m:
+            _walk_only(m)
+            assert homology._link_vanishing(cx) == (betti, violation), cx
         assert cm_report(cx) == {
             "cm": violation is None, "betti": list(betti),
             "violation": None if violation is None else violation.to_json_obj()}
@@ -488,8 +514,13 @@ def _shape(facets, order):
     return frozenset(frozenset(verts.index(v) for v in f) for f in facets)
 
 
+def _factor_chain():
+    return independence_complex(pendant_cycle_chain(random.Random(5), 2, 1))
+
+
 def test_each_distinct_factor_is_ranked_once(monkeypatch):
-    cx = independence_complex(pendant_cycle_chain(random.Random(5), 2, 1))
+    _walk_only(monkeypatch)
+    cx = _factor_chain()
     order = list(cx.vertices)
     visited = [0] + [f for k in range(cx.dim - 1) for f in cx.faces(k)]
     links = {cx.link(cx.labels(f)) for f in visited}
@@ -602,12 +633,14 @@ def _must_not_run(*args):
 
 
 def _both_paths(cx, monkeypatch):
-    """_link_vanishing with the general path blocked, and with the flag
-    certificate refused so that only the general path runs."""
+    """_link_vanishing on the walk, with the general path blocked, and with
+    the flag certificate refused so that only the general path runs."""
     with monkeypatch.context() as m:
+        _walk_only(m)
         m.setattr(homology, "_collapsed_betti", _must_not_run)
         flag = homology._link_vanishing(cx)
     with monkeypatch.context() as m:
+        _walk_only(m)
         m.setattr(homology, "_flag_graph", lambda facets, n: None)
         general = homology._link_vanishing(cx)
     return flag, general
@@ -741,3 +774,215 @@ def test_flag_scan_ranks_a_whole_factor_as_the_complex_itself(monkeypatch):
     ok, violation = is_cohen_macaulay(cx)
     assert not ok and violation.face == ()
     assert ranked == [_levels(cx)] and built == []
+
+
+# ---------------------------------------------------------------------------
+# the vertex-decomposition certificate after the empty face
+# ---------------------------------------------------------------------------
+
+def _recording_attempts(monkeypatch):
+    """Record each complex offered to the certificate, by its facets, and
+    what it answered."""
+    attempts = []
+    search = homology._vertex_decomposable
+
+    def recording(facets):
+        attempts.append((frozenset(facets), search(facets)))
+        return attempts[-1][1]
+
+    monkeypatch.setattr(homology, "_vertex_decomposable", recording)
+    return attempts
+
+
+def _walk_report(cx, monkeypatch):
+    """cm_report and is_cohen_macaulay with the certificate declining."""
+    with monkeypatch.context() as m:
+        _walk_only(m)
+        return cm_report(cx), is_cohen_macaulay(cx)
+
+
+def test_certificate_answers_on_the_walk_tests_cm_inputs(monkeypatch):
+    # the CM inputs of the walk's own tests above: each is certified right
+    # after the empty face, with the walk's report, and no other face is
+    # visited, no complex built and no face expanded
+    _, chains = _visit_corpus()
+    cases = [_OCTAHEDRON_JOIN_EDGE, independence_complex(cycle_graph(5)),
+             *chains, *_expansion_corpus(), _factor_chain()]
+    walked = [_walk_report(cx, monkeypatch) for cx in cases]
+    attempts = _recording_attempts(monkeypatch)
+    gaps, built, expanded = [], [], []
+    first_gap = homology._first_gap
+    init, faces = SimplicialComplex.__init__, SimplicialComplex.faces
+    monkeypatch.setattr(homology, "_first_gap",
+                        lambda betti: gaps.append(betti) or first_gap(betti))
+    monkeypatch.setattr(SimplicialComplex, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    monkeypatch.setattr(SimplicialComplex, "faces",
+                        lambda self, k: expanded.append(k) or faces(self, k))
+    for cx, (report, verdict) in zip(cases, walked):
+        attempts.clear()
+        gaps.clear()
+        assert (cm_report(cx), is_cohen_macaulay(cx)) == (report, verdict), cx
+        assert report["cm"] and verdict == (True, None), cx
+        assert attempts == [(frozenset(cx.facets), True)] * 2, cx
+        assert len(gaps) == 2, cx
+    assert built == [] and expanded == []
+
+
+def _pure_random(count, seed):
+    """Seeded pure complexes: 2-9 random facets of one size on 4-7
+    vertices."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(4, 7)
+        verts = [f"v{i}" for i in range(n)]
+        size = rng.randint(2, n - 1)
+        out.append(SimplicialComplex(
+            [rng.sample(verts, size) for _ in range(rng.randint(2, 9))]))
+    return out
+
+
+def _factor(rng, tag):
+    """The facets, in a shelling order, of a cycle, a set of points or a
+    simplex on a few vertices labelled by ``tag``."""
+    kind, k = rng.choice(("cycle", "points", "simplex")), rng.randint(2, 5)
+    vs = [f"{tag}{i}" for i in range(max(k, 3) if kind == "cycle" else k)]
+    if kind == "cycle":
+        return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+    if kind == "points":
+        return [(v,) for v in vs]
+    return [tuple(vs)]
+
+
+def _join_shellings(count, seed):
+    """Joins of two or three random factors, each as its lexicographic
+    shelling (a shelling of a join), and the same with a random tail peeled
+    off (a shorter shelling); both are pure and shellable."""
+    rng = random.Random(seed)
+    joins, peeled = [], []
+    while len(joins) < count:
+        shelling = [()]
+        for tag in "xyz"[:rng.randint(2, 3)]:
+            factor = _factor(rng, tag)
+            shelling = [f + g for f in shelling for g in factor]
+        if len({v for f in shelling for v in f}) > 7:
+            continue
+        joins.append(SimplicialComplex(shelling))
+        peeled.append(SimplicialComplex(shelling[:rng.randint(1, len(shelling))]))
+    return joins, peeled
+
+
+def test_certificate_agrees_with_the_oracle_and_the_walk(monkeypatch):
+    # whenever the certificate says yes, the exhaustive search finds a
+    # decomposition and the face-list test finds the complex CM; with the
+    # certificate declining, every report and verdict is the same
+    joins, peeled = _join_shellings(30, 107)
+    corpora = {"pure random": _pure_random(200, 109), "join": joins,
+               "peeled": peeled, "pure flag": _pure_random_flag(60)}
+    certified = {name: 0 for name in corpora}
+    declined_cm = declined_not = 0
+    for name, cases in corpora.items():
+        for cx in cases:
+            assert cx.is_pure(), cx
+            walked = _walk_report(cx, monkeypatch)
+            assert (cm_report(cx), is_cohen_macaulay(cx)) == walked, cx
+            if homology._vertex_decomposable(cx.facets):
+                assert bf.is_vertex_decomposable(cx.facet_labels()), cx
+                assert bf.is_cm(bf.faces_from_facets(cx.facet_labels())), cx
+                assert walked[1] == (True, None), cx
+                certified[name] += 1
+            elif walked[1][0]:
+                declined_cm += 1
+            else:
+                declined_not += 1
+    # shellings are always certified here; random complexes both ways
+    assert certified["join"] == certified["peeled"] == 30
+    assert certified["pure random"] > 30 and certified["pure flag"] > 30
+    assert declined_not > 50
+
+
+def test_non_pure_complexes_make_no_attempt(monkeypatch):
+    # a triangle and an edge sharing c, and the overlinked chains, are
+    # vertex decomposable but not pure, so not CM: the purity test, not the
+    # search, keeps them on the walk, which finds each first violation
+    search = homology._vertex_decomposable
+    attempts = _recording_attempts(monkeypatch)
+    bowtie = SimplicialComplex([["a", "b", "c"], ["c", "d"]])
+    assert bf.is_vertex_decomposable(bowtie.facet_labels())
+    overlinked = {(2, 2): (("p0_b",), 3), (3, 0): ((), 4),
+                  (2, 3): (("p1_b",), 4), (3, 1): (("c2_1",), 4)}
+    cases = [(bowtie, ("c",), 0)] + [
+        (independence_complex(pg_chain(j, l, overlink=True)), face, degree)
+        for (j, l), (face, degree) in overlinked.items()]
+    for cx, face, degree in cases:
+        assert not cx.is_pure()
+        assert search(cx.facets), cx
+        ok, violation = is_cohen_macaulay(cx)
+        assert not ok and (violation.face, violation.degree) == (face, degree), cx
+        assert not cm_report(cx)["cm"], cx
+    assert attempts == []
+    assert bf.link_vanishing_scan(bowtie)[1] == is_cohen_macaulay(bowtie)[1]
+
+
+
+def test_flag_rejects_at_the_empty_face_make_no_attempt(monkeypatch):
+    # the catalog complexes and their joins with a pentagon are pure and
+    # fail at the empty face: the search is never paid for
+    attempts = _recording_attempts(monkeypatch)
+    catalog = [independence_complex(g) for g in exceptional_catalog().values()]
+    cases = catalog + _with_pentagon(exceptional_catalog().values())
+    for cx in cases:
+        assert cx.is_pure() and _flag_graph_of(cx) is not None, cx
+        ok, violation = is_cohen_macaulay(cx)
+        assert not ok and violation.face == (), cx
+        assert cm_report(cx)["violation"]["face"] == [], cx
+    assert attempts == []
+
+
+def test_projective_plane_takes_the_walk(monkeypatch):
+    # RP^2 is CM over Q but not over GF(2), so it has no vertex
+    # decomposition: the search declines and the walk visits the empty face
+    # and the six vertices
+    rp2 = projective_plane()
+    assert not bf.is_vertex_decomposable(rp2.facet_labels())
+    attempts = _recording_attempts(monkeypatch)
+    gaps = []
+    first_gap = homology._first_gap
+    monkeypatch.setattr(homology, "_first_gap",
+                        lambda betti: gaps.append(betti) or first_gap(betti))
+    assert cm_report(rp2) == {"cm": True, "betti": [0, 0, 0, 0], "violation": None}
+    assert attempts == [(frozenset(rp2.facets), False)]
+    assert len(gaps) == 1 + len(rp2.vertices)
+
+
+def _certified_corpus():
+    """Seeded CM chains, joins with a pentagon, and the shellings."""
+    joins, peeled = _join_shellings(10, 113)
+    chains = _chains(127, 4)
+    return chains + _with_pentagon(
+        [pendant_cycle_chain(random.Random(131), 1, 1)]) + joins + peeled
+
+
+def test_a_budget_of_zero_changes_no_answer(monkeypatch):
+    # the budget counts shedding tests: with none allowed, only a simplex
+    # is certified, and every other input takes the walk to the same answer
+    cases = _certified_corpus()
+    answers = [(cm_report(cx), is_cohen_macaulay(cx)) for cx in cases]
+    for cx in cases:
+        assert homology._vertex_decomposable(cx.facets), cx
+    monkeypatch.setattr(homology, "_SHED_BUDGET", 0)
+    for cx, answer in zip(cases, answers):
+        assert homology._vertex_decomposable(cx.facets) == (len(cx.facets) == 1), cx
+        assert (cm_report(cx), is_cohen_macaulay(cx)) == answer, cx
+        assert answer[1] == (True, None), cx
+
+
+def test_pg_chain_6_2_certifies_inside_the_budget(monkeypatch):
+    # Ind(pg_chain(6, 2)): n = 34, d = 14 and 17 711 facets, each of its
+    # subcomplexes decomposed once; 90 000 shedding tests do not suffice
+    cx = independence_complex(pg_chain(6, 2))
+    assert len(cx.vertices) == 34 and cx.dim == 13 and len(cx.facets) == 17711
+    assert homology._vertex_decomposable(cx.facets)
+    monkeypatch.setattr(homology, "_SHED_BUDGET", 90_000)
+    assert not homology._vertex_decomposable(cx.facets)
