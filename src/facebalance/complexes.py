@@ -119,8 +119,7 @@ def _face_levels(facets: Collection[int]) -> list[tuple[int, ...]]:
     return [tuple(sorted(level)) for level in levels]
 
 
-def _maximal_independent_masks(nb: Sequence[int], within: int,
-                               among: Optional[set[int]] = None) -> list[int]:
+def _maximal_independent_masks(nb: Sequence[int], within: int) -> list[int]:
     """Maximal independent sets of the graph induced on the vertex mask
     ``within``, as masks, where ``nb[i]`` masks the neighbours of vertex i.
 
@@ -128,19 +127,15 @@ def _maximal_independent_masks(nb: Sequence[int], within: int,
     on int bitmasks, bit i standing for vertex i.  It lists the maximal
     cliques of the complement graph, where ``co[i]`` masks the
     non-neighbours of i; each branch tries only the candidates outside
-    ``co`` of a pivot that has the most candidates there.  Given ``among``,
-    only a set outside it is listed, and the search stops there.
+    ``co`` of a pivot that has the most candidates there.
     """
     co = [within & ~m & ~(1 << i) for i, m in enumerate(nb)]
     found: list[int] = []
 
-    def rec(r: int, p: int, x: int) -> bool:
-        """Search the branch; False once a set outside ``among`` is found."""
+    def rec(r: int, p: int, x: int) -> None:
         if not p and not x:
-            if among is not None and r in among:
-                return True
             found.append(r)
-            return among is None
+            return
         best = -1
         rest = p | x
         while rest:
@@ -154,12 +149,10 @@ def _maximal_independent_masks(nb: Sequence[int], within: int,
         while cand:
             low = cand & -cand
             i = low.bit_length() - 1
-            if not rec(r | low, p & co[i], x & co[i]):
-                return False
+            rec(r | low, p & co[i], x & co[i])
             p ^= low
             x |= low
             cand ^= low
-        return True
 
     rec(0, within, 0)
     return found

@@ -17,7 +17,9 @@ and the complex is pure, a vertex decomposition, checked step by step on the
 facets, certifies it; only when none is found are the other faces' links
 walked, and the walk is what reports every violation.  The real projective
 plane, Cohen-Macaulay over Q but not over GF(2), has no decomposition and
-always takes the walk.
+always takes the walk.  Every complex, flag or not, is walked in one form:
+each link is its facet masks, ranked on the join factors of its
+strong-collapse core.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from operator import and_, or_
 from typing import Iterable, Optional
 
 from .complexes import (SimplicialComplex, VerificationError, _bits,
-                        _components, _face_levels, _maximal_independent_masks,
-                        _skeleton, convolve)
+                        _components, _face_levels, _skeleton, convolve)
 from .linalg import gf2_rank, sparse_rank
 
 
@@ -132,18 +133,28 @@ def _strong_core(facets: Iterable[int]) -> frozenset[int]:
     facets = frozenset(facets)
     while True:
         present = alive = reduce(or_, facets)
+        # meet[v]: the vertices that every facet through v holds
+        meet = [present] * present.bit_length()
+        for f in facets:
+            for v in _bits(f):
+                meet[v] &= f
         for v in _bits(present):
-            bit = 1 << v
-            if reduce(and_, [f for f in facets if f & bit]) & alive & ~bit:
-                alive ^= bit
+            if meet[v] & alive & ~(1 << v):
+                alive ^= 1 << v
         if alive == present:
             return facets
-        # a facet that lost no vertex stays maximal; a cut one is kept
-        # unless it lies inside another facet of the deletion
-        kept = {f & alive for f in facets}
+        # a facet that lost no vertex stays maximal; a cut one is kept when
+        # it lies in no other facet of the deletion: bit i of holds[v] is
+        # set when kept[i] holds v, so the faces holding all of a cut
+        # face's vertices are the AND of their masks
+        kept = list({f & alive for f in facets})
+        holds = [0] * present.bit_length()
+        for i, f in enumerate(kept):
+            for v in _bits(f):
+                holds[v] |= 1 << i
         facets = frozenset(
-            f for f in kept
-            if f in facets or not any(f & g == f != g for g in kept))
+            f for i, f in enumerate(kept)
+            if f in facets or reduce(and_, [holds[v] for v in _bits(f)]) == 1 << i)
 
 
 def _join_parts(core: frozenset[int]) -> list[int]:
@@ -166,129 +177,37 @@ def _join_parts(core: frozenset[int]) -> list[int]:
     return [verts]
 
 
-def _join_betti(parts: list[int], size: int, rows, facets_of,
-                factors: dict[tuple[int, ...], tuple[int, ...]]
-                ) -> tuple[int, ...]:
-    """Reduced Betti numbers, ``size`` entries from b_-1, of a core that is
-    the join of factors on the vertex masks ``parts``.
-
-    A factor on the vertices ``pos`` (the bits of ``part``) is ranked once
-    per ``factors`` memo, keyed by the masks ``rows(part, pos)`` relabelled
-    in order onto ``pos``; its facets, in those labels, are
-    ``facets_of(key)``.  Over a field the reduced homology of a join is the
-    shifted tensor product of the factors' (Milnor, Ann. Math. 63, 1956), so
-    the core's entries, from b_-1, are the convolution of the factors'
-    entries.  A core has the same reduced homology in every degree as the
-    complex it collapses from, so its Betti numbers padded with zeros are
-    that complex's.
-    """
-    entries: tuple[int, ...] = (1,)
-    for part in parts:
-        pos = _bits(part)
-        key = tuple(sum(1 << i for i, v in enumerate(pos) if m >> v & 1)
-                    for m in rows(part, pos))
-        if key not in factors:
-            factors[key] = _betti(_face_levels(facets_of(key)))
-        entries = convolve(entries, factors[key])
-    return entries + (0,) * (size - len(entries))
-
-
 def _collapsed_betti(link: tuple[int, ...],
                      factors: dict[tuple[int, ...], tuple[int, ...]]
                      ) -> tuple[int, ...]:
-    """Reduced Betti numbers of the complex with facets ``link``
-    (bitmasks), ranked on the join factors of its strong-collapse core by
-    ``_join_betti``.
+    """Reduced Betti numbers ``(b_-1, ..., b_dim)`` of the complex with
+    facets ``link`` (bitmasks), ranked on the join factors of its
+    strong-collapse core.
 
-    A core with one nonempty facet is a simplex and has none.  Any other
-    core is split by ``_join_parts``; each factor is keyed by its facets,
-    which are ranked as they are.
+    A core has the same reduced homology in every degree as the complex it
+    collapses from, so its Betti numbers padded with zeros are that
+    complex's.  A core with one nonempty facet is a simplex and has none.
+    Any other core is split by ``_join_parts``.  A factor on the vertices
+    ``pos`` (the bits of ``part``) is keyed by its facets, the sorted
+    projections of the core onto ``part`` relabelled in order onto ``pos``,
+    and ranked once per ``factors`` memo.  Over a field the reduced
+    homology of a join is the shifted tensor product of the factors'
+    (Milnor, Ann. Math. 63, 1956), so the core's entries, from b_-1, are
+    the convolution of the factors' entries.
     """
     core = _strong_core(link)
     size = max(map(int.bit_count, link)) + 1  # entries b_-1 .. b_dim
     if len(core) == 1 and 0 not in core:
         return (0,) * size
-    return _join_betti(_join_parts(core), size,
-                       lambda part, pos: sorted({f & part for f in core}),
-                       lambda key: key, factors)
-
-
-def _flag_graph(facets: tuple[int, ...], n: int) -> Optional[list[int]]:
-    """Neighbour masks of the graph G with Ind(G) equal to the complex whose
-    facets are ``facets`` (bitmasks over ``n`` vertices), or None when the
-    complex is not pure or not Ind(G).
-
-    G is the non-edge graph of the 1-skeleton: ``u`` and ``v`` are adjacent
-    iff no facet holds both.  Every face is a clique of the 1-skeleton, so
-    an independent set of G.  When every maximal independent set of G is a
-    facet, every independent set lies in a facet and is a face, so the
-    complex is Ind(G).  The search stops at the first maximal independent
-    set that is not a facet, and a complex that is not pure is not looked
-    at at all.
-    """
-    size = facets[0].bit_count()
-    if any(f.bit_count() != size for f in facets):
-        return None
-    full = (1 << n) - 1
-    nb = [full & ~m for m in _skeleton(facets, n)]
-    if _maximal_independent_masks(nb, full, set(facets)):
-        return None
-    return nb
-
-
-def _fold(nb: list[int], verts: int) -> int:
-    """Vertex mask of the fold core of the graph with neighbour masks ``nb``
-    induced on ``verts``: Ind of it is the strong-collapse core of
-    Ind(G[verts]).
-
-    In Ind(G[P]) a vertex ``v`` is dominated by ``w != v`` (every facet
-    through ``v`` holds ``w``) iff N(w) & P <= N(v).  If the inclusion
-    holds, ``w`` is not adjacent to ``v`` (else ``v`` is its own
-    neighbour), and a maximal independent set I through ``v`` meets no
-    neighbour of ``w``, so I + w is independent and ``w`` lies in I.  If it
-    fails at some ``u`` in N(w) & P outside N(v), either ``u = v``, and no
-    facet through ``v`` holds its neighbour ``w``, or ``{v, u}`` is
-    independent and lies in a facet that misses ``w``.  Deleting ``v`` is
-    then Engstrom's fold (Discrete Math. 309, 2009), and the complex left is
-    Ind(G[P - v]), whose facets are the maximal traces of Ind(G[P])'s.  The
-    passes are ``_strong_core``'s, so the core is the same.
-    """
-    while True:
-        present = alive = verts
-        for v in _bits(present):
-            far = present & ~nb[v]  # w dominates v iff nb[w] misses it
-            cand = alive & far & ~(1 << v)
-            while cand:
-                low = cand & -cand
-                if not nb[low.bit_length() - 1] & far:
-                    alive ^= 1 << v
-                    break
-                cand ^= low
-        if alive == present:
-            return alive
-        verts = alive
-
-
-def _folded_betti(nb: list[int], verts: int, size: int,
-                  factors: dict[tuple[int, ...], tuple[int, ...]]
-                  ) -> tuple[int, ...]:
-    """Reduced Betti numbers, ``size`` entries from b_-1, of Ind(G[verts])
-    for the graph G with neighbour masks ``nb``, ranked on the join factors
-    of its fold core by ``_join_betti``.
-
-    The fold core is the strong-collapse core (``_fold``); one vertex is a
-    simplex and has none.  Ind of a disjoint union is the join of the
-    parts' Ind, so every component of the core's graph is a join factor,
-    with no facet count needed.  A factor is keyed by its graph, which
-    fixes Ind of it, and ranked on its maximal independent sets.
-    """
-    core = _fold(nb, verts)
-    if core and not core & (core - 1):
-        return (0,) * size
-    return _join_betti(_components(nb, core), size,
-                       lambda part, pos: [nb[v] for v in pos],
-                       lambda key: _maximal_independent_masks(key, (1 << len(key)) - 1),
-                       factors)
+    entries: tuple[int, ...] = (1,)
+    for part in _join_parts(core):
+        pos = _bits(part)
+        key = tuple(sum(1 << i for i, v in enumerate(pos) if m >> v & 1)
+                    for m in sorted({f & part for f in core}))
+        if key not in factors:
+            factors[key] = _betti(_face_levels(key))
+        entries = convolve(entries, factors[key])
+    return entries + (0,) * (size - len(entries))
 
 
 def _extends(face: int, free: int, facets: set[int]) -> bool:
@@ -357,63 +276,38 @@ def _link_vanishing(delta: SimplicialComplex
     nonempty set of points; neither has homology below its top, so those
     faces are not visited.
 
-    Faces are bitmasks over the vertex indices here.  Each link is read off
-    its parent's, one vertex at a time: ``tau`` is extended by each vertex
-    ``v`` of ``lk(tau)`` after its last, and ``lk(tau + v) =
-    lk_{lk(tau)}(v)``.  The queue holds the rest of one dimension and what
-    is read of the next.  Links that are equal are ranked once per call,
-    each on the join factors of its strong-collapse core, and factors of
-    the same shape once per call.  A link takes one of two forms.
-
-    - Flag: when ``_flag_graph`` proves the complex pure and equal to
-      Ind(G), a link is the vertex mask U with ``lk(tau) = Ind(G[U])``, U the
-      vertices outside ``tau`` with no neighbour in it, and the child through
-      ``v`` keeps U minus ``v`` and its neighbours.  Purity fixes each link's
-      dimension at ``dim - |tau|``.  It is ranked by ``_folded_betti``.
-    - General: a link is its facets as sorted bitmasks, and the child keeps
-      the facets through ``v``, minus ``v``, still sorted.  It is ranked by
-      ``_collapsed_betti``.  A tuple holds the facets in a fraction of the
-      memory a frozenset takes.
-
-    No complex is built and the complex's own faces are never expanded:
-    every factor is ranked from its facet masks.
+    Faces are bitmasks over the vertex indices here, and a link is its
+    facets as sorted bitmasks.  Each link is read off its parent's, one
+    vertex at a time: ``tau`` is extended by each vertex ``v`` of
+    ``lk(tau)`` after its last, and ``lk(tau + v) = lk_{lk(tau)}(v)`` has
+    the facets through ``v``, minus ``v``, still sorted.  The queue holds
+    the rest of one dimension and what is read of the next.  Links that are
+    equal are ranked once per call by ``_collapsed_betti``, and factors of
+    the same shape once per call.  A tuple holds the facets in a fraction
+    of the memory a frozenset takes.  No complex is built and the complex's
+    own faces are never expanded: every factor is ranked from its facet
+    masks.
 
     Once the empty face passes, a pure complex is offered to
     ``_vertex_decomposable``; a decomposition ends the walk there, with the
     Betti numbers already ranked.  A complex that is not pure is never
     offered, and the walk alone reports a failure.
     """
-    n = len(delta.vertices)
     facets = tuple(sorted(delta.facets))
-    nb = _flag_graph(facets, n)
     factors: dict[tuple[int, ...], tuple[int, ...]] = {}
-    if nb is None:
-        root: object = facets
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-        def rank(t: int, link: tuple[int, ...]) -> tuple[int, ...]:
-            return _collapsed_betti(link, factors)
+    def children(t: int, link: tuple[int, ...]) -> list:
+        above = reduce(or_, link) >> t.bit_length() << t.bit_length()
+        return [(t | 1 << v, tuple(f ^ 1 << v for f in link if f >> v & 1))
+                for v in _bits(above)]
 
-        def children(t: int, link: tuple[int, ...]) -> list:
-            above = reduce(or_, link) >> t.bit_length() << t.bit_length()
-            return [(t | 1 << v, tuple(f ^ 1 << v for f in link if f >> v & 1))
-                    for v in _bits(above)]
-    else:
-        root = (1 << n) - 1
-
-        def rank(t: int, link: int) -> tuple[int, ...]:
-            return _folded_betti(nb, link, delta.dim - t.bit_count() + 2, factors)
-
-        def children(t: int, link: int) -> list:
-            return [(t | 1 << v, link & ~nb[v] & ~(1 << v))
-                    for v in _bits(link >> t.bit_length() << t.bit_length())]
-
-    memo: dict = {}
-    queue = deque([(0, root)])
+    queue = deque([(0, facets)])
     while queue:
         t, link = queue.popleft()
         link_betti = memo.get(link)
         if link_betti is None:
-            link_betti = memo[link] = rank(t, link)
+            link_betti = memo[link] = _collapsed_betti(link, factors)
         if not t:
             betti = link_betti
         degree = _first_gap(link_betti)

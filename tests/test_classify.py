@@ -389,10 +389,10 @@ def test_embed_finds_beta_one_component_at_a_time(monkeypatch):
     import facebalance.classify as classify
     from facebalance.complexes import _components, _maximal_independent_masks
 
-    def connected_only(nb, within, among=None):
+    def connected_only(nb, within):
         if len(_components(nb, within)) != 1:
             pytest.fail("maximal independent sets of a disconnected graph")
-        return _maximal_independent_masks(nb, within, among)
+        return _maximal_independent_masks(nb, within)
 
     monkeypatch.setattr(classify, "_maximal_independent_masks", connected_only)
     g = disjoint_union(*(cycle_graph(5, f"c{k}_") for k in range(8)))

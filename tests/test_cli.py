@@ -515,7 +515,8 @@ def test_json_stable_across_hash_seeds(tmp_path, pg_graph_file):
     import facebalance
     from facebalance.classify import embed_in_join
 
-    # a pure flag complex, so `cm` and `balance` run the scan's flag path
+    # a pure flag complex, so `cm` and `balance` rank it and certify it by
+    # a vertex decomposition
     ind = independence_complex(pg_sample_graph())
     assert ind.is_pure()
     cx_path = tmp_path / "ind.cx"

@@ -395,10 +395,9 @@ def _expansion_corpus():
 
 
 def test_cm_scan_never_expands_the_complex(monkeypatch):
-    # the chain takes the flag scan, the peeled shelling the general one
+    # a flag chain and a shelling that is not flag, both walked
     _walk_only(monkeypatch)
-    flag, general = _expansion_corpus()
-    assert _flag_graph_of(flag) is not None and _flag_graph_of(general) is None
+    corpus = _expansion_corpus()
     built, expanded, ranked = [], [], []
     init, faces = SimplicialComplex.__init__, SimplicialComplex.faces
     betti = homology._betti
@@ -415,7 +414,7 @@ def test_cm_scan_never_expands_the_complex(monkeypatch):
     monkeypatch.setattr(SimplicialComplex, "faces", expanding)
     monkeypatch.setattr(homology, "_betti",
                         lambda levels: ranked.append(levels) or betti(levels))
-    for delta in (flag, general):
+    for delta in corpus:
         ranked.clear()
         assert cm_report(delta)["cm"]
         # every factor is ranked from its facet masks: no complex is built
@@ -460,10 +459,16 @@ _SHARED = SimplicialComplex([["a", "b", "c", "e"], ["a", "b", "c", "f"],
 
 def test_collapsed_scan_agrees_with_the_face_by_face_scan(monkeypatch):
     assert cm_report(_SHARED)["violation"] == {"face": ["f"], "degree": 1}
-    seen_cm = seen_not = 0
-    # the chains and joins with a pentagon are flag: both paths are checked
-    # on them in test_flag_scan_agrees_with_the_general_and_the_face_by_face_scans
-    for cx in _scan_corpus() + [_SHARED]:
+    # pure Ind(G) of random graphs, two triangles on an edge and the
+    # catalog are flag, and so are the chains and the joins with a pentagon
+    small = _pure_random_flag(160)
+    small.append(SimplicialComplex([["a", "b", "c"], ["a", "b", "d"]]))
+    catalog = [independence_complex(g) for g in exceptional_catalog().values()]
+    for cx in small + catalog:
+        assert bf.is_flag(bf.faces_from_facets(cx.facet_labels())), cx
+    flag = small + catalog + _chains(73, 6) + _join_corpus()
+    seen_cm = seen_not = flag_deep = 0
+    for cx in _scan_corpus() + [_SHARED] + flag:
         betti, violation = bf.link_vanishing_scan(cx)
         assert homology._link_vanishing(cx) == (betti, violation), cx
         with monkeypatch.context() as m:
@@ -474,7 +479,29 @@ def test_collapsed_scan_agrees_with_the_face_by_face_scan(monkeypatch):
             "violation": None if violation is None else violation.to_json_obj()}
         seen_cm += violation is None
         seen_not += violation is not None
-    assert seen_cm > 100 and seen_not > 100
+        # a flag complex failing below the empty face, found by the walk
+        flag_deep += (cx in flag and violation is not None
+                      and violation.face != ())
+    assert seen_cm > 240 and seen_not > 120 and flag_deep > 5
+
+
+def _induced_masks(cx, verts):
+    """Facets of the subcomplex of ``cx`` induced on the vertex mask."""
+    cut = {f & verts for f in cx.facets}
+    return frozenset(f for f in cut if not any(f & g == f != g for g in cut))
+
+
+def _random_induced(count):
+    """Ind(G[U]) for seeded random graphs G on 1-9 vertices, pure or not,
+    and random vertex masks U, each as Ind(G) and the facet masks of its
+    subcomplex induced on U."""
+    rng = random.Random(103)
+    out = []
+    for _ in range(count):
+        cx = independence_complex(_random_graph(rng, rng.randint(1, 9),
+                                                rng.choice((0.2, 0.4, 0.6))))
+        out.append((cx, _induced_masks(cx, rng.getrandbits(len(cx.vertices)) | 1)))
+    return out
 
 
 def test_strong_core_keeps_the_reduced_homology():
@@ -483,16 +510,17 @@ def test_strong_core_keeps_the_reduced_homology():
     cases += [independence_complex(cycle_graph(n)) for n in range(3, 8)]
     cases += [projective_plane(), SimplicialComplex([[]])] + _chains(81, 2)
     collapsed = 0
-    for cx in cases:
-        core = [cx.labels(f) for f in homology._strong_core(cx.facets)]
+    for cx, facets in [(cx, cx.facets) for cx in cases] + _random_induced(300):
+        given = [cx.labels(f) for f in facets]
+        core = [cx.labels(f) for f in homology._strong_core(facets)]
         assert {frozenset(f) for f in core} == bf.strong_core(
-            cx.facet_labels(), cx.vertices), cx
-        assert bf.dominated(core) == [], cx
-        full = bf.betti(bf.faces_from_facets(cx.facet_labels()))
+            given, cx.vertices), (cx, facets)
+        assert bf.dominated(core) == [], (cx, facets)
+        full = bf.betti(bf.faces_from_facets(given))
         b = bf.betti(bf.faces_from_facets(core))
-        assert b + (0,) * (len(full) - len(b)) == full, cx
-        collapsed += len(set().union(*core)) < len(cx.vertices)
-    assert collapsed > 50
+        assert b + (0,) * (len(full) - len(b)) == full, (cx, facets)
+        collapsed += len(set().union(*core)) < len(set().union(*given))
+    assert collapsed > 150
 
 
 def _join_factors(core, order):
@@ -590,7 +618,7 @@ def test_non_edge_components_split_only_when_the_facets_count():
 
 
 # ---------------------------------------------------------------------------
-# the flag path: links as vertex sets of the non-edge graph
+# flag and non-flag inputs, walked in the same form
 # ---------------------------------------------------------------------------
 
 def _random_graph(rng, n, p):
@@ -624,46 +652,7 @@ _THETA = SimplicialComplex([["a", "b"], ["b", "c"], ["a", "c"],
                             ["b", "d"], ["a", "d"]])
 
 
-def _flag_graph_of(cx):
-    return homology._flag_graph(tuple(sorted(cx.facets)), len(cx.vertices))
-
-
-def _must_not_run(*args):
-    raise AssertionError("the other path ran")
-
-
-def _both_paths(cx, monkeypatch):
-    """_link_vanishing on the walk, with the general path blocked, and with
-    the flag certificate refused so that only the general path runs."""
-    with monkeypatch.context() as m:
-        _walk_only(m)
-        m.setattr(homology, "_collapsed_betti", _must_not_run)
-        flag = homology._link_vanishing(cx)
-    with monkeypatch.context() as m:
-        _walk_only(m)
-        m.setattr(homology, "_flag_graph", lambda facets, n: None)
-        general = homology._link_vanishing(cx)
-    return flag, general
-
-
-def test_flag_scan_agrees_with_the_general_and_the_face_by_face_scans(monkeypatch):
-    small = _pure_random_flag(160)
-    small.append(SimplicialComplex([["a", "b", "c"], ["a", "b", "d"]]))
-    catalog = [independence_complex(g) for g in exceptional_catalog().values()]
-    for cx in small + catalog:
-        assert bf.is_flag(bf.faces_from_facets(cx.facet_labels())), cx
-    seen_cm = seen_not = seen_deep = 0
-    for cx in small + catalog + _chains(73, 6) + _join_corpus():
-        betti, violation = bf.link_vanishing_scan(cx)
-        flag, general = _both_paths(cx, monkeypatch)
-        assert flag == general == (betti, violation), cx
-        seen_cm += violation is None
-        seen_not += violation is not None
-        seen_deep += violation is not None and violation.face != ()
-    assert seen_cm > 140 and seen_not > 20 and seen_deep > 5
-
-
-def test_non_flag_or_non_pure_complexes_take_the_general_path(monkeypatch):
+def test_non_flag_or_non_pure_complexes_agree_with_the_face_by_face_scan():
     theta = _THETA
     peeled = _peeled_shelling()
     overlinked = independence_complex(overlinked_pentagon_graph())
@@ -672,91 +661,16 @@ def test_non_flag_or_non_pure_complexes_take_the_general_path(monkeypatch):
         assert not bf.is_flag(bf.faces_from_facets(cx.facet_labels())), cx
     for cx in (_SHARED, overlinked):
         assert not cx.is_pure()
-    monkeypatch.setattr(homology, "_fold", _must_not_run)
     for cx in (projective_plane(), _SHARED, theta, peeled, overlinked):
-        assert _flag_graph_of(cx) is None, cx
         assert homology._link_vanishing(cx) == bf.link_vanishing_scan(cx), cx
-    # a connected graph and a shellable complex are CM; a wrong flag graph
-    # would read theta as a cone over the non-edge cd, with no homology
+    # a connected graph and a shellable complex are CM; theta read as the
+    # flag complex of its 1-skeleton would be a cone over the non-edge cd,
+    # with no homology
     assert cm_report(theta) == {"cm": True, "betti": [0, 0, 2], "violation": None}
     assert is_cohen_macaulay(peeled)[0]
 
 
-def _non_edge_graph(cx):
-    """Neighbour masks of the vertex pairs that share no facet."""
-    nb = [0] * len(cx.vertices)
-    for a, b in itertools.combinations(range(len(cx.vertices)), 2):
-        if not any(f >> a & f >> b & 1 for f in cx.facets):
-            nb[a] |= 1 << b
-            nb[b] |= 1 << a
-    return nb
-
-
-def test_flag_certificate_stops_at_the_first_non_facet(monkeypatch):
-    # the search for maximal cliques of the 1-skeleton lists only the first
-    # one that is not a facet, and stops there; on Ind(G) it lists none
-    searched = []
-    search = homology._maximal_independent_masks
-
-    def recording(nb, within, among=None):
-        searched.append((nb, within, among))
-        return search(nb, within, among)
-
-    monkeypatch.setattr(homology, "_maximal_independent_masks", recording)
-    more = 0
-    for cx in (_peeled_shelling(), projective_plane(), _THETA):
-        searched.clear()
-        assert _flag_graph_of(cx) is None
-        ((nb, within, facets),) = searched
-        assert nb == _non_edge_graph(cx)
-        assert facets == set(cx.facets)
-        every = search(nb, within)
-        outside = [m for m in every if m not in facets]
-        assert search(nb, within, facets) == outside[:1]
-        more += len(outside) > 1
-    assert more
-    for cx in _chains(41, 3):
-        # G is the graph the complex came from, and its maximal independent
-        # sets are the facets
-        assert _flag_graph_of(cx) == _non_edge_graph(cx)
-        nb, within, facets = searched[-1]
-        assert sorted(search(nb, within)) == sorted(facets)
-
-
-def _induced_masks(cx, verts):
-    """Facets of the subcomplex of ``cx`` induced on the vertex mask."""
-    cut = {f & verts for f in cx.facets}
-    return frozenset(f for f in cut if not any(f & g == f != g for g in cut))
-
-
-def test_fold_core_is_the_strong_core():
-    # on random graphs, pure or not, and random vertex subsets U, the fold
-    # core of G[U] carries Ind(G[U])'s strong-collapse core, and the
-    # components of G[U] and of its core are the graph's own
-    rng = random.Random(103)
-    folded = split = 0
-    for _ in range(300):
-        g = _random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6)))
-        cx = independence_complex(g)
-        nb = g.nb
-        verts = rng.getrandbits(len(nb)) | 1
-        ind = _induced_masks(cx, verts)
-        core = homology._fold(nb, verts)
-        assert _induced_masks(cx, core) == homology._strong_core(ind), (g, verts)
-        assert {frozenset(cx.labels(f))
-                for f in _induced_masks(cx, core)} == bf.strong_core(
-            [cx.labels(f) for f in ind], cx.vertices), (g, verts)
-        folded += core != verts
-        for part in (verts, core):
-            parts = homology._components(nb, part)
-            sub = g.subgraph(cx.labels(part))
-            assert [cx.labels(p) for p in parts] == [
-                tuple(c) for c in sub.components()], (g, part)
-            split += len(parts) > 1
-    assert folded > 100 and split > 100
-
-
-def test_flag_scan_ranks_a_whole_factor_as_the_complex_itself(monkeypatch):
+def test_a_whole_factor_is_ranked_as_the_complex_itself(monkeypatch):
     # Ind(P13) has no dominated vertex and a connected graph, so the empty
     # face's core is one factor: the complex itself is ranked, and no other
     # complex is built before the scan stops there
@@ -933,7 +847,7 @@ def test_flag_rejects_at_the_empty_face_make_no_attempt(monkeypatch):
     catalog = [independence_complex(g) for g in exceptional_catalog().values()]
     cases = catalog + _with_pentagon(exceptional_catalog().values())
     for cx in cases:
-        assert cx.is_pure() and _flag_graph_of(cx) is not None, cx
+        assert cx.is_pure(), cx
         ok, violation = is_cohen_macaulay(cx)
         assert not ok and violation.face == (), cx
         assert cm_report(cx)["violation"]["face"] == [], cx
