@@ -457,32 +457,30 @@ _SHARED = SimplicialComplex([["a", "b", "c", "e"], ["a", "b", "c", "f"],
                              ["c", "d", "f"]])
 
 
+def _agrees_with_the_face_by_face_scan(cx, monkeypatch):
+    """Check the scan of ``cx``, with the certificate on and forced off, and
+    ``cm_report`` against ``bf.link_vanishing_scan``; return the violation."""
+    betti, violation = bf.link_vanishing_scan(cx)
+    assert homology._link_vanishing(cx) == (betti, violation), cx
+    with monkeypatch.context() as m:
+        _walk_only(m)
+        assert homology._link_vanishing(cx) == (betti, violation), cx
+    assert cm_report(cx) == {
+        "cm": violation is None, "betti": list(betti),
+        "violation": None if violation is None else violation.to_json_obj()}
+    return violation
+
+
 def test_collapsed_scan_agrees_with_the_face_by_face_scan(monkeypatch):
     assert cm_report(_SHARED)["violation"] == {"face": ["f"], "degree": 1}
-    # pure Ind(G) of random graphs, two triangles on an edge and the
-    # catalog are flag, and so are the chains and the joins with a pentagon
-    small = _pure_random_flag(160)
-    small.append(SimplicialComplex([["a", "b", "c"], ["a", "b", "d"]]))
-    catalog = [independence_complex(g) for g in exceptional_catalog().values()]
-    for cx in small + catalog:
-        assert bf.is_flag(bf.faces_from_facets(cx.facet_labels())), cx
-    flag = small + catalog + _chains(73, 6) + _join_corpus()
-    seen_cm = seen_not = flag_deep = 0
-    for cx in _scan_corpus() + [_SHARED] + flag:
-        betti, violation = bf.link_vanishing_scan(cx)
-        assert homology._link_vanishing(cx) == (betti, violation), cx
-        with monkeypatch.context() as m:
-            _walk_only(m)
-            assert homology._link_vanishing(cx) == (betti, violation), cx
-        assert cm_report(cx) == {
-            "cm": violation is None, "betti": list(betti),
-            "violation": None if violation is None else violation.to_json_obj()}
+    seen_cm = seen_not = 0
+    # flag inputs, the chains and the joins with a pentagon among them, are
+    # checked in test_flag_scan_agrees_with_the_general_and_the_face_by_face_scans
+    for cx in _scan_corpus() + [_SHARED]:
+        violation = _agrees_with_the_face_by_face_scan(cx, monkeypatch)
         seen_cm += violation is None
         seen_not += violation is not None
-        # a flag complex failing below the empty face, found by the walk
-        flag_deep += (cx in flag and violation is not None
-                      and violation.face != ())
-    assert seen_cm > 240 and seen_not > 120 and flag_deep > 5
+    assert seen_cm > 100 and seen_not > 100
 
 
 def _induced_masks(cx, verts):
@@ -492,15 +490,14 @@ def _induced_masks(cx, verts):
 
 
 def _random_induced(count):
-    """Ind(G[U]) for seeded random graphs G on 1-9 vertices, pure or not,
-    and random vertex masks U, each as Ind(G) and the facet masks of its
-    subcomplex induced on U."""
+    """Seeded random graphs G on 1-9 vertices, pure Ind(G) or not, each with
+    Ind(G) and a random vertex mask U."""
     rng = random.Random(103)
     out = []
     for _ in range(count):
-        cx = independence_complex(_random_graph(rng, rng.randint(1, 9),
-                                                rng.choice((0.2, 0.4, 0.6))))
-        out.append((cx, _induced_masks(cx, rng.getrandbits(len(cx.vertices)) | 1)))
+        g = _random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.6)))
+        cx = independence_complex(g)
+        out.append((g, cx, rng.getrandbits(len(cx.vertices)) | 1))
     return out
 
 
@@ -510,7 +507,9 @@ def test_strong_core_keeps_the_reduced_homology():
     cases += [independence_complex(cycle_graph(n)) for n in range(3, 8)]
     cases += [projective_plane(), SimplicialComplex([[]])] + _chains(81, 2)
     collapsed = 0
-    for cx, facets in [(cx, cx.facets) for cx in cases] + _random_induced(300):
+    cases = [(cx, cx.facets) for cx in cases]
+    cases += [(cx, _induced_masks(cx, verts)) for _, cx, verts in _random_induced(300)]
+    for cx, facets in cases:
         given = [cx.labels(f) for f in facets]
         core = [cx.labels(f) for f in homology._strong_core(facets)]
         assert {frozenset(f) for f in core} == bf.strong_core(
@@ -652,6 +651,24 @@ _THETA = SimplicialComplex([["a", "b"], ["b", "c"], ["a", "c"],
                             ["b", "d"], ["a", "d"]])
 
 
+def test_flag_scan_agrees_with_the_general_and_the_face_by_face_scans(monkeypatch):
+    # a flag input is scanned in the general form, on its facet masks; with
+    # the certificate on and forced off it agrees with the face-by-face scan
+    small = _pure_random_flag(160)
+    small.append(SimplicialComplex([["a", "b", "c"], ["a", "b", "d"]]))
+    catalog = [independence_complex(g) for g in exceptional_catalog().values()]
+    for cx in small + catalog:
+        assert bf.is_flag(bf.faces_from_facets(cx.facet_labels())), cx
+    seen_cm = seen_not = seen_deep = 0
+    for cx in small + catalog + _chains(73, 6) + _join_corpus():
+        violation = _agrees_with_the_face_by_face_scan(cx, monkeypatch)
+        seen_cm += violation is None
+        seen_not += violation is not None
+        # a flag complex failing below the empty face, found by the walk
+        seen_deep += violation is not None and violation.face != ()
+    assert seen_cm > 140 and seen_not > 20 and seen_deep > 5
+
+
 def test_non_flag_or_non_pure_complexes_agree_with_the_face_by_face_scan():
     theta = _THETA
     peeled = _peeled_shelling()
@@ -668,6 +685,46 @@ def test_non_flag_or_non_pure_complexes_agree_with_the_face_by_face_scan():
     # with no homology
     assert cm_report(theta) == {"cm": True, "betti": [0, 0, 2], "violation": None}
     assert is_cohen_macaulay(peeled)[0]
+
+
+def _fold_core(nb, verts):
+    """Vertex mask left by Engstrom's fold (Discrete Math. 309, 2009) of the
+    graph with neighbour masks ``nb`` induced on ``verts``, in the passes of
+    ``homology._strong_core``: a pass on the vertex mask P deletes each v for
+    which some w != v still present has N(w) & P inside N(v), that is, w
+    dominates v in Ind(G[P])."""
+    while True:
+        alive = verts
+        for v in range(len(nb)):
+            if verts >> v & 1 and any(
+                    w != v and alive >> w & 1 and not nb[w] & verts & ~nb[v]
+                    for w in range(len(nb))):
+                alive ^= 1 << v
+        if alive == verts:
+            return verts
+        verts = alive
+
+
+def test_fold_core_is_the_strong_core():
+    # on random graphs, pure or not, and random vertex subsets U, the fold
+    # core of G[U] carries Ind(G[U])'s strong-collapse core, and the join
+    # factors of Ind(G[U]) and of its core are the components of the graph's
+    folded = split = 0
+    for g, cx, verts in _random_induced(300):
+        ind = _induced_masks(cx, verts)
+        core = _fold_core(g.nb, verts)
+        assert _induced_masks(cx, core) == homology._strong_core(ind), (g, verts)
+        assert {frozenset(cx.labels(f))
+                for f in _induced_masks(cx, core)} == bf.strong_core(
+            [cx.labels(f) for f in ind], cx.vertices), (g, verts)
+        folded += core != verts
+        for part in (verts, core):
+            parts = homology._join_parts(_induced_masks(cx, part))
+            sub = g.subgraph(cx.labels(part))
+            assert [cx.labels(p) for p in parts] == [
+                tuple(c) for c in sub.components()], (g, part)
+            split += len(parts) > 1
+    assert folded > 100 and split > 100
 
 
 def test_a_whole_factor_is_ranked_as_the_complex_itself(monkeypatch):
