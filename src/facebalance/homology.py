@@ -210,7 +210,7 @@ def _collapsed_betti(link: tuple[int, ...],
     return entries + (0,) * (size - len(entries))
 
 
-def _extends(face: int, free: int, facets: set[int]) -> bool:
+def _extends(face: int, free: int, facets: frozenset[int]) -> bool:
     """True when ``face`` plus one vertex of the mask ``free`` is in
     ``facets``."""
     while free:
@@ -221,7 +221,8 @@ def _extends(face: int, free: int, facets: set[int]) -> bool:
     return False
 
 
-# shedding tests one vertex-decomposition attempt may make before it gives up
+# shedding tests one vertex-decomposition attempt may make before it gives
+# up; Ind(pg_chain(6, 2)), the largest rung in CI, needs 141 871 of them
 _SHED_BUDGET = 200_000
 
 
@@ -234,13 +235,15 @@ def _vertex_decomposable(facets: Iterable[int]) -> bool:
     facet through ``v``, minus ``v``, lies inside a facet that misses ``v``;
     the complex is then decomposable when the deletion (the facets that miss
     ``v``) and the link (the facets through ``v``, minus ``v``) are
-    (Björner & Wachs, Trans. AMS 349, 1997).  That facet is looked up first
-    among ``F - v`` plus one vertex, the only candidates when the complex is
-    pure, and only then searched for.  The search takes the first shedding
-    vertex in ``_bits`` order and never backtracks, so one subcomplex with
-    no shedding vertex ends it.  Each subcomplex is decomposed once, from a
-    stack, and every vertex tested for shedding counts against
-    ``_SHED_BUDGET``; running out gives False.
+    (Björner & Wachs, Trans. AMS 349, 1997).  For each facet ``F`` through
+    ``v``, ``F - v`` plus one vertex outside ``F`` is looked up among the
+    facets, where it lies iff it is a facet of the deletion, as it misses
+    ``v``.  It has the size of ``F`` and a deletion keeps every facet's size,
+    so a complex that is not pure leaves a part that is not pure and is
+    never certified.  The search takes the first shedding vertex in
+    ``_bits`` order, builds only its two parts, and never backtracks.  Each
+    subcomplex is decomposed once, from a stack, and every vertex tested
+    for shedding counts against ``_SHED_BUDGET``; running out gives False.
     """
     stack, seen, tests = [frozenset(facets)], set(), 0
     while stack:
@@ -254,11 +257,9 @@ def _vertex_decomposable(facets: Iterable[int]) -> bool:
                 return False
             tests += 1
             bit = 1 << v
-            rest = {f for f in fs if not f & bit}
-            link = [f ^ bit for f in fs if f & bit]
-            if all(_extends(g, verts & ~(g | bit), rest)
-                   or any(not g & ~f for f in rest) for g in link):
-                stack += [frozenset(rest), frozenset(link)]
+            if all(_extends(f ^ bit, verts & ~f, fs) for f in fs if f & bit):
+                stack += [frozenset(f for f in fs if not f & bit),
+                          frozenset(f ^ bit for f in fs if f & bit)]
                 break
         else:
             return False
@@ -290,8 +291,8 @@ def _link_vanishing(delta: SimplicialComplex
 
     Once the empty face passes, a pure complex is offered to
     ``_vertex_decomposable``; a decomposition ends the walk there, with the
-    Betti numbers already ranked.  A complex that is not pure is never
-    offered, and the walk alone reports a failure.
+    Betti numbers already ranked.  A complex that is not pure, which the
+    search never certifies, is not offered; the walk reports its failure.
     """
     facets = tuple(sorted(delta.facets))
     factors: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -308,18 +309,16 @@ def _link_vanishing(delta: SimplicialComplex
         link_betti = memo.get(link)
         if link_betti is None:
             link_betti = memo[link] = _collapsed_betti(link, factors)
-        if not t:
-            betti = link_betti
         degree = _first_gap(link_betti)
         if degree is not None:
-            return betti, CMViolation(delta.labels(t), degree, link_betti)
+            return memo[facets], CMViolation(delta.labels(t), degree, link_betti)
         if not t and delta.is_pure() and _vertex_decomposable(facets):
-            return betti, None
+            return link_betti, None
         if t.bit_count() < delta.dim - 1:
             queue.extend(children(t, link))
     if not delta.is_pure():
         raise VerificationError("link-vanishing passed on a non-pure complex")
-    return betti, None
+    return memo[facets], None
 
 
 def is_cohen_macaulay(delta: SimplicialComplex
@@ -333,8 +332,8 @@ def is_cohen_macaulay(delta: SimplicialComplex
     decomposable complex is shellable (Provan & Billera, Math. Oper. Res. 5,
     1980; Björner & Wachs, Trans. AMS 349, 1997, for the definition used),
     so Cohen-Macaulay over every field, and a decomposition found answers
-    without walking the other faces.  The purity gate matters: a complex
-    that is decomposable but not pure is only sequentially Cohen-Macaulay.
+    without walking the other faces.  The search never certifies a complex
+    that is not pure, which may be only sequentially Cohen-Macaulay.
     When no decomposition is found, or the search runs out of its count of
     shedding tests, the remaining faces are walked, and the first failing
     face is returned as a certificate.  Only the walk answers False.

@@ -875,8 +875,9 @@ def test_certificate_agrees_with_the_oracle_and_the_walk(monkeypatch):
 
 def test_non_pure_complexes_make_no_attempt(monkeypatch):
     # a triangle and an edge sharing c, and the overlinked chains, are
-    # vertex decomposable but not pure, so not CM: the purity test, not the
-    # search, keeps them on the walk, which finds each first violation
+    # vertex decomposable but not pure, so not CM: the purity test saves
+    # the attempt, the search would decline each one too, and the walk
+    # finds each first violation
     search = homology._vertex_decomposable
     attempts = _recording_attempts(monkeypatch)
     bowtie = SimplicialComplex([["a", "b", "c"], ["c", "d"]])
@@ -888,13 +889,22 @@ def test_non_pure_complexes_make_no_attempt(monkeypatch):
         for (j, l), (face, degree) in overlinked.items()]
     for cx, face, degree in cases:
         assert not cx.is_pure()
-        assert search(cx.facets), cx
+        assert not search(cx.facets), cx
         ok, violation = is_cohen_macaulay(cx)
         assert not ok and (violation.face, violation.degree) == (face, degree), cx
         assert not cm_report(cx)["cm"], cx
     assert attempts == []
     assert bf.link_vanishing_scan(bowtie)[1] == is_cohen_macaulay(bowtie)[1]
-
+    # every deletion keeps its facets' sizes, so no non-pure complex is
+    # certified, decomposable or not
+    rng = random.Random(5)
+    non_pure = [cx for cx in (_random_complex(rng, 8) for _ in range(3000))
+                if not cx.is_pure()]
+    for cx in non_pure:
+        assert not search(cx.facets), cx
+    decomposable = sum(bf.is_vertex_decomposable(cx.facet_labels())
+                       for cx in non_pure)
+    assert len(non_pure) > 400 and decomposable > 300
 
 
 def test_flag_rejects_at_the_empty_face_make_no_attempt(monkeypatch):
@@ -951,9 +961,12 @@ def test_a_budget_of_zero_changes_no_answer(monkeypatch):
 
 def test_pg_chain_6_2_certifies_inside_the_budget(monkeypatch):
     # Ind(pg_chain(6, 2)): n = 34, d = 14 and 17 711 facets, each of its
-    # subcomplexes decomposed once; 90 000 shedding tests do not suffice
+    # subcomplexes decomposed once; the search's path is pinned by its
+    # exact count, 141 871 shedding tests
     cx = independence_complex(pg_chain(6, 2))
     assert len(cx.vertices) == 34 and cx.dim == 13 and len(cx.facets) == 17711
     assert homology._vertex_decomposable(cx.facets)
-    monkeypatch.setattr(homology, "_SHED_BUDGET", 90_000)
+    monkeypatch.setattr(homology, "_SHED_BUDGET", 141_870)
     assert not homology._vertex_decomposable(cx.facets)
+    monkeypatch.setattr(homology, "_SHED_BUDGET", 141_871)
+    assert homology._vertex_decomposable(cx.facets)
