@@ -136,13 +136,13 @@ def cmd_transversal(args):
 def _turan_counts(n: int, r: int) -> tuple[int, int]:
     """Edges and triangles of the Turan graph T(n, r).
 
-    Its clique complex is the join of r point sets of sizes as equal as
-    possible, so its f-vector is the product of the (1, s_i).
+    Its clique complex is the join of r point sets of near-equal sizes s_i:
+    its f-vector to f_2 is the product of the (1, s_i), each cut to 4 terms.
     """
     if not 1 <= r <= n:
         raise ComplexError("need 1 <= r <= n")
     sizes = [n // r + (i < n % r) for i in range(r)]
-    f = reduce(convolve, ((1, s) for s in sizes)) + (0, 0)
+    f = reduce(lambda f, s: convolve(f, (1, s))[:4], sizes, (1,)) + (0, 0)
     return f[2], f[3]
 
 

@@ -5,12 +5,13 @@ boundary of a vertex is the empty face and the Betti numbers are reduced.
 Faces are vertex masks, oriented by their vertex order with alternating
 signs, and all rational ranks are exact.
 
-Every boundary matrix is ranked over GF(2) first.  An integer matrix has
-rank over GF(2) at most its rank over Q, so every Betti number over GF(2) is
-at least the rational one (the universal coefficient theorem).  When the
-GF(2) numbers vanish below the top degree, the rational ones provably vanish
-too; only a complex where GF(2) sees homology (say, torsion, as in the real
-projective plane) is ranked again over Q.
+Every boundary map is one sequence of bitmask rows, ranked over GF(2) first.
+An integer matrix has rank over GF(2) at most its rank over Q, so every
+Betti number over GF(2) is at least the rational one (the universal
+coefficient theorem).  When the GF(2) numbers vanish below the top degree,
+the rational ones provably vanish too; only a complex where GF(2) sees
+homology (say, torsion, as in the real projective plane) has the same rows
+ranked again over Q.
 
 The Cohen-Macaulay test ranks the complex itself first.  When that passes
 and the complex is pure, a vertex decomposition, checked step by step on the
@@ -49,48 +50,46 @@ class CMViolation:
         return {"face": list(self.face), "degree": self.degree}
 
 
-def _boundary_rows(levels: list[tuple[int, ...]], i: int) -> list[list[int]]:
-    """For each ``i``-face, the positions in ``levels[i]`` (the faces of
-    ``i`` vertices) of its codimension-1 faces ``face ^ low``, one per
-    vertex bit ``low``, lowest first."""
+def _boundary_rows(levels: list[tuple[int, ...]], i: int) -> Iterable[int]:
+    """The boundary map from ``i``-chains as lazy bitmask rows, one per face of
+    ``levels[i + 1]``, bit ``k`` set for a codimension-1 face ``levels[i][k]``."""
     below = {f: k for k, f in enumerate(levels[i])}
-    rows = []
     for face in levels[i + 1]:
-        row, rest = [], face
+        row, rest = 0, face
         while rest:
-            low = rest & -rest
-            row.append(below[face ^ low])
-            rest ^= low
-        rows.append(row)
-    return rows
+            row |= 1 << below[face ^ (rest & -rest)]
+            rest &= rest - 1
+        yield row
 
 
-def _q_boundary_rank(levels: list[tuple[int, ...]], i: int) -> int:
-    """Exact rank over Q of the boundary map from ``i``-chains."""
-    return sparse_rank([{k: (-1) ** pos for pos, k in enumerate(cols)}
-                        for cols in _boundary_rows(levels, i)])
-
-
-def _gf2_boundary_rank(levels: list[tuple[int, ...]], i: int) -> int:
-    """Rank over GF(2) of the boundary map from ``i``-chains."""
-    return gf2_rank(sum(1 << k for k in cols) for cols in _boundary_rows(levels, i))
+def _q_rank(rows: Iterable[int]) -> int:
+    """Exact rank over Q of bitmask boundary rows, the ``j``-th set bit from
+    the lowest signed ``(-1)^j``: levels ascend, so on a face of ``i + 1``
+    vertices it drops the vertex at place ``i - j``, and ``(-1)^j`` is one
+    sign ``(-1)^i`` times the oriented one, which leaves the rank alone."""
+    signed = []
+    for row in rows:
+        entries, sign = {}, 1
+        while row:
+            entries[(row & -row).bit_length() - 1] = sign
+            row, sign = row & (row - 1), -sign
+        signed.append(entries)
+    return sparse_rank(signed)
 
 
 def _betti(levels: list[tuple[int, ...]]) -> tuple[int, ...]:
     """Reduced rational Betti numbers ``(b_-1, ..., b_dim)`` of the complex
     whose faces, by size, are ``levels``.
 
-    If the GF(2) Betti numbers vanish below the top degree, the rational
-    ones do too, and the top entry is then the reduced Euler characteristic
-    up to sign, the same over every field.  Otherwise the rational numbers
-    are computed from exact boundary ranks over Q.  The entries sum, with
-    alternating signs, to the reduced Euler characteristic whatever the
-    ranks are; an over-reported rank makes an entry negative, which raises.
+    Each map's ``_boundary_rows`` are ranked over GF(2), and again by
+    ``_q_rank`` only when GF(2) sees homology below the top.  The entries
+    sum, with alternating signs, to the reduced Euler characteristic
+    whatever the ranks are: a lone top entry is the same over both fields,
+    and an over-reported rank makes an entry negative, which raises.
     """
-    for rank in (_gf2_boundary_rank, _q_boundary_rank):
-        ranks = [rank(levels, i) for i in range(len(levels) - 1)] + [0]
-        entries = [1 - ranks[0]] + [len(levels[i + 1]) - ranks[i] - ranks[i + 1]
-                                    for i in range(len(levels) - 1)]
+    for rank in (gf2_rank, _q_rank):
+        ranks = [rank(_boundary_rows(levels, i)) for i in range(len(levels) - 1)]
+        entries = [len(f) - r - s for f, r, s in zip(levels, [0] + ranks, ranks + [0])]
         if min(entries) < 0:
             raise VerificationError(f"negative Betti number in {entries}")
         if not any(entries[:-1]):
@@ -102,7 +101,7 @@ def boundary_rank(delta: SimplicialComplex, i: int) -> int:
     """Exact rank of the boundary map from ``i``-chains to ``(i-1)``-chains."""
     if i < 0 or i > delta.dim:
         raise ValueError(f"no boundary map in degree {i}")
-    return _q_boundary_rank([delta.faces(k) for k in range(-1, i + 1)], i)
+    return _q_rank(_boundary_rows([delta.faces(k) for k in range(-1, i + 1)], i))
 
 
 def reduced_betti(delta: SimplicialComplex) -> tuple[int, ...]:

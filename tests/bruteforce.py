@@ -118,6 +118,23 @@ def gf2_rank(rows) -> int:
     return rank
 
 
+def signed_boundary(faces, i) -> list[list[int]]:
+    """The boundary map from the ``i``-faces of a face list, as dense rows
+    over the sorted ``(i-1)``-faces: a face minus its vertex at place
+    ``pos`` (in sorted order) has the entry ``(-1) ** pos``."""
+    def level(size):
+        return sorted({tuple(f) for f in faces if len(f) == size})
+
+    below = {f: k for k, f in enumerate(level(i))}
+    rows = []
+    for face in level(i + 1):
+        row = [0] * len(below)
+        for pos in range(len(face)):
+            row[below[face[:pos] + face[pos + 1:]]] = (-1) ** pos
+        rows.append(row)
+    return rows
+
+
 def betti(faces) -> tuple[int, ...]:
     """Reduced Betti numbers (b_-1, b_0, ..., b_dim) of a face list."""
     by_dim: dict[int, list] = {}
@@ -128,16 +145,7 @@ def betti(faces) -> tuple[int, ...]:
     dim = max(by_dim)
     if dim == -1:
         return (1,)
-    ranks = {}
-    for i in range(0, dim + 1):
-        below = {f: k for k, f in enumerate(by_dim.get(i - 1, []))}
-        rows = []
-        for face in by_dim.get(i, []):
-            row = [0] * len(below)
-            for pos in range(len(face)):
-                row[below[face[:pos] + face[pos + 1:]]] = (-1) ** pos
-            rows.append(row)
-        ranks[i] = dense_rank(rows)
+    ranks = {i: dense_rank(signed_boundary(faces, i)) for i in range(dim + 1)}
     ranks[dim + 1] = 0
     out = [1 - ranks[0]]
     for i in range(dim + 1):

@@ -9,7 +9,7 @@ import bruteforce as bf
 from conftest import (beta, cycle_graph, disjoint_union, join,
                       overlinked_pentagon_graph, path_graph, turan_graph)
 from facebalance.balancing import join_of_factors
-from facebalance.cli import main
+from facebalance.cli import _turan_counts, main
 from facebalance.classify import (basic_5_cycles, classify_girth5,
                                   embed_in_join, exceptional_catalog, girth,
                                   independent_facet_transversal, is_isomorphic,
@@ -466,6 +466,13 @@ def test_turan_counts_match_the_brute_force_graph(capsys):
             assert report["edges"] == len(t.edges), (n, r)
             assert report["triangles"] == bf.count_triangles(
                 t.vertices, t.edge_labels()), (n, r)
+
+
+def test_turan_counts_on_many_parts():
+    # T(n, n) is the complete graph; each product is cut to four entries,
+    # so n = 100 000 parts answer at once
+    n = 100_000
+    assert _turan_counts(n, n) == (math.comb(n, 2), math.comb(n, 3))
 
 
 def test_turan_validates_arguments(capsys):

@@ -56,32 +56,40 @@ def test_boundary_rank_range_check():
         boundary_rank(SimplicialComplex([["a"]]), 1)
 
 
-def test_boundary_of_boundary_is_zero():
+def _signed_rows(levels, i, monkeypatch):
+    """The rows the Q tier hands to the rational elimination for the
+    boundary map from ``i``-chains of the face levels ``levels``."""
+    fed = []
+    with monkeypatch.context() as m:
+        m.setattr(homology, "sparse_rank", lambda rows: fed.extend(rows) or 0)
+        homology._q_rank(homology._boundary_rows(levels, i))
+    return fed
+
+
+def test_boundary_of_boundary_is_zero(monkeypatch):
+    # the package's boundary rows, signed as the Q tier signs them, compose
+    # to zero, and every boundary rank is the brute-force signed boundary's
     rng = random.Random(17)
+    composed = 0
     for _ in range(15):
         cx = _random_complex(rng, 6)
-
-        def faces(k):
-            return [tuple(homology._bits(f)) for f in cx.faces(k)]
-
-        for i in range(1, cx.dim + 1):
-            below = {f: k for k, f in enumerate(faces(i - 1))}
-            above = {f: k for k, f in enumerate(faces(i))}
-            # compose two boundary maps entrywise and check they cancel
-            if i == 1:
-                continue
-            below2 = {f: k for k, f in enumerate(faces(i - 2))}
-            for face in faces(i):
+        levels = _levels(cx)
+        signed = [_signed_rows(levels, i, monkeypatch)
+                  for i in range(len(levels) - 1)]
+        assert [len(rows) for rows in signed] == [len(f) for f in levels[1:]]
+        for i in range(1, len(signed)):
+            for row in signed[i]:
                 total = {}
-                for pos in range(len(face)):
-                    sub = face[:pos] + face[pos + 1:]
-                    s1 = (-1) ** pos
-                    for pos2 in range(len(sub)):
-                        sub2 = sub[:pos2] + sub[pos2 + 1:]
-                        s2 = (-1) ** pos2
-                        total[below2[sub2]] = total.get(below2[sub2], 0) + s1 * s2
-                assert all(v == 0 for v in total.values())
-            assert below and above  # loop ran over real faces
+                for k, s in row.items():
+                    for k2, s2 in signed[i - 1][k].items():
+                        total[k2] = total.get(k2, 0) + s * s2
+                assert not any(total.values()), (cx, i)
+                composed += 1
+        faces = bf.faces_from_facets(cx.facet_labels())
+        for i in range(cx.dim + 1):
+            assert boundary_rank(cx, i) == bf.dense_rank(
+                bf.signed_boundary(faces, i)), (cx, i)
+    assert composed > 100
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +115,24 @@ def test_empty_complex_betti():
 def test_two_points_betti():
     two = SimplicialComplex([["a"], ["b"]])
     assert reduced_betti(two) == (0, 1)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_cycle_independence_complexes_match_kozlov(n, monkeypatch):
+    # Kozlov (J. Combin. Theory Ser. A 88, 1999), with k = n // 3: Ind(C_n)
+    # is S^{k-1} v S^{k-1} for n = 3k, S^{k-1} for n = 3k + 1 and S^k for
+    # n = 3k + 2; past the oracle's sizes, and on the Q tier whenever that
+    # sphere sits below the top dimension n // 2 - 1
+    k, r = divmod(n, 3)
+    degree, count = (k, 1) if r == 2 else (k - 1, 2 - r)
+    expected = [0] * (n // 2 + 1)
+    expected[degree + 1] = count
+    ranked_over_q = []
+    rank = homology._q_rank
+    monkeypatch.setattr(homology, "_q_rank",
+                        lambda rows: ranked_over_q.append(n) or rank(rows))
+    assert reduced_betti(independence_complex(cycle_graph(n))) == tuple(expected)
+    assert bool(ranked_over_q) == (degree < n // 2 - 1)
 
 
 def test_sphere_boundary_of_simplex():
@@ -238,7 +264,7 @@ def test_projective_plane_is_rationally_trivial_and_cm():
 def _exact_scan(cx, monkeypatch):
     """cm_report and the violation with every boundary ranked over Q."""
     with monkeypatch.context() as m:
-        m.setattr(homology, "_gf2_boundary_rank", homology._q_boundary_rank)
+        m.setattr(homology, "gf2_rank", homology._q_rank)
         return cm_report(cx), is_cohen_macaulay(cx)[1]
 
 
@@ -280,13 +306,13 @@ def test_torsion_sends_only_the_projective_planes_to_q(monkeypatch):
     suspension = join(rp2, SimplicialComplex([["n"], ["s"]]))
     assert reduced_betti(suspension) == (0, 0, 0, 0, 0)
     ranked_over_q = []
-    rank = homology._q_boundary_rank
+    rank = homology._q_rank
 
-    def counting(levels, i):
-        ranked_over_q.append((tuple(levels), i))
-        return rank(levels, i)
+    def counting(rows):
+        ranked_over_q.append(list(rows))
+        return rank(ranked_over_q[-1])
 
-    monkeypatch.setattr(homology, "_q_boundary_rank", counting)
+    monkeypatch.setattr(homology, "_q_rank", counting)
     # every other link is a circle, a suspended circle or a set of points;
     # the suspension RP^2 * S^0 is one join factor (its non-edge graph has
     # the component {n, s}, but not the facet count of a join of its
@@ -296,8 +322,9 @@ def test_torsion_sends_only_the_projective_planes_to_q(monkeypatch):
         ranked_over_q.clear()
         ok, violation = is_cohen_macaulay(cx)
         assert ok and violation is None
-        assert ranked_over_q == [(_levels(delta), i) for delta in expected
-                                 for i in range(delta.dim + 1)]
+        assert ranked_over_q == [
+            list(homology._boundary_rows(_levels(delta), i))
+            for delta in expected for i in range(delta.dim + 1)]
     assert suspension.link(["n"]) == suspension.link(["s"]) == rp2
 
 

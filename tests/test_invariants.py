@@ -61,10 +61,15 @@ def test_one_verification_error_class():
 def test_negative_betti_number(monkeypatch):
     # an over-reported rank could hide homology; two disjoint edges have
     # b_0 = 1 below the top over GF(2), so they are ranked again over Q,
-    # where a rank of 3 in degree 1 leaves b_1 = 2 - 3 - 0 = -1
-    real = homology._q_boundary_rank
-    monkeypatch.setattr(homology, "_q_boundary_rank",
-                        lambda levels, i: 3 if i == 1 else real(levels, i))
+    # where a rank of 3 in degree 1 (the two edges' rows) leaves
+    # b_1 = 2 - 3 - 0 = -1
+    real = homology._q_rank
+
+    def over_reporting(rows):
+        rows = list(rows)
+        return 3 if len(rows) == 2 else real(rows)
+
+    monkeypatch.setattr(homology, "_q_rank", over_reporting)
     two_edges = SimplicialComplex([["a", "b"], ["c", "d"]])
     with pytest.raises(VerificationError, match="negative Betti number"):
         reduced_betti(two_edges)
