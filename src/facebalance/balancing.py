@@ -19,9 +19,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional, Sequence
 
-from .complexes import (ComplexError, Graph, SimplicialComplex,
-                        VerificationError, _bits, h_from_f,
-                        is_full_dimensional_subcomplex, is_proper)
+from .complexes import (ComplexError, Graph, SimplicialComplex, VerificationError,
+                        _bits, is_full_dimensional_subcomplex, is_proper)
 from .homology import is_cohen_macaulay
 from .linalg import integer_row, invert, sparse_rank
 from .polynomials import (DEFAULT_SEED, LinearAutomorphism, Multicomplex,
@@ -329,7 +328,7 @@ def balanced_witness(delta: SimplicialComplex, cover: Sequence[dict],
             f"complex is not Cohen-Macaulay: link of {list(violation.face)!r} "
             f"has homology in degree {violation.degree}")
     d = delta.dim + 1
-    h = h_from_f(delta.f_vector())
+    h = delta.h_vector()
     failures = []
     stream = specialization_stream(seed)
     for _ in range(RETRIES + 1):

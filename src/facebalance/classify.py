@@ -15,7 +15,7 @@ from typing import Optional
 
 from .complexes import (ComplexError, Graph, SimplicialComplex,
                         VerificationError, _bits, _maximal_independent_masks,
-                        maximal_independent_sets)
+                        _skeleton, maximal_independent_sets)
 
 INFINITE = math.inf
 
@@ -68,7 +68,7 @@ def is_well_covered(g: Graph) -> bool:
 
 def pendant_edges(g: Graph) -> list[tuple[str, str]]:
     """Edges incident to a degree-1 vertex, sorted."""
-    return sorted(g.labels((a, b)) for a, b in g.edges
+    return sorted(g.labels((a, b)) for a, b in g.edges()
                   if g.nb[a].bit_count() == 1 or g.nb[b].bit_count() == 1)
 
 
@@ -191,7 +191,8 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     vertices) backtrack only on graphs that small.
     """
     n = len(g1.vertices)
-    if n != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+    if n != len(g2.vertices) or (sum(map(int.bit_count, g1.nb))
+                                 != sum(map(int.bit_count, g2.nb))):
         return False
     nb1, nb2 = g1.nb, g2.nb
 
@@ -345,10 +346,8 @@ def independent_facet_transversal(delta: SimplicialComplex
     """An independent set of the 1-skeleton meeting every facet, or None."""
     if not delta.is_pure():
         raise ComplexError("facet transversals are defined for pure complexes")
-    skel = delta.one_skeleton()
-    facets = [set(f) for f in delta.facet_labels()]
-    for candidate in maximal_independent_sets(skel):
-        cset = set(candidate)
-        if all(cset & f for f in facets):
-            return candidate
-    return None
+    n = len(delta.vertices)
+    nb = [m & ~(1 << v) for v, m in enumerate(_skeleton(delta.facets, n))]
+    hits = [m for m in _maximal_independent_masks(nb, (1 << n) - 1)
+            if all(m & f for f in delta.facets)]
+    return min(map(delta.labels, hits), default=None)

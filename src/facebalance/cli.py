@@ -16,16 +16,16 @@ import json
 import os
 import sys
 import time
-from functools import reduce
+from math import comb
 from pathlib import Path
 
 from .balancing import CoverError, VerificationError, balanced_witness
 from .classify import (_cycle_graph, classify_girth5, embed_in_join,
                        exceptional_catalog, girth,
                        independent_facet_transversal, is_isomorphic)
-from .complexes import (ComplexError, clique_complex, convolve, f_from_h,
-                        h_from_f, independence_complex, is_proper,
-                        parse_complex, parse_graph)
+from .complexes import (ComplexError, clique_complex, f_from_h, h_from_f,
+                        independence_complex, is_proper, parse_complex,
+                        parse_graph)
 from .homology import cm_report, is_cohen_macaulay, reduced_betti
 from .polynomials import DEFAULT_SEED
 from .samples import (colorable_h_witness, flag_sphere_graph, odd_wheel,
@@ -136,14 +136,14 @@ def cmd_transversal(args):
 def _turan_counts(n: int, r: int) -> tuple[int, int]:
     """Edges and triangles of the Turan graph T(n, r).
 
-    Its clique complex is the join of r point sets of near-equal sizes s_i:
-    its f-vector to f_2 is the product of the (1, s_i), each cut to 4 terms.
+    Its clique complex joins q point sets of a + 1 points and r - q of a,
+    a, q = divmod(n, r): f_{k-1} is [x^k] (1 + (a+1) x)^q (1 + a x)^(r-q).
     """
     if not 1 <= r <= n:
         raise ComplexError("need 1 <= r <= n")
-    sizes = [n // r + (i < n % r) for i in range(r)]
-    f = reduce(lambda f, s: convolve(f, (1, s))[:4], sizes, (1,)) + (0, 0)
-    return f[2], f[3]
+    a, q = divmod(n, r)
+    return tuple(sum(comb(q, i) * comb(r - q, k - i) * (a + 1) ** i * a ** (k - i)
+                     for i in range(k + 1)) for k in (2, 3))
 
 
 def cmd_turan(args):
@@ -192,9 +192,7 @@ def cmd_golden(args):
     record("P13_link_is_heptagon_complex",
            is_isomorphic(link13.one_skeleton(), heptagon_skel))
 
-    cover5 = [{"type": "graph", "vertices": list(ic5.vertices),
-               "edges": [list(e) for e in ic5.one_skeleton().edge_labels()],
-               "removed_edge": None}]
+    cover5, _ = embed_in_join(_cycle_graph(5))
     try:
         w5 = balanced_witness(ic5, cover5, seed=args.seed)
         record("pentagon_witness", w5.basis.f_vector() == (1, 3, 1),

@@ -355,14 +355,14 @@ class Graph:
     vertices at positions i and j are adjacent.
     """
 
-    __slots__ = ("vertices", "_index", "edges", "nb")
+    __slots__ = ("vertices", "_index", "nb")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Iterable[str]]):
         self.vertices = tuple(str(v) for v in vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise ComplexError("duplicate vertex labels")
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        es = set()
+        nb = [0] * len(self.vertices)
         for e in edges:
             pair = tuple(str(v) for v in e)
             if len(pair) != 2 or pair[0] == pair[1]:
@@ -371,19 +371,19 @@ class Graph:
                 i, j = self._index[pair[0]], self._index[pair[1]]
             except KeyError as exc:
                 raise ComplexError(f"edge endpoint {exc.args[0]!r} not declared") from None
-            es.add((min(i, j), max(i, j)))
-        self.edges = frozenset(es)
-        nb = [0] * len(self.vertices)
-        for a, b in es:
-            nb[a] |= 1 << b
-            nb[b] |= 1 << a
+            nb[i] |= 1 << j
+            nb[j] |= 1 << i
         self.nb = tuple(nb)
 
     def labels(self, idxs: Iterable[int]) -> tuple[str, ...]:
         return tuple([self.vertices[i] for i in idxs])
 
+    def edges(self) -> list[tuple[int, int]]:
+        """The edges as position pairs ``(i, j)``, ``i < j``, read off ``nb``."""
+        return [(i, j) for i, m in enumerate(self.nb) for j in _bits(m & -(2 << i))]
+
     def edge_labels(self) -> list[tuple[str, str]]:
-        return [self.labels(e) for e in sorted(self.edges)]
+        return [self.labels(e) for e in self.edges()]
 
     def complement(self) -> "Graph":
         n = len(self.vertices)
@@ -428,14 +428,14 @@ class Graph:
         return self.labels(_bits(sides[0])), self.labels(_bits(sides[1]))
 
     def is_triangle_free(self) -> bool:
-        return not any(self.nb[a] & self.nb[b] for a, b in self.edges)
+        return not any(self.nb[a] & self.nb[b] for a, b in self.edges())
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.vertices == other.vertices
-                and self.edges == other.edges)
+                and self.nb == other.nb)
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self.nb))
 
     def __repr__(self):
         return f"Graph({list(self.vertices)!r}, {self.edge_labels()!r})"
@@ -472,15 +472,8 @@ def parse_graph(text: str) -> Graph:
 
 def maximal_independent_sets(g: Graph) -> list[tuple[str, ...]]:
     """All maximal independent sets, as sorted label tuples."""
-    labels, out = g.vertices, []
-    for m in _maximal_independent_masks(g.nb, (1 << len(labels)) - 1):
-        face = []  # built inline, not by _bits: this loop is the hot one
-        while m:
-            low = m & -m
-            face.append(labels[low.bit_length() - 1])
-            m ^= low
-        out.append(tuple(face))
-    return sorted(out)
+    return sorted(g.labels(_bits(m)) for m in
+                  _maximal_independent_masks(g.nb, (1 << len(g.vertices)) - 1))
 
 
 def independence_complex(g: Graph) -> SimplicialComplex:

@@ -104,14 +104,7 @@ class SparseEchelon:
             if piv is None:
                 self.pivots[lead] = row
                 return True
-            # the step of _cross, inlined: this is the hottest loop of balance
-            a, b = piv[lead], row[lead]
-            new = {}
-            for c in row.keys() | piv.keys():
-                val = a * row.get(c, 0) - b * piv.get(c, 0)
-                if val:
-                    new[c] = val
-            row = _strip_content(new)
+            row = _cross(row, piv, lead)
         return False
 
     @property

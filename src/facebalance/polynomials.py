@@ -422,8 +422,8 @@ def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
     monomials appears; divisibility closure makes everything above empty as
     well.  If standard monomials persist past degree ``d + 1`` (one more than
     the tail size) the tail is not a linear system of parameters for this
-    twist and :class:`StandardBasisOverflow` is raised.  A basis that is not
-    divisibility-closed raises :class:`VerificationError`.
+    twist and :class:`StandardBasisOverflow` is raised.  A basis that lacks
+    the unit or is not divisibility-closed raises :class:`VerificationError`.
     """
     if g.variables != order.variables:
         raise ValueError("matrix and order disagree on the variable sequence")
@@ -449,9 +449,9 @@ def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
                 f"standard monomials persist past degree {cap}: the tail "
                 f"variables are not a linear system of parameters for this "
                 f"twist/specialization")
-    basis = Multicomplex(order.variables, frozenset(collected) | {order.unit()})
-    if not basis.is_divisibility_closed():
-        raise VerificationError("standard set not divisibility-closed")
+    basis = Multicomplex(order.variables, frozenset(collected))
+    if order.unit() not in collected or not basis.is_divisibility_closed():
+        raise VerificationError("standard set not divisibility-closed from the unit")
     return basis
 
 

@@ -56,7 +56,7 @@ def test_criterion_1_h_f_conversion():
 def test_criterion_2_turan_uniqueness():
     started = time.perf_counter()
     t73 = turan_graph(7, 3)
-    assert len(t73.edges) == 16
+    assert len(t73.edges()) == 16
     assert bf.count_triangles(t73.vertices, t73.edge_labels()) == 12
     verts = [f"t{i + 1}" for i in range(7)]
     all_pairs = list(itertools.combinations(verts, 2))

@@ -187,7 +187,7 @@ def test_overlinked_variant_has_no_decomposition():
 # ---------------------------------------------------------------------------
 
 def test_catalog_edge_counts():
-    counts = {name: len(g.edges) for name, g in exceptional_catalog().items()}
+    counts = {name: len(g.edges()) for name, g in exceptional_catalog().items()}
     assert counts == {"C7": 7, "P10": 12, "P13": 17, "P14": 21, "Q13": 18}
 
 
@@ -239,11 +239,12 @@ def test_isomorphism_rejects_different_graphs():
 
 def test_isomorphism_against_the_catalog_needs_no_budget(monkeypatch):
     # classify only compares with catalog graphs, all of at most 14
-    # vertices: a graph of another size is rejected on its counts alone,
-    # before any adjacency is read or any backtracking starts
+    # vertices: a graph of another size is rejected on its vertex count
+    # alone, before any adjacency is read or any backtracking starts
     catalog = exceptional_catalog()
     assert max(len(g.vertices) for g in catalog.values()) == 14
     big, ring = cycle_graph(5000), cycle_graph(14)
+    slot = Graph.nb
 
     def no_adjacency(self):
         raise AssertionError("adjacency read")
@@ -252,8 +253,18 @@ def test_isomorphism_against_the_catalog_needs_no_budget(monkeypatch):
     with pytest.raises(AssertionError):
         big.nb
     assert not is_isomorphic(big, catalog["P14"])
-    # same vertex count, another edge count
+    # same vertex count, another edge count: the edge counts are the
+    # popcount sums of nb, so each graph's adjacency is read once, and the
+    # search, which reads it again, never starts
+    reads = []
+
+    def counted(self):
+        reads.append(self)
+        return slot.__get__(self)
+
+    monkeypatch.setattr(Graph, "nb", property(counted))
     assert not is_isomorphic(ring, catalog["P14"])
+    assert len(reads) == 2 and reads[0] is ring
 
 
 def test_isomorphism_on_regular_lookalikes():
@@ -444,6 +455,39 @@ def test_transversal_requires_pure():
         independent_facet_transversal(SimplicialComplex([["a", "b"], ["c"]]))
 
 
+def _transversal_oracle(delta: SimplicialComplex):
+    """The least label tuple among the maximal independent sets of the
+    1-skeleton that meet every facet, or None, by enumeration."""
+    facets = [set(f) for f in delta.facet_labels()]
+    edges = {p for f in delta.facet_labels() for p in itertools.combinations(f, 2)}
+    indep = bf.independent_subsets(delta.vertices, edges)
+    maximal = [s for s in indep if not any(set(s) < set(t) for t in indep)]
+    hits = [s for s in maximal if all(set(s) & f for f in facets)]
+    return min(hits, default=None)
+
+
+def test_transversal_agrees_with_a_bruteforce_oracle():
+    # pure complexes whose vertex order is not the order of their labels,
+    # plus the complex of the empty face alone, which no set meets
+    rng = random.Random(28)
+    cases = [SimplicialComplex([[]])]
+    for _ in range(300):
+        size = rng.randint(1, 4)
+        n = rng.randint(size, 8)
+        labels = [f"v{rng.randrange(100)}" for _ in range(n)]
+        facets = rng.sample(list(itertools.combinations(range(n), size)),
+                            min(rng.randint(1, 6), math.comb(n, size)))
+        if len(set(labels)) == n:
+            cases.append(SimplicialComplex([[labels[i] for i in f] for f in facets]))
+    found = 0
+    for delta in cases:
+        expected = _transversal_oracle(delta)
+        assert independent_facet_transversal(delta) == expected, delta
+        found += expected is not None
+    # both answers occur often
+    assert 20 < found < len(cases) - 20
+
+
 # ---------------------------------------------------------------------------
 # extremal counts
 # ---------------------------------------------------------------------------
@@ -451,7 +495,7 @@ def test_transversal_requires_pure():
 def test_turan_counts():
     # the oracle itself, on the pinned T(7, 3)
     t = turan_graph(7, 3)
-    assert len(t.edges) == 16
+    assert len(t.edges()) == 16
     assert bf.count_triangles(t.vertices, t.edge_labels()) == 12
     assert not bf.has_k4(t.vertices, t.edge_labels())
 
@@ -463,16 +507,16 @@ def test_turan_counts_match_the_brute_force_graph(capsys):
             t = turan_graph(n, r)
             assert main(["--json", "turan", str(n), str(r)]) == 0
             report = json.loads(capsys.readouterr().out)["results"]
-            assert report["edges"] == len(t.edges), (n, r)
+            assert report["edges"] == len(t.edges()), (n, r)
             assert report["triangles"] == bf.count_triangles(
                 t.vertices, t.edge_labels()), (n, r)
 
 
 def test_turan_counts_on_many_parts():
-    # T(n, n) is the complete graph; each product is cut to four entries,
-    # so n = 100 000 parts answer at once
-    n = 100_000
-    assert _turan_counts(n, n) == (math.comb(n, 2), math.comb(n, 3))
+    # T(n, n) is the complete graph; the counts are a closed form in the
+    # two part sizes, so any number of parts answers at once
+    for n in (100_000, 10**9):
+        assert _turan_counts(n, n) == (math.comb(n, 2), math.comb(n, 3))
 
 
 def test_turan_validates_arguments(capsys):

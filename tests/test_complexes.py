@@ -372,21 +372,29 @@ def test_subgraph_accepts_a_one_shot_iterable():
 
 def test_adjacency_matches_the_edge_set():
     # nb[i] masks the neighbours of vertex i: symmetric, loop-free, equal
-    # to the edge set, and an immutable tuple the graph keeps
+    # to the edges given, whichever end each pair names first and however
+    # often, and an immutable tuple the graph keeps; edges() reads the
+    # pairs back off nb, ascending
     rng = random.Random(23)
     for _ in range(50):
         n = rng.randint(1, 8)
         pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        given = [p[::-1] if rng.random() < 0.5 else p for p in pairs]
+        given += [p[::-1] if rng.random() < 0.5 else p
+                  for p in rng.sample(pairs, len(pairs) // 2)]
+        rng.shuffle(given)
         g = Graph([f"x{i}" for i in range(n)],
-                  [(f"x{a}", f"x{b}") for a, b in pairs])
+                  [(f"x{a}", f"x{b}") for a, b in given])
         assert isinstance(g.nb, tuple) and len(g.nb) == n
+        assert g.edges() == pairs
+        assert g.edge_labels() == [(f"x{a}", f"x{b}") for a, b in pairs]
         for i in range(n):
             assert g.nb[i] == sum(1 << j for e in pairs for j in e
                                   if i in e and j != i)
             assert not g.nb[i] >> i & 1
             for j in range(n):
                 assert (g.nb[i] >> j & 1) == (g.nb[j] >> i & 1)
-                assert (g.nb[i] >> j & 1) == ((min(i, j), max(i, j)) in g.edges)
+                assert (g.nb[i] >> j & 1) == ((min(i, j), max(i, j)) in pairs)
 
 
 def _shuffled_graph(rng, n, p):

@@ -102,6 +102,28 @@ def test_standard_set_missing_a_divisor(monkeypatch):
         standard_monomial_basis(pentagon, pair.matrix, pair.order)
 
 
+@pytest.mark.parametrize("cover", ["pentagon", "point"])
+def test_standard_set_missing_the_unit(monkeypatch, cover):
+    # the unit is the degree-0 sweep's one standard monomial and is never
+    # added afterwards; on a point the basis left is empty, which is
+    # divisibility-closed, so the unit is re-checked on its own
+    if cover == "pentagon":
+        delta = independence_complex(cycle_graph(5))
+        pair = base_pair_near_bipartite(delta.one_skeleton(), None, Specialization())
+    else:
+        delta = SimplicialComplex([["a"]])
+        pair = balancing.base_pair_points(["a"])
+    real = polynomials.initial_ideal_by_degree
+
+    def unitless(gens, order, degree):
+        rank, standard = real(gens, order, degree)
+        return rank, standard if degree else set()
+
+    monkeypatch.setattr(polynomials, "initial_ideal_by_degree", unitless)
+    with pytest.raises(VerificationError, match="divisibility-closed from the unit"):
+        standard_monomial_basis(delta, pair.matrix, pair.order)
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
