@@ -20,7 +20,7 @@ from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .complexes import (ComplexError, Graph, SimplicialComplex, VerificationError,
-                        _bits, is_full_dimensional_subcomplex, is_proper)
+                        is_full_dimensional_subcomplex, is_proper)
 from .homology import is_cohen_macaulay
 from .linalg import integer_row, invert, sparse_rank
 from .polynomials import (DEFAULT_SEED, LinearAutomorphism, Multicomplex,
@@ -68,8 +68,7 @@ def kind_kleinschmidt(delta: SimplicialComplex, pair: BalancingPair
     tail = {v: integer_row(dict(enumerate(row[tail_start:])))
             for v, row in zip(pair.order.variables,
                               pair.matrix.inverse().matrix)}
-    for facet in sorted(delta.facets, key=_bits):
-        labels = delta.labels(facet)
+    for labels in delta.facet_labels():
         if sparse_rank(tail[v] for v in labels) != len(labels):
             return False, labels
     return True, None
@@ -125,12 +124,11 @@ def base_pair_near_bipartite(graph: Graph, removed_edge: Optional[Sequence[str]]
         raise CoverError("no single edge removal makes the factor bipartite"
                          if removed_edge is None else
                          "graph factor minus the chosen edge is still odd")
-    same = next((s for s in sides if y in s), ())
-    if z not in same:
+    class_a, class_b = sides if y in sides[0] else sides[::-1]
+    if z not in class_a:
         raise VerificationError("edge endpoints split across the 2-coloring")
-    class_a = tuple(v for v in graph.vertices if v in set(same))
-    class_b = tuple(v for v in graph.vertices if v not in set(same))
-    ordered = class_b + tuple(v for v in class_a if v not in (y, z)) + (y, z)
+    rest = tuple(v for v in class_a if v not in (y, z))
+    ordered = class_b + rest + (y, z)
     order = TermOrder(ordered, 2)
     n = len(ordered)
     zinv = invert(spec.z_matrix())
@@ -143,8 +141,7 @@ def base_pair_near_bipartite(graph: Graph, removed_edge: Optional[Sequence[str]]
     for i in range(2):
         rows.append(tuple([Fraction(0)] * (n - 2) + [zinv[i][0], zinv[i][1]]))
     g = LinearAutomorphism(ordered, tuple(rows))
-    blocks = (tuple(v for v in class_a if v not in (y, z)), class_b)
-    return BalancingPair(order, g, blocks)
+    return BalancingPair(order, g, (rest, class_b))
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +298,6 @@ CHECK_NAMES = ("kind_kleinschmidt", "squarefree", "block_degree",
                "divisibility_closure", "f_matches_h", "proper_coloring")
 
 
-def _padded(seq: Sequence[int], length: int) -> tuple[int, ...]:
-    return tuple(seq) + (0,) * (length - len(seq))
-
-
 RETRIES = 8  # extra specialization attempts after the first
 
 
@@ -327,7 +320,6 @@ def balanced_witness(delta: SimplicialComplex, cover: Sequence[dict],
         raise CoverError(
             f"complex is not Cohen-Macaulay: link of {list(violation.face)!r} "
             f"has homology in degree {violation.degree}")
-    d = delta.dim + 1
     h = delta.h_vector()
     failures = []
     stream = specialization_stream(seed)
@@ -345,8 +337,8 @@ def balanced_witness(delta: SimplicialComplex, cover: Sequence[dict],
             checks["block_degree"] = all(basis.max_degree_in(idx) <= 1
                                          for idx in block_idx)
             checks["divisibility_closure"] = basis.is_divisibility_closed()
-            checks["f_matches_h"] = (_padded(basis.f_vector(), d + 1)
-                                     == _padded(h, d + 1))
+            f = basis.f_vector()
+            checks["f_matches_h"] = f + (0,) * (len(h) - len(f)) == h
             # only a squarefree basis is a complex that can be colored
             witness_complex = basis.to_complex() if checks["squarefree"] else None
             coloring = {v: i for i, b in enumerate(pair.blocks) for v in b}

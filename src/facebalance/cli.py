@@ -85,7 +85,11 @@ def cmd_balance(args):
     complex_text, complex_digest = _load(args.complex)
     delta = parse_complex(complex_text)
     cover_text, cover_digest = _load(args.cover)
-    witness = balanced_witness(delta, json.loads(cover_text), seed=args.seed)
+    try:
+        cover = json.loads(cover_text)
+    except RecursionError:
+        raise CoverError(f"{args.cover}: cover is nested too deeply") from None
+    witness = balanced_witness(delta, cover, seed=args.seed)
     inputs = {args.complex: complex_digest, args.cover: cover_digest}
     return _report(args, inputs, witness.to_json_obj(), checks=witness.checks)
 

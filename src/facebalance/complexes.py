@@ -127,15 +127,17 @@ def _maximal_independent_masks(nb: Sequence[int], within: int) -> list[int]:
     on int bitmasks, bit i standing for vertex i.  It lists the maximal
     cliques of the complement graph, where ``co[i]`` masks the
     non-neighbours of i; each branch tries only the candidates outside
-    ``co`` of a pivot that has the most candidates there.
+    ``co`` of a pivot that has the most candidates there.  Branches wait
+    on a list, not the call stack; the sets come in no set order.
     """
     co = [within & ~m & ~(1 << i) for i, m in enumerate(nb)]
     found: list[int] = []
-
-    def rec(r: int, p: int, x: int) -> None:
+    stack = [(0, within, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             found.append(r)
-            return
+            continue
         best = -1
         rest = p | x
         while rest:
@@ -149,12 +151,10 @@ def _maximal_independent_masks(nb: Sequence[int], within: int) -> list[int]:
         while cand:
             low = cand & -cand
             i = low.bit_length() - 1
-            rec(r | low, p & co[i], x & co[i])
+            stack.append((r | low, p & co[i], x & co[i]))
             p ^= low
             x |= low
             cand ^= low
-
-    rec(0, within, 0)
     return found
 
 

@@ -70,9 +70,7 @@ class TermOrder:
         return (0,) * self.n
 
     def variable(self, v: str) -> Monomial:
-        m = [0] * self.n
-        m[self.index(v)] = 1
-        return tuple(m)
+        return self.monomial_of((v,))
 
     def monomial_of(self, labels: Iterable[str]) -> Monomial:
         m = [0] * self.n
@@ -88,26 +86,9 @@ class TermOrder:
         return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
-
-def poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = monomial_mul(ma, mb)
-            c = out.get(m, 0) + ca * cb
-            if c:
-                out[m] = c
-            else:
-                out.pop(m, None)
-    return out
-
 
 @dataclass(frozen=True)
 class LinearAutomorphism:
@@ -128,17 +109,6 @@ class LinearAutomorphism:
     def inverse(self) -> "LinearAutomorphism":
         return LinearAutomorphism(self.variables, invert(self.matrix))
 
-    def image_of(self, j: int) -> dict:
-        """Image of variable ``j`` as a polynomial dict."""
-        n = len(self.variables)
-        out = {}
-        for i in range(n):
-            if self.matrix[i][j]:
-                m = [0] * n
-                m[i] = 1
-                out[tuple(m)] = Fraction(self.matrix[i][j])
-        return out
-
     def is_block_upper_triangular(self, d: int) -> bool:
         """Zero block below the free variables: tail rows vs free columns."""
         n = len(self.variables)
@@ -152,23 +122,27 @@ class LinearAutomorphism:
 
 
 def apply_automorphism(g: LinearAutomorphism, p: dict) -> dict:
-    """Substitute each variable by its matrix image and expand exactly."""
-    images = {}
+    """Substitute each variable by its matrix image and expand exactly.
+
+    Variable ``j`` becomes column ``j``, ``sum_i matrix[i][j] * x_i``, so
+    the image at a point ``x`` is ``p`` at ``M^T x``.  Only the columns of
+    a term's own variables are read; zero coefficients are dropped once.
+    """
+    n = len(g.variables)
     out: dict = {}
     for m, c in p.items():
-        term = {tuple(0 for _ in g.variables): Fraction(c)}
-        for j, e in enumerate(m):
-            for _ in range(e):
-                if j not in images:
-                    images[j] = g.image_of(j)
-                term = poly_mul(term, images[j])
-        for mm, cc in term.items():
-            val = out.get(mm, 0) + cc
-            if val:
-                out[mm] = val
-            else:
-                out.pop(mm, None)
-    return out
+        term = {(0,) * n: Fraction(c)}
+        for j in [j for j, e in enumerate(m) for _ in range(e)]:
+            column = [(i, r[j]) for i, r in enumerate(g.matrix) if r[j]]
+            grown: dict = {}
+            for t, a in term.items():
+                for i, b in column:
+                    u = t[:i] + (t[i] + 1,) + t[i + 1:]
+                    grown[u] = grown.get(u, 0) + a * b
+            term = grown
+        for t, a in term.items():
+            out[t] = out.get(t, 0) + a
+    return {t: a for t, a in out.items() if a}
 
 
 # ---------------------------------------------------------------------------

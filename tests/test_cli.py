@@ -296,6 +296,40 @@ def test_retries_is_not_an_option(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("usage: ")
 
 
+def test_deeply_nested_cover_is_input_error(tmp_path, capsys):
+    argv = _square_with_cover(tmp_path, {})
+    cover_path = tmp_path / "cover.json"
+    cover_path.write_text("[" * 100_000)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: {cover_path}: cover is nested "
+                            "too deeply\n")
+
+
+def test_star_with_1500_leaves_answers(tmp_path, capsys):
+    # its leaves are one maximal independent set, 1 500 branches deep in
+    # the enumeration, which once recursed that deep and crashed
+    path = tmp_path / "star.el"
+    path.write_text("".join(f"c l{i}\n" for i in range(1500)))
+    assert main(["--json", "classify", "--graph", str(path)]) == 0
+    (verdict,) = _json_out(capsys)["results"]["components"]
+    assert verdict["kind"] == "NotWellCovered"
+    assert main(["--json", "embed", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: component ['c', 'l0', ")
+    assert captured.err.endswith("(classified NotWellCovered)\n")
+
+
+def test_transversal_of_1500_points_is_all_of_them(tmp_path, capsys):
+    path = tmp_path / "points.cx"
+    path.write_text("".join(f"p{i}\n" for i in range(1500)))
+    assert main(["--json", "transversal", str(path)]) == 0
+    transversal = _json_out(capsys)["results"]["transversal"]
+    assert sorted(transversal) == sorted(f"p{i}" for i in range(1500))
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["fvector", "/nonexistent/file.cx"]) == 2
 

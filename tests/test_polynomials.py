@@ -140,6 +140,50 @@ def test_automorphism_inverse_roundtrip_random():
         assert apply_automorphism(ginv, apply_automorphism(g, p)) == p
 
 
+def _evaluate(p, point):
+    total = Fraction(0)
+    for m, c in p.items():
+        for x, e in zip(point, m):
+            c *= x ** e
+        total += c
+    return total
+
+
+def test_automorphism_cancels_the_terms_of_a_product():
+    # x -> a + b and y -> a - b: the two ab terms of x*y cancel
+    g = LinearAutomorphism(("a", "b"), ((Fraction(1), Fraction(1)),
+                                        (Fraction(1), Fraction(-1))))
+    assert apply_automorphism(g, {(1, 1): Fraction(1)}) == {
+        (2, 0): Fraction(1), (0, 2): Fraction(-1)}
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_automorphism_substitutes_the_columns(rational):
+    # variable j becomes column j of M, so g(p) at x is p at M^T x; the
+    # round trip above holds for a row reading as well, and this does not
+    rng = random.Random(29 + rational)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4) if rational else 1)
+
+    n = 3
+    for _ in range(15):
+        rows = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+        g = LinearAutomorphism(tuple("abc"), rows)
+        p = {tuple(rng.randint(0, 2) for _ in range(n)): entry() for _ in range(4)}
+        polys = [p]
+        if bf.dense_rank(rows) == n:
+            # g(g^-1(p)) is p again, so most product terms cancel
+            polys.append(apply_automorphism(g.inverse(), p))
+        for q in polys:
+            image = apply_automorphism(g, q)
+            assert 0 not in image.values()
+            for _ in range(3):
+                x = [entry() for _ in range(n)]
+                moved = [sum(rows[i][j] * x[i] for i in range(n)) for j in range(n)]
+                assert _evaluate(image, x) == _evaluate(q, moved)
+
+
 def test_automorphism_json_uses_rational_strings():
     g = LinearAutomorphism(("x",), ((Fraction(1, 2),),))
     assert g.to_json_obj()["matrix"] == [["1/2"]]
