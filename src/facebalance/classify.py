@@ -34,11 +34,16 @@ def girth(g: Graph):
     cycle of length at most 2k + 2.  A shortest cycle through the root is
     found at its far end, so the least of these over all roots is the
     girth.  Deeper layers close only longer cycles, so each BFS stops once
-    2k + 1 reaches the shortest cycle found so far.
+    2k + 1 reaches the shortest cycle found so far.  A vertex of degree at
+    most 1 lies on no cycle and is not a root: every vertex of a shortest
+    cycle has degree at least 2, so the cycle is still found from one of
+    its own vertices, and no BFS reports less than the girth.
     """
     nb = g.nb
     best = INFINITE
     for s in range(len(nb)):
+        if nb[s] & (nb[s] - 1) == 0:
+            continue
         seen = layer = 1 << s
         k = 0
         while layer and 2 * k + 1 < best:

@@ -274,12 +274,14 @@ def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
     divided monomials and the pivot columns under the descending revlex
     column order, ``rank`` of them; neither kind is listed.  ``standard`` is
     the degree's share of the standard monomial basis:
-    :func:`standard_monomial_basis` calls this once per degree and reads
-    ``result[1]``, as does ``bench/tracer.py``, whose count ``bench/run.py``
-    checks against the sum of the h-vector.  The undivided monomials form an
-    order ideal, built here degree by degree: the elimination runs over its
-    top degree only, with multipliers from its lower degrees, and a
-    divisible monomial is never enumerated.
+    :func:`standard_monomial_basis` calls this on each degree from 0 up,
+    except a stop degree that the standard set below already proves empty,
+    and reads ``result[1]``, as does ``bench/tracer.py``, whose count
+    ``bench/run.py`` checks against the sum of the h-vector (a skipped
+    degree adds 0 to it, as its elimination would).  The undivided
+    monomials form an order ideal, built here degree by degree: the
+    elimination runs over its top degree only, with multipliers from its
+    lower degrees, and a divisible monomial is never enumerated.
 
     Inside, an exponent tuple is packed into one int, ``degree.bit_length()
     + 1`` bits per variable with the last variable highest.  A product is
@@ -383,6 +385,18 @@ class Multicomplex:
                 "F": list(self.f_vector())}
 
 
+def _has_closed_successor(std: set, n: int) -> bool:
+    """True iff some monomial one degree above ``std``, over ``n``
+    variables, has all of its divisors of that degree in ``std``."""
+    for m in std:
+        for j in range(n):
+            up = m[:j] + (m[j] + 1,) + m[j + 1:]
+            if all(up[:i] + (e - 1,) + up[i + 1:] in std
+                   for i, e in enumerate(up) if e):
+                return True
+    return False
+
+
 def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
                             order: TermOrder) -> Multicomplex:
     """Monomials outside the initial ideal of the twisted face ideal plus tail.
@@ -392,12 +406,27 @@ def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
     Stanley-Reisner generators with the tail set to zero.  This is exact,
     since the initial ideal of I + (tail) is in(I with tail = 0) + (tail), so
     the standard monomials are the free ones, padded with zero tail
-    exponents.  Degrees are swept upward until a degree with no standard
-    monomials appears; divisibility closure makes everything above empty as
-    well.  If standard monomials persist past degree ``d + 1`` (one more than
-    the tail size) the tail is not a linear system of parameters for this
-    twist and :class:`StandardBasisOverflow` is raised.  A basis that lacks
-    the unit or is not divisibility-closed raises :class:`VerificationError`.
+    exponents.
+
+    Degrees are swept upward from 0 to the first one with no standard
+    monomials, and that degree is not eliminated when the degree below
+    already proves it empty.  in(I) is an ideal, so the standard monomials
+    form an order ideal (Cox, Little & O'Shea, *Ideals, Varieties, and
+    Algorithms*, Ch. 2 §4): a monomial of degree s is standard only if
+    every monomial of degree s - 1 dividing it is.  So before degree s >= 1
+    is eliminated, the exact standard set of degree s - 1 is closed upward;
+    when no degree-s monomial has all of its degree-(s - 1) divisors in it,
+    degree s and every degree above have no standard monomials, and the
+    sweep stops without the largest elimination it would run.  The test
+    reads only the degree below's exact answer and the fact that in(I) is
+    an ideal, not the CM verdict, the h-vector or the twist, so a skipped
+    degree is proved empty, not guessed.  A nonempty closure proves
+    nothing, as its monomials may still lead rows, so that degree is
+    eliminated.  If standard monomials persist past degree ``d + 1`` (one
+    more than the tail size) the tail is not a linear system of parameters
+    for this twist and :class:`StandardBasisOverflow` is raised.  A basis
+    that lacks the unit or is not divisibility-closed raises
+    :class:`VerificationError`.
     """
     if g.variables != order.variables:
         raise ValueError("matrix and order disagree on the variable sequence")
@@ -412,10 +441,8 @@ def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
         gens.append({m[:free.n]: c for m, c in image.items() if not any(m[free.n:])})
     collected = set()
     degree = 0
-    while True:
-        _, std = initial_ideal_by_degree(gens, free, degree)
-        if not std:
-            break
+    _, std = initial_ideal_by_degree(gens, free, degree)
+    while std:
         collected |= {m + (0,) * d for m in std}
         degree += 1
         if degree > cap:
@@ -423,6 +450,9 @@ def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
                 f"standard monomials persist past degree {cap}: the tail "
                 f"variables are not a linear system of parameters for this "
                 f"twist/specialization")
+        if not _has_closed_successor(std, free.n):
+            break
+        _, std = initial_ideal_by_degree(gens, free, degree)
     basis = Multicomplex(order.variables, frozenset(collected))
     if order.unit() not in collected or not basis.is_divisibility_closed():
         raise VerificationError("standard set not divisibility-closed from the unit")

@@ -5,11 +5,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import pytest
+
 import bruteforce as bf
+from facebalance import polynomials
 from facebalance.complexes import (ComplexError, Graph, SimplicialComplex,
                                    VerificationError, convolve,
                                    maximal_independent_sets)
-from facebalance.polynomials import LinearAutomorphism
+from facebalance.polynomials import (LinearAutomorphism,
+                                     StandardBasisOverflow,
+                                     standard_monomial_basis)
 from facebalance.samples import pg_sample_graph
 
 
@@ -27,6 +32,40 @@ def check_sweep(result, gens, order, degree: int) -> None:
     assert standard == expected
     assert rank == len(leading - divided)
     assert rank + len(standard) == len(undivided)
+
+
+def check_against_unskipped_sweep(delta, g, order):
+    """``standard_monomial_basis(delta, g, order)`` against a sweep that
+    eliminates every degree, from 0 up to the first one with no standard
+    monomials: the same basis, or ``StandardBasisOverflow`` from both (a
+    standard monomial in degree ``d + 1``).  Returns the package's basis,
+    None on overflow, and the degrees it eliminated, in order."""
+    real = polynomials.initial_ideal_by_degree
+    calls = []
+
+    def recording(gens, free, degree):
+        calls.append((gens, free, degree))
+        return real(gens, free, degree)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomials, "initial_ideal_by_degree", recording)
+        try:
+            basis = standard_monomial_basis(delta, g, order)
+        except StandardBasisOverflow:
+            basis = None
+    gens, free, _ = calls[0]
+    expected, degree = set(), 0
+    while expected is not None:
+        standard = real(gens, free, degree)[1]
+        if not standard:
+            break
+        if degree == order.d + 1:
+            expected = None
+        else:
+            expected |= {m + (0,) * order.d for m in standard}
+        degree += 1
+    assert (None if basis is None else basis.monomials) == expected
+    return basis, [degree for _, _, degree in calls]
 
 
 def cycle_graph(n: int, prefix: str = "") -> Graph:

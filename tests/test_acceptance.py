@@ -10,9 +10,10 @@ import time
 from functools import reduce
 
 import bruteforce as bf
-from conftest import (all_complexes_on, beta, check_sweep, cycle_graph, join,
-                      path_graph, pendant_cycle_chain, turan_graph)
-from facebalance import polynomials
+from conftest import (all_complexes_on, beta, check_against_unskipped_sweep,
+                      check_sweep, cycle_graph, join, path_graph,
+                      pendant_cycle_chain, turan_graph)
+from facebalance import balancing, polynomials
 from facebalance.balancing import balanced_witness, join_of_factors
 from facebalance.classify import (classify_girth5, embed_in_join, girth,
                                   exceptional_catalog,
@@ -453,22 +454,61 @@ def test_criterion_8_witness_corpus():
 
 
 def test_sweep_matches_the_covered_filter_oracle_on_the_witness_corpus(monkeypatch):
-    # every degree of every basis, the stop degree included
+    # every degree of every basis, the stop degree included: a stop degree
+    # the sweep skipped, as the order ideal proved it empty, is eliminated
+    # here and must be empty too
     real = polynomials.initial_ideal_by_degree
+    real_basis = balancing.standard_monomial_basis
     stops = []
+    sweeps = []  # [calls, basis] per sweep; basis stays None if it raised
 
     def compared(gens, order, degree):
         result = real(gens, order, degree)
         check_sweep(result, gens, order, degree)
         if not result[1]:
             stops.append(degree)
+        sweeps[-1][0].append((gens, order, degree))
         return result
 
+    def recorded(*args):
+        sweeps.append([[], None])
+        sweeps[-1][1] = real_basis(*args)
+        return sweeps[-1][1]
+
     monkeypatch.setattr(polynomials, "initial_ideal_by_degree", compared)
+    monkeypatch.setattr(balancing, "standard_monomial_basis", recorded)
     corpus = _witness_corpus()
     for _, cover, delta in corpus:
         assert all(balanced_witness(delta, cover).checks.values())
+    for calls, basis in sweeps:
+        if basis is None:
+            continue
+        stop = max(sum(m) for m in basis.monomials) + 1
+        if stop not in [degree for _, _, degree in calls]:
+            gens, order, _ = calls[-1]
+            result = real(gens, order, stop)
+            check_sweep(result, gens, order, stop)
+            assert not result[1]
+            stops.append(stop)
     assert len(stops) >= len(corpus)
+
+
+def test_basis_matches_the_unskipped_sweep_on_the_witness_corpus(monkeypatch):
+    # the sweep that skips a degree the order ideal proves empty against
+    # the one that eliminates every degree up to the first empty one
+    real = balancing.standard_monomial_basis
+    skipped = []
+
+    def compared(delta, g, order):
+        basis, eliminated = check_against_unskipped_sweep(delta, g, order)
+        skipped.append(len(eliminated) == len(basis.f_vector()))
+        return real(delta, g, order)
+
+    monkeypatch.setattr(balancing, "standard_monomial_basis", compared)
+    corpus = _witness_corpus()
+    for _, cover, delta in corpus:
+        assert all(balanced_witness(delta, cover).checks.values())
+    assert len(skipped) >= len(corpus) and any(skipped)
 
 
 def _balanced_complex(faces, coloring, d):

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import bruteforce as bf
-from conftest import (check_sweep, cycle_graph, disjoint_union,
-                      identity_automorphism, join)
+from conftest import (check_against_unskipped_sweep, check_sweep,
+                      cycle_graph, disjoint_union, identity_automorphism, join,
+                      pg_chain)
 from facebalance import balancing
 from facebalance.balancing import (BalancingPair, CoverError,
                                    VerificationError, balanced_witness,
@@ -18,6 +19,7 @@ from facebalance.balancing import (BalancingPair, CoverError,
                                    compose_pairs, factor_complex,
                                    inherit_to_subcomplex, join_of_factors,
                                    kind_kleinschmidt, parse_cover)
+from facebalance.classify import embed_in_join
 from facebalance.complexes import (ComplexError, Graph, SimplicialComplex,
                                    convolve, h_from_f, independence_complex,
                                    is_full_dimensional_subcomplex, is_proper)
@@ -450,6 +452,39 @@ def test_witness_for_bipartite_graph_factor_splits():
     assert witness.pair.order.d == 2
     assert witness.basis.f_vector() == h_from_f(delta.f_vector())
     assert all(witness.checks.values())
+
+
+def _c5_c5_p4():
+    cover = [_graph_factor(cycle_graph(5, "a")), _graph_factor(cycle_graph(5, "b")),
+             _points_factor(["p1", "p2", "p3", "p4"])]
+    return reduce(join, join_of_factors(cover)), cover
+
+
+def _ind_pg_chain_2_2():
+    g = pg_chain(2, 2)
+    return independence_complex(g), embed_in_join(g)[0]
+
+
+@pytest.mark.parametrize("make", [_ind_pg_chain_2_2, _c5_c5_p4],
+                         ids=["ind_pg_chain_2_2", "C5*C5*P4"])
+def test_witness_sweep_never_eliminates_its_stop_degree(monkeypatch, make):
+    # the degree above the basis's top one is empty by the order ideal
+    # alone, so it is never handed to the elimination; the basis is still
+    # the one an elimination of every degree gives
+    delta, cover = make()
+    real = balancing.standard_monomial_basis
+    sweeps = []
+
+    def checked(delta, g, order):
+        basis, eliminated = check_against_unskipped_sweep(delta, g, order)
+        sweeps.append((len(basis.f_vector()), eliminated))
+        return real(delta, g, order)
+
+    monkeypatch.setattr(balancing, "standard_monomial_basis", checked)
+    witness = balanced_witness(delta, cover)
+    assert all(witness.checks.values())
+    assert sweeps and all(eliminated == list(range(stop))
+                          for stop, eliminated in sweeps)
 
 
 def test_witness_rejects_non_subcomplex():

@@ -291,8 +291,34 @@ def _with_pendants(g: Graph, at) -> Graph:
                  g.edge_labels() + [(v, f"{v}_leaf") for v in at])
 
 
+def _binary_tree(n: int, prefix: str = "t") -> Graph:
+    verts = [f"{prefix}{i}" for i in range(n)]
+    return Graph(verts, [(verts[i], verts[(i - 1) // 2]) for i in range(1, n)])
+
+
+def _hung(tree: Graph, cycle: Graph, at: str) -> Graph:
+    """``cycle`` hung off the vertex ``at`` of ``tree`` by a bridge; the
+    tree's vertices come first and reversed, so that the leaves of a
+    binary tree lead the vertex order."""
+    return Graph(list(tree.vertices)[::-1] + list(cycle.vertices),
+                 tree.edge_labels() + cycle.edge_labels()
+                 + [(at, cycle.vertices[0])])
+
+
 def test_girth_against_bruteforce_on_shaped_graphs():
+    star = Graph(["hub"] + [f"l{i}" for i in range(12)],
+                 [("hub", f"l{i}") for i in range(12)])
     cases = [
+        # forests, where only a vertex of degree 2 or more is a root: a
+        # star with its hub first and last, and a long path
+        star,
+        Graph(list(star.vertices)[::-1], star.edge_labels()),
+        path_graph(15),
+        # a tree with one short cycle hung off a leaf or an inner vertex
+        _hung(_binary_tree(10), cycle_graph(3, "c"), "t9"),
+        _hung(_binary_tree(9), cycle_graph(5, "c"), "t8"),
+        _hung(_binary_tree(9), cycle_graph(5, "c"), "t1"),
+        _hung(path_graph(10), cycle_graph(3, "c"), "p10"),
         # the longer cycle comes first in the vertex order, so every BFS
         # from it sets a bound the shorter one must still get under
         disjoint_union(cycle_graph(6, "a"), cycle_graph(5, "b")),

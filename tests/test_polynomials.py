@@ -1,13 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 import bruteforce as bf
 from facebalance import linalg
 from facebalance.balancing import (base_pair_near_bipartite, base_pair_points,
-                                   compose_pairs)
+                                   compose_pairs, inherit_to_subcomplex)
 from facebalance.complexes import SimplicialComplex, independence_complex
 from facebalance.polynomials import (LinearAutomorphism, Multicomplex,
                                      Specialization, SpecializationError,
@@ -17,8 +18,9 @@ from facebalance.polynomials import (LinearAutomorphism, Multicomplex,
                                      specialization_stream,
                                      stanley_reisner_generators,
                                      standard_monomial_basis)
-from conftest import (check_sweep, cycle_graph, disjoint_union,
-                      identity_automorphism, path_graph)
+from conftest import (check_against_unskipped_sweep, check_sweep,
+                      cycle_graph, disjoint_union, identity_automorphism, join,
+                      path_graph)
 
 
 from hypothesis import given, strategies as st
@@ -460,6 +462,62 @@ def test_basis_with_universe_larger_than_the_complex():
     assert basis.f_vector() == (1, 1)  # h of two points with d = 1
     unused = pair.order.index("c")
     assert all(m[unused] == 0 for m in basis.monomials)
+
+
+def _stop(delta, g, order):
+    """Checks the basis against the unskipped sweep: "overflow", or
+    whether the package's sweep stopped without eliminating its stop
+    degree, the one above the basis's top degree."""
+    basis, eliminated = check_against_unskipped_sweep(delta, g, order)
+    if basis is None:
+        return "overflow"
+    return len(eliminated) == len(basis.f_vector())
+
+
+def test_basis_matches_the_unskipped_sweep_on_random_pairs():
+    # full-dimensional subcomplexes, CM or not, of seeded joins of point
+    # sets and pentagons, each with the pair its cover gives
+    rng = random.Random(59)
+    skipped = []
+    for _ in range(40):
+        parts = []
+        for k in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                labels = [f"f{k}_{i}" for i in range(rng.randint(1, 3))]
+                parts.append((SimplicialComplex([[v] for v in labels]),
+                              base_pair_points(labels)))
+            else:
+                pentagon = cycle_graph(5, f"f{k}_")
+                parts.append((SimplicialComplex(pentagon.edge_labels()),
+                              base_pair_near_bipartite(pentagon, None,
+                                                       Specialization())))
+        gamma = reduce(join, [c for c, _ in parts])
+        facets = [f for f in gamma.facet_labels() if rng.random() < 0.6]
+        delta = SimplicialComplex(facets or gamma.facet_labels()[:1])
+        pair = inherit_to_subcomplex(reduce(compose_pairs, [p for _, p in parts]),
+                                     delta)
+        skipped.append(_stop(delta, pair.matrix, pair.order))
+    # both branches of the sweep's stop are taken
+    assert 0 < sum(skipped) < len(skipped)
+
+
+def test_basis_matches_the_unskipped_sweep_under_random_twists():
+    # seeded complexes on up to 6 vertices under integer matrices with no
+    # block shape: standard monomials that are not squarefree, and tails
+    # that are not a parameter system, so that both sweeps overflow
+    rng = random.Random(61)
+    outcomes = set()
+    for _ in range(60):
+        verts = [f"v{i}" for i in range(rng.randint(2, 6))]
+        facets = [rng.sample(verts, rng.randint(1, min(3, len(verts))))
+                  for _ in range(rng.randint(1, 4))]
+        delta = SimplicialComplex(facets)
+        order = TermOrder(tuple(verts), delta.dim + 1)
+        matrix = tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in verts)
+                       for _ in verts)
+        g = LinearAutomorphism(order.variables, matrix)
+        outcomes.add(_stop(delta, g, order))
+    assert outcomes == {True, False, "overflow"}
 
 
 # ---------------------------------------------------------------------------
