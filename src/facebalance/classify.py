@@ -66,7 +66,12 @@ def girth(g: Graph):
 
 
 def is_well_covered(g: Graph) -> bool:
-    """True iff all maximal independent sets share one size."""
+    """True iff all maximal independent sets share one size.
+
+    The enumeration oracle: it lists every maximal independent set, so its
+    cost grows exponentially.  ``classify_girth5`` decides well-coveredness
+    by certificates instead, and the tests check it against this oracle.
+    """
     sizes = {len(s) for s in maximal_independent_sets(g)}
     return len(sizes) == 1
 
@@ -241,6 +246,59 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
 # classification
 # ---------------------------------------------------------------------------
 
+def _greedy(nb, order, s: int = 0) -> int:
+    """The set mask ``s`` grown by each vertex of ``order`` in turn that
+    neither lies in it nor has a neighbour in it yet."""
+    blocked = s
+    for v in _bits(s):
+        blocked |= nb[v]
+    for v in order:
+        if not blocked >> v & 1:
+            s |= 1 << v
+            blocked |= nb[v] | 1 << v
+    return s
+
+
+def _checked_size(nb, s: int, full: int) -> int:
+    """The size of ``s``, a certificate's maximal independent set, once
+    plain code (which ``python -O`` keeps) has checked that no two of its
+    vertices are adjacent and that it covers ``full`` with its
+    neighbours."""
+    covered = s
+    for v in _bits(s):
+        if nb[v] & s:
+            raise VerificationError("certificate set is not independent")
+        covered |= nb[v]
+    if covered != full:
+        raise VerificationError("certificate set is not maximal")
+    return s.bit_count()
+
+
+def _swap_up(nb, s: int) -> int:
+    """A maximal independent set larger than the maximal set ``s`` by a
+    (1,2)-swap, or 0 when ``s`` has none.
+
+    One swap takes a vertex x out of ``s`` and puts in two non-adjacent
+    vertices whose only neighbour in ``s`` was x (Andrade, Resende &
+    Werneck, J. Heuristics 18, 2012), so the set stays independent and
+    grows by one; a greedy pass then makes it maximal.  The first swap
+    found is already a larger set, so the search ends there.
+    """
+    once = twice = 0
+    for v in _bits(s):
+        twice |= once & nb[v]
+        once |= nb[v]
+    tight = once & ~twice  # the vertices with one neighbour in s
+    for x in _bits(s):
+        private = nb[x] & tight
+        for u in _bits(private):
+            partner = private & ~nb[u] & ~(1 << u)
+            if partner:
+                return _greedy(nb, range(len(nb)),
+                               s & ~(1 << x) | 1 << u | partner & -partner)
+    return 0
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of the girth >= 5 classification."""
@@ -248,8 +306,8 @@ class Verdict:
     kind: str  # PG | K1 | Exceptional | NotWellCovered | GirthTooSmall
     name: Optional[str] = None
     decomposition: Optional[PGDecomposition] = None
-    # the one size of the enumerated maximal independent sets, on a
-    # well-covered graph; not part of the JSON
+    # on a well-covered graph, the size of a checked greedy maximal
+    # independent set, which all of them share; not part of the JSON
     beta: Optional[int] = None
 
     def to_json_obj(self) -> dict:
@@ -265,31 +323,49 @@ def classify_girth5(g: Graph) -> Verdict:
     """Classify a connected graph of girth at least five.
 
     Well-covered inputs land in exactly one of: single vertex, exceptional
-    catalog member, or the pendant/cycle class.
+    catalog member, or the pendant/cycle class (Finbow, Hartnell &
+    Nowakowski, JCTB 57, 1993).  Every maximal independent set of a
+    pendant/cycle graph takes one vertex of each pendant edge and two of
+    each basic 5-cycle, so a validated decomposition proves the graph
+    well-covered, as the catalog lists only well-covered graphs.  A verdict
+    of not well-covered rests on two checked maximal independent sets of
+    different sizes: two greedy passes, by ascending and by descending
+    degree, then a (1,2)-swap from each.  Only a graph that none of these
+    settles has its maximal independent sets enumerated; if they all share
+    one size, the classification itself is wrong, and that raises.
     """
     if not g.is_connected():
         raise ComplexError("classification needs a connected graph")
     if girth(g) < 5:
         return Verdict("GirthTooSmall")
-    full = (1 << len(g.vertices)) - 1
-    sizes = {m.bit_count() for m in _maximal_independent_masks(g.nb, full)}
-    if len(sizes) != 1:
+    nb = g.nb
+    n = len(nb)
+    full = (1 << n) - 1
+    sets = (_greedy(nb, sorted(range(n), key=lambda v: (nb[v].bit_count(), v))),
+            _greedy(nb, sorted(range(n), key=lambda v: (-nb[v].bit_count(), v))))
+    size, other = (_checked_size(nb, s, full) for s in sets)
+    if size != other:
         return Verdict("NotWellCovered")
-    (size,) = sizes
-    if len(g.vertices) == 1:
+    if n == 1:
         return Verdict("K1", beta=size)
-    for name, (n, pairs) in sorted(_CATALOG.items()):
-        if n == len(g.vertices) and is_isomorphic(g, _catalog_graph(n, pairs)):
+    for name, (m, pairs) in sorted(_CATALOG.items()):
+        if m == n and is_isomorphic(g, _catalog_graph(m, pairs)):
             if pg_decomposition(g) is not None:
                 raise VerificationError("catalog graph also decomposes")
             return Verdict("Exceptional", name=name, beta=size)
     dec = pg_decomposition(g)
-    if dec is None:
-        raise VerificationError(
-            "well-covered girth >= 5 graph is neither exceptional nor decomposable")
-    if dec.beta != size:
-        raise VerificationError("decomposition size disagrees with beta")
-    return Verdict("PG", decomposition=dec, beta=size)
+    if dec is not None:
+        if dec.beta != size:
+            raise VerificationError("decomposition size disagrees with beta")
+        return Verdict("PG", decomposition=dec, beta=size)
+    for s in sets:
+        larger = _swap_up(nb, s)
+        if larger and _checked_size(nb, larger, full) > size:
+            return Verdict("NotWellCovered")
+    if len({m.bit_count() for m in _maximal_independent_masks(nb, full)}) != 1:
+        return Verdict("NotWellCovered")
+    raise VerificationError(
+        "well-covered girth >= 5 graph is neither exceptional nor decomposable")
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +415,7 @@ def embed_in_join(g: Graph) -> tuple[list[dict], dict]:
     expected_d = sum(2 * c["basic_cycles"] + c["pendant_edges"] + (c["kind"] == "K1")
                      for c in per_component)
     # Ind(g)'s facets are the maximal independent sets, so its dim + 1 is
-    # beta, the sum of the sizes each component's enumeration measured
+    # beta, the sum of the sizes of each component's checked greedy set
     certificate = {"components": per_component,
                    "expected_tail": expected_d,
                    "dim_matches": measured == expected_d}

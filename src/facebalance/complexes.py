@@ -127,8 +127,10 @@ def _maximal_independent_masks(nb: Sequence[int], within: int) -> list[int]:
     on int bitmasks, bit i standing for vertex i.  It lists the maximal
     cliques of the complement graph, where ``co[i]`` masks the
     non-neighbours of i; each branch tries only the candidates outside
-    ``co`` of a pivot that has the most candidates there.  Branches wait
-    on a list, not the call stack; the sets come in no set order.
+    ``co`` of a pivot that has the most candidates there.  Any vertex of
+    P ∪ X is a valid pivot, so the scan stops at the first one with
+    |P| − 1 candidates, which no vertex of P can beat.  Branches wait on a
+    list, not the call stack; the sets come in no set order.
     """
     co = [within & ~m & ~(1 << i) for i, m in enumerate(nb)]
     found: list[int] = []
@@ -139,6 +141,7 @@ def _maximal_independent_masks(nb: Sequence[int], within: int) -> list[int]:
             found.append(r)
             continue
         best = -1
+        top = p.bit_count() - 1
         rest = p | x
         while rest:
             low = rest & -rest
@@ -146,6 +149,8 @@ def _maximal_independent_masks(nb: Sequence[int], within: int) -> list[int]:
             k = (co[i] & p).bit_count()
             if k > best:
                 best, pivot = k, i
+                if k >= top:
+                    break
             rest ^= low
         cand = p & ~co[pivot]
         while cand:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -7,7 +8,8 @@ import pytest
 
 import bruteforce as bf
 from conftest import (beta, cycle_graph, disjoint_union, join,
-                      overlinked_pentagon_graph, path_graph, turan_graph)
+                      overlinked_pentagon_graph, path_graph,
+                      pendant_cycle_chain, pg_chain, turan_graph)
 from facebalance.balancing import join_of_factors
 from facebalance.cli import _turan_counts, main
 from facebalance.classify import (basic_5_cycles, classify_girth5,
@@ -387,6 +389,144 @@ def test_classify_verdict_json():
     obj = classify_girth5(pg_sample_graph()).to_json_obj()
     assert obj["kind"] == "PG"
     assert obj["decomposition"]["beta"] == 5
+
+
+# ---------------------------------------------------------------------------
+# certificates against the enumeration
+# ---------------------------------------------------------------------------
+
+def _enumeration_verdict(g: Graph):
+    """(kind, name, decomposition) with well-coveredness read off the
+    enumeration oracle, before the catalog or the decomposition is
+    consulted."""
+    if girth(g) < 5:
+        return "GirthTooSmall", None, None
+    if not is_well_covered(g):
+        return "NotWellCovered", None, None
+    if len(g.vertices) == 1:
+        return "K1", None, None
+    for name, member in sorted(exceptional_catalog().items()):
+        if is_isomorphic(g, member):
+            return "Exceptional", name, None
+    return "PG", None, pg_decomposition(g)
+
+
+def _random_tree(rng, n: int) -> Graph:
+    verts = [f"t{i}" for i in range(n)]
+    return Graph(verts, [(verts[rng.randrange(i)], verts[i]) for i in range(1, n)])
+
+
+def _random_girth5(rng, n: int, extra: int) -> Graph:
+    """A random tree plus up to ``extra`` edges that keep the girth >= 5."""
+    g = _random_tree(rng, n)
+    edges = g.edge_labels()
+    for _ in range(extra):
+        if n > 1:
+            candidate = edges + [tuple(rng.sample(g.vertices, 2))]
+            if girth(Graph(g.vertices, candidate)) >= 5:
+                edges = candidate
+    return Graph(g.vertices, edges)
+
+
+def _differential_graphs(rng) -> list[Graph]:
+    """Connected graphs of every verdict: the chain generators (with and
+    without the overlink), random trees, relabelled catalog graphs, random
+    girth >= 5 graphs with a hub carrying two leaves and without, and
+    random graphs of girth below five."""
+    graphs = [pg_chain(j, l, overlink=j >= 2) for j in range(4) for l in range(3)
+              if 0 < j + l]
+    graphs += [pg_chain(j, l) for j in range(4) for l in range(3) if 0 < j + l]
+    graphs += [pendant_cycle_chain(rng, rng.randint(0, 2), rng.randint(1, 3))
+               for _ in range(20)]
+    graphs += [_random_tree(rng, rng.randint(1, 14)) for _ in range(150)]
+    catalog = list(exceptional_catalog().values())
+    for _ in range(15):
+        src = rng.choice(catalog)
+        names = [f"x{rng.randrange(1000)}_{v}" for v in src.vertices]
+        rng.shuffle(names)
+        label = dict(zip(src.vertices, names))
+        graphs.append(Graph(sorted(names), [(label[u], label[w])
+                                            for u, w in src.edge_labels()]))
+    for _ in range(100):
+        g = _random_girth5(rng, rng.randint(2, 12), rng.randint(0, 6))
+        hub = rng.choice(g.vertices)
+        graphs.append(Graph(g.vertices + ("l0", "l1"),
+                            g.edge_labels() + [(hub, "l0"), (hub, "l1")]))
+    graphs += [_random_girth5(rng, rng.randint(2, 14), rng.randint(0, 8))
+               for _ in range(150)]
+    for _ in range(20):
+        g = _random_tree(rng, rng.randint(4, 10))
+        graphs.append(Graph(g.vertices, g.edge_labels() + [
+            e for e in itertools.combinations(g.vertices, 2) if rng.random() < 0.2]))
+    return graphs
+
+
+def test_classification_matches_the_enumeration_oracle():
+    kinds = collections.Counter()
+    for g in _differential_graphs(random.Random(131)):
+        verdict = classify_girth5(g)
+        assert ((verdict.kind, verdict.name, verdict.decomposition)
+                == _enumeration_verdict(g)), g.edge_labels()
+        if verdict.kind in ("K1", "Exceptional", "PG"):
+            assert verdict.beta == beta(g)
+        kinds[verdict.kind] += 1
+    assert set(kinds) == {"GirthTooSmall", "NotWellCovered", "K1",
+                          "Exceptional", "PG"}
+    assert min(kinds.values()) >= 10
+
+
+def _recording_enumeration(monkeypatch) -> list:
+    import facebalance.classify as classify
+    real = classify._maximal_independent_masks
+    calls = []
+
+    def recording(nb, within):
+        calls.append(within)
+        return real(nb, within)
+
+    monkeypatch.setattr(classify, "_maximal_independent_masks", recording)
+    return calls
+
+
+def test_forced_fallback_keeps_every_verdict(monkeypatch):
+    # with no swap ever found, every graph the greedy pair cannot settle
+    # and the decomposition cannot place is enumerated
+    import facebalance.classify as classify
+    graphs = _differential_graphs(random.Random(137))
+    expected = [_enumeration_verdict(g) for g in graphs]
+    calls = _recording_enumeration(monkeypatch)
+    monkeypatch.setattr(classify, "_swap_up", lambda nb, s: 0)
+    for g, want in zip(graphs, expected):
+        verdict = classify_girth5(g)
+        assert (verdict.kind, verdict.name, verdict.decomposition) == want
+    assert len(calls) >= 30
+
+
+def test_greedy_ties_fall_back_to_the_enumeration(monkeypatch):
+    # C6: both greedy passes take three vertices and no (1,2)-swap exists,
+    # so only the enumeration finds {1, 4}
+    calls = _recording_enumeration(monkeypatch)
+    assert classify_girth5(cycle_graph(6)).kind == "NotWellCovered"
+    assert len(calls) == 1
+
+
+def test_certificates_need_no_enumeration(monkeypatch):
+    # pg_chain(10, 4) has 5^10 * 2^4 maximal independent sets, the catalog
+    # is well-covered by construction, and a star's greedy passes take the
+    # leaves and the hub
+    import facebalance.classify as classify
+    monkeypatch.setattr(classify, "_maximal_independent_masks",
+                        lambda nb, within: pytest.fail("enumerated"))
+    chain = pg_chain(10, 4)
+    verdict = classify_girth5(chain)
+    assert verdict.kind == "PG" and verdict.beta == 24
+    _, cert = embed_in_join(chain)
+    assert cert["dim_matches"] and cert["expected_tail"] == 24
+    for name, g in exceptional_catalog().items():
+        assert classify_girth5(g).name == name
+    leaves = [f"l{i}" for i in range(300)]
+    star = Graph(["c"] + leaves, [("c", x) for x in leaves])
+    assert classify_girth5(star).kind == "NotWellCovered"
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 
 import ast
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,7 +146,7 @@ def test_well_covered_graph_neither_exceptional_nor_decomposable(monkeypatch):
 
 def _one_pendant_edge_too_many(monkeypatch):
     # the real decomposition plus an edge no graph has: it counts one more
-    # than the size the enumeration measured
+    # than the size the greedy passes measured
     real = classify.pg_decomposition
 
     def padded(g):
@@ -158,6 +161,47 @@ def test_decomposition_size_disagrees_with_beta(monkeypatch):
     _one_pendant_edge_too_many(monkeypatch)
     with pytest.raises(VerificationError, match="disagrees with beta"):
         classify_girth5(pg_sample_graph())
+
+
+@pytest.mark.parametrize("mutant, message", [
+    (lambda nb, order, s=0: 0, "not maximal"),
+    (lambda nb, order, s=0: (1 << len(nb)) - 1, "not independent")],
+    ids=["empty", "every_vertex"])
+def test_greedy_set_that_is_not_a_maximal_independent_set(monkeypatch, mutant,
+                                                          message):
+    monkeypatch.setattr(classify, "_greedy", mutant)
+    with pytest.raises(VerificationError, match=message):
+        classify_girth5(pg_sample_graph())
+
+
+def test_swapped_set_that_is_not_independent(monkeypatch):
+    # C6 reaches the swap search: both greedy passes take three vertices
+    monkeypatch.setattr(classify, "_swap_up", lambda nb, s: (1 << len(nb)) - 1)
+    with pytest.raises(VerificationError, match="not independent"):
+        classify_girth5(cycle_graph(6))
+
+
+def test_swap_that_does_not_grow_is_no_certificate(monkeypatch):
+    # a swapped set as large as the greedy ones proves nothing, so the
+    # enumeration runs, finds one size, and the missing decomposition raises
+    monkeypatch.setattr(classify, "pg_decomposition", lambda g: None)
+    monkeypatch.setattr(classify, "_swap_up", lambda nb, s: s)
+    with pytest.raises(VerificationError, match="neither exceptional"):
+        classify_girth5(pg_sample_graph())
+
+
+def test_greedy_mutant_raises_under_python_O():
+    program = ("import facebalance.classify as c\n"
+               "from facebalance.samples import pg_sample_graph\n"
+               "c._greedy = lambda nb, order, s=0: 0\n"
+               "try:\n"
+               "    c.classify_girth5(pg_sample_graph())\n"
+               "except c.VerificationError as e:\n"
+               "    print(e)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", program],
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "certificate set is not maximal\n"
 
 
 def test_embed_exits_1_when_the_decomposition_disagrees_with_beta(
