@@ -246,12 +246,10 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
 # classification
 # ---------------------------------------------------------------------------
 
-def _greedy(nb, order, s: int = 0) -> int:
-    """The set mask ``s`` grown by each vertex of ``order`` in turn that
-    neither lies in it nor has a neighbour in it yet."""
-    blocked = s
-    for v in _bits(s):
-        blocked |= nb[v]
+def _greedy(nb, order) -> int:
+    """The maximal independent set that takes each vertex of ``order`` in
+    turn that has no neighbour taken yet."""
+    s = blocked = 0
     for v in order:
         if not blocked >> v & 1:
             s |= 1 << v
@@ -272,31 +270,6 @@ def _checked_size(nb, s: int, full: int) -> int:
     if covered != full:
         raise VerificationError("certificate set is not maximal")
     return s.bit_count()
-
-
-def _swap_up(nb, s: int) -> int:
-    """A maximal independent set larger than the maximal set ``s`` by a
-    (1,2)-swap, or 0 when ``s`` has none.
-
-    One swap takes a vertex x out of ``s`` and puts in two non-adjacent
-    vertices whose only neighbour in ``s`` was x (Andrade, Resende &
-    Werneck, J. Heuristics 18, 2012), so the set stays independent and
-    grows by one; a greedy pass then makes it maximal.  The first swap
-    found is already a larger set, so the search ends there.
-    """
-    once = twice = 0
-    for v in _bits(s):
-        twice |= once & nb[v]
-        once |= nb[v]
-    tight = once & ~twice  # the vertices with one neighbour in s
-    for x in _bits(s):
-        private = nb[x] & tight
-        for u in _bits(private):
-            partner = private & ~nb[u] & ~(1 << u)
-            if partner:
-                return _greedy(nb, range(len(nb)),
-                               s & ~(1 << x) | 1 << u | partner & -partner)
-    return 0
 
 
 @dataclass(frozen=True)
@@ -329,10 +302,10 @@ def classify_girth5(g: Graph) -> Verdict:
     each basic 5-cycle, so a validated decomposition proves the graph
     well-covered, as the catalog lists only well-covered graphs.  A verdict
     of not well-covered rests on two checked maximal independent sets of
-    different sizes: two greedy passes, by ascending and by descending
-    degree, then a (1,2)-swap from each.  Only a graph that none of these
-    settles has its maximal independent sets enumerated; if they all share
-    one size, the classification itself is wrong, and that raises.
+    different sizes, from two greedy passes by ascending and by descending
+    degree.  Only a graph that none of these settles has its maximal
+    independent sets enumerated; if they all share one size, the
+    classification itself is wrong, and that raises.
     """
     if not g.is_connected():
         raise ComplexError("classification needs a connected graph")
@@ -341,9 +314,9 @@ def classify_girth5(g: Graph) -> Verdict:
     nb = g.nb
     n = len(nb)
     full = (1 << n) - 1
-    sets = (_greedy(nb, sorted(range(n), key=lambda v: (nb[v].bit_count(), v))),
-            _greedy(nb, sorted(range(n), key=lambda v: (-nb[v].bit_count(), v))))
-    size, other = (_checked_size(nb, s, full) for s in sets)
+    size, other = (_checked_size(nb, _greedy(nb, order), full) for order in (
+        sorted(range(n), key=lambda v: (nb[v].bit_count(), v)),
+        sorted(range(n), key=lambda v: (-nb[v].bit_count(), v))))
     if size != other:
         return Verdict("NotWellCovered")
     if n == 1:
@@ -358,10 +331,6 @@ def classify_girth5(g: Graph) -> Verdict:
         if dec.beta != size:
             raise VerificationError("decomposition size disagrees with beta")
         return Verdict("PG", decomposition=dec, beta=size)
-    for s in sets:
-        larger = _swap_up(nb, s)
-        if larger and _checked_size(nb, larger, full) > size:
-            return Verdict("NotWellCovered")
     if len({m.bit_count() for m in _maximal_independent_masks(nb, full)}) != 1:
         return Verdict("NotWellCovered")
     raise VerificationError(

@@ -489,22 +489,24 @@ def _recording_enumeration(monkeypatch) -> list:
 
 
 def test_forced_fallback_keeps_every_verdict(monkeypatch):
-    # with no swap ever found, every graph the greedy pair cannot settle
-    # and the decomposition cannot place is enumerated
+    # with both greedy passes taking the vertices in index order, their
+    # sizes never differ, so every graph the decomposition cannot place is
+    # decided by the enumeration
     import facebalance.classify as classify
     graphs = _differential_graphs(random.Random(137))
     expected = [_enumeration_verdict(g) for g in graphs]
     calls = _recording_enumeration(monkeypatch)
-    monkeypatch.setattr(classify, "_swap_up", lambda nb, s: 0)
+    real = classify._greedy
+    monkeypatch.setattr(classify, "_greedy", lambda nb, order: real(nb, sorted(order)))
     for g, want in zip(graphs, expected):
         verdict = classify_girth5(g)
         assert (verdict.kind, verdict.name, verdict.decomposition) == want
-    assert len(calls) >= 30
+    assert len(calls) >= sum(want[0] == "NotWellCovered" for want in expected) >= 30
 
 
 def test_greedy_ties_fall_back_to_the_enumeration(monkeypatch):
-    # C6: both greedy passes take three vertices and no (1,2)-swap exists,
-    # so only the enumeration finds {1, 4}
+    # C6: both greedy passes take three vertices, so only the enumeration
+    # finds {1, 4}
     calls = _recording_enumeration(monkeypatch)
     assert classify_girth5(cycle_graph(6)).kind == "NotWellCovered"
     assert len(calls) == 1
@@ -560,15 +562,18 @@ def test_embed_two_disjoint_edges():
     assert ind.f_vector() == join(*join_of_factors(cover)).f_vector() == (1, 4, 4)
 
 
-def test_embed_finds_beta_one_component_at_a_time(monkeypatch):
-    # beta over the whole graph would enumerate the product of the
-    # components' maximal independent sets: 11^8 for eight pentagons
+def test_embed_finds_beta_one_component_at_a_time(monkeypatch, tmp_path, capsys):
+    # the maximal independent sets of the whole graph would be the product
+    # of its components' ones: 11^8 for eight pentagons, 5^8 for eight
+    # 6-cycles, whose tied greedy passes leave them to the enumeration
     import facebalance.classify as classify
     from facebalance.complexes import _components, _maximal_independent_masks
+    calls = []
 
     def connected_only(nb, within):
         if len(_components(nb, within)) != 1:
             pytest.fail("maximal independent sets of a disconnected graph")
+        calls.append(within)
         return _maximal_independent_masks(nb, within)
 
     monkeypatch.setattr(classify, "_maximal_independent_masks", connected_only)
@@ -576,6 +581,14 @@ def test_embed_finds_beta_one_component_at_a_time(monkeypatch):
     cover, cert = embed_in_join(g)
     assert len(cover) == 8
     assert cert["expected_tail"] == 16 and cert["dim_matches"]
+    assert calls == []
+    path = tmp_path / "c6s.el"
+    path.write_text(disjoint_union(*(cycle_graph(6, f"h{k}_")
+                                     for k in range(8))).to_file_text())
+    assert main(["--json", "classify", "--graph", str(path)]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["results"]["components"]
+    assert [v["kind"] for v in verdicts] == ["NotWellCovered"] * 8
+    assert len(calls) == 8
 
 
 def test_embed_rejects_exceptional_components():

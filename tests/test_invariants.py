@@ -164,8 +164,8 @@ def test_decomposition_size_disagrees_with_beta(monkeypatch):
 
 
 @pytest.mark.parametrize("mutant, message", [
-    (lambda nb, order, s=0: 0, "not maximal"),
-    (lambda nb, order, s=0: (1 << len(nb)) - 1, "not independent")],
+    (lambda nb, order: 0, "not maximal"),
+    (lambda nb, order: (1 << len(nb)) - 1, "not independent")],
     ids=["empty", "every_vertex"])
 def test_greedy_set_that_is_not_a_maximal_independent_set(monkeypatch, mutant,
                                                           message):
@@ -174,26 +174,10 @@ def test_greedy_set_that_is_not_a_maximal_independent_set(monkeypatch, mutant,
         classify_girth5(pg_sample_graph())
 
 
-def test_swapped_set_that_is_not_independent(monkeypatch):
-    # C6 reaches the swap search: both greedy passes take three vertices
-    monkeypatch.setattr(classify, "_swap_up", lambda nb, s: (1 << len(nb)) - 1)
-    with pytest.raises(VerificationError, match="not independent"):
-        classify_girth5(cycle_graph(6))
-
-
-def test_swap_that_does_not_grow_is_no_certificate(monkeypatch):
-    # a swapped set as large as the greedy ones proves nothing, so the
-    # enumeration runs, finds one size, and the missing decomposition raises
-    monkeypatch.setattr(classify, "pg_decomposition", lambda g: None)
-    monkeypatch.setattr(classify, "_swap_up", lambda nb, s: s)
-    with pytest.raises(VerificationError, match="neither exceptional"):
-        classify_girth5(pg_sample_graph())
-
-
 def test_greedy_mutant_raises_under_python_O():
     program = ("import facebalance.classify as c\n"
                "from facebalance.samples import pg_sample_graph\n"
-               "c._greedy = lambda nb, order, s=0: 0\n"
+               "c._greedy = lambda nb, order: 0\n"
                "try:\n"
                "    c.classify_girth5(pg_sample_graph())\n"
                "except c.VerificationError as e:\n"
