@@ -6,12 +6,11 @@ Faces are vertex masks, oriented by their vertex order with alternating
 signs, and all rational ranks are exact.
 
 Every boundary map is one sequence of bitmask rows, ranked over GF(2) first.
-An integer matrix has rank over GF(2) at most its rank over Q, so every
-Betti number over GF(2) is at least the rational one (the universal
-coefficient theorem).  When the GF(2) numbers vanish below the top degree,
-the rational ones provably vanish too; only a complex where GF(2) sees
-homology (say, torsion, as in the real projective plane) has the same rows
-ranked again over Q.
+By the universal coefficient theorem, GF(2) can under-rank a map only by
+the 2-torsion it leaves behind, which GF(2) sees as homology on both sides
+of that map.  So only a map whose two neighbouring GF(2) Betti numbers are
+both nonzero (in the real projective plane, the map from 2-chains) has its
+rows ranked again over Q, and every other map keeps its GF(2) rank.
 
 The Cohen-Macaulay test ranks the complex itself first.  When that passes
 and the complex is pure, a vertex decomposition, checked step by step on the
@@ -81,19 +80,38 @@ def _betti(levels: list[tuple[int, ...]]) -> tuple[int, ...]:
     """Reduced rational Betti numbers ``(b_-1, ..., b_dim)`` of the complex
     whose faces, by size, are ``levels``.
 
-    Each map's ``_boundary_rows`` are ranked over GF(2), and again by
-    ``_q_rank`` only when GF(2) sees homology below the top.  The entries
-    sum, with alternating signs, to the reduced Euler characteristic
-    whatever the ranks are: a lone top entry is the same over both fields,
-    and an over-reported rank makes an entry negative, which raises.
+    Each map's ``_boundary_rows`` are ranked over GF(2), and ``_q_rank``
+    ranks again only the maps that GF(2) shows homology on both sides of.
+    The augmented chain complex is free over Z, so by the universal
+    coefficient theorem (Hatcher, Algebraic Topology, Thm 3A.3)
+    ``b_i(GF(2)) = b_i(Q) + t_i + t_{i-1}``, where ``t_i`` counts the
+    2-primary cyclic summands of the torsion of reduced ``H_i(Z)``, and the
+    map from ``(i+1)``-chains has rank over Q ``t_i`` more than over GF(2).
+    That map is therefore under-ranked by GF(2) only when ``b_i`` and
+    ``b_{i+1}`` are both nonzero over GF(2).  Here ``ranks[i]`` is the map
+    from ``i``-chains, between ``entries[i]`` (``b_{i-1}``) and
+    ``entries[i + 1]`` (``b_i``), so it is ranked again over Q iff those
+    two entries are both nonzero.  A lone entry, such as the top one of a
+    sphere, flanks no map.
+
+    The entries sum, with alternating signs, to the reduced Euler
+    characteristic whatever the ranks are.  An over-reported rank that
+    makes an entry negative raises, on either pass, and an under-reported
+    one raises both of its neighbours, so the map is ranked again over Q.
     """
-    for rank in (gf2_rank, _q_rank):
-        ranks = [rank(_boundary_rows(levels, i)) for i in range(len(levels) - 1)]
+    def entries_of(ranks: list[int]) -> list[int]:
         entries = [len(f) - r - s for f, r, s in zip(levels, [0] + ranks, ranks + [0])]
         if min(entries) < 0:
             raise VerificationError(f"negative Betti number in {entries}")
-        if not any(entries[:-1]):
-            break
+        return entries
+
+    ranks = [gf2_rank(_boundary_rows(levels, i)) for i in range(len(levels) - 1)]
+    entries = entries_of(ranks)
+    flanked = [i for i in range(len(ranks)) if entries[i] and entries[i + 1]]
+    if flanked:
+        for i in flanked:
+            ranks[i] = _q_rank(_boundary_rows(levels, i))
+        entries = entries_of(ranks)
     return tuple(entries)
 
 
@@ -349,7 +367,9 @@ def cm_report(delta: SimplicialComplex) -> dict:
     (Provan & Billera, Math. Oper. Res. 5, 1980; Björner & Wachs, Trans. AMS
     349, 1997), and otherwise by walking the remaining links, which also
     finds the violation.  The Betti numbers are always the empty face's
-    exact ranks, so both routes print the same report.
+    rational ones from :func:`_betti` (GF(2) ranks, with each map that
+    GF(2) shows homology on both sides of ranked again over Q), so both
+    routes print the same report.
     """
     betti, violation = _link_vanishing(delta)
     return {"cm": violation is None,

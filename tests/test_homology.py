@@ -121,18 +121,23 @@ def test_two_points_betti():
 def test_cycle_independence_complexes_match_kozlov(n, monkeypatch):
     # Kozlov (J. Combin. Theory Ser. A 88, 1999), with k = n // 3: Ind(C_n)
     # is S^{k-1} v S^{k-1} for n = 3k, S^{k-1} for n = 3k + 1 and S^k for
-    # n = 3k + 2; past the oracle's sizes, and on the Q tier whenever that
-    # sphere sits below the top dimension n // 2 - 1
+    # n = 3k + 2, past the oracle's sizes.  Its one nonzero entry flanks no
+    # map, so no map is ranked over Q; with every map ranked over Q (as
+    # _exact_scan ranks them), the rational ranks give the same answer
     k, r = divmod(n, 3)
     degree, count = (k, 1) if r == 2 else (k - 1, 2 - r)
     expected = [0] * (n // 2 + 1)
     expected[degree + 1] = count
+    cx = independence_complex(cycle_graph(n))
     ranked_over_q = []
     rank = homology._q_rank
     monkeypatch.setattr(homology, "_q_rank",
                         lambda rows: ranked_over_q.append(n) or rank(rows))
-    assert reduced_betti(independence_complex(cycle_graph(n))) == tuple(expected)
-    assert bool(ranked_over_q) == (degree < n // 2 - 1)
+    assert reduced_betti(cx) == tuple(expected)
+    assert ranked_over_q == []
+    monkeypatch.setattr(homology, "gf2_rank", homology._q_rank)
+    assert reduced_betti(cx) == tuple(expected)
+    assert len(ranked_over_q) == cx.dim + 1
 
 
 def test_sphere_boundary_of_simplex():
@@ -313,19 +318,123 @@ def test_torsion_sends_only_the_projective_planes_to_q(monkeypatch):
         return rank(ranked_over_q[-1])
 
     monkeypatch.setattr(homology, "_q_rank", counting)
-    # every other link is a circle, a suspended circle or a set of points;
-    # the suspension RP^2 * S^0 is one join factor (its non-edge graph has
-    # the component {n, s}, but not the facet count of a join of its
-    # components), so it is ranked whole, and then the link of each pole
-    # ranks RP^2, once
-    for cx, expected in ((rp2, [rp2]), (suspension, [suspension, rp2])):
+    # every other link is a circle, a suspended circle or a set of points,
+    # whose one GF(2) entry flanks no map; RP^2's GF(2) entries (0, 0, 1, 1)
+    # flank only its map from 2-chains, and the suspension's (0, 0, 0, 1, 1)
+    # only its map from 3-chains.  The suspension RP^2 * S^0 is one join
+    # factor (its non-edge graph has the component {n, s}, but not the facet
+    # count of a join of its components), so it is ranked whole, and then
+    # the link of each pole ranks RP^2, once
+    for cx, expected in ((rp2, [(rp2, 2)]), (suspension, [(suspension, 3), (rp2, 2)])):
         ranked_over_q.clear()
         ok, violation = is_cohen_macaulay(cx)
         assert ok and violation is None
         assert ranked_over_q == [
-            list(homology._boundary_rows(_levels(delta), i))
-            for delta in expected for i in range(delta.dim + 1)]
+            list(homology._boundary_rows(_levels(delta), i)) for delta, i in expected]
     assert suspension.link(["n"]) == suspension.link(["s"]) == rp2
+
+
+def _torsion_corpus():
+    """RP^2, its suspension and double suspension, and RP^2 beside a point,
+    a hollow triangle, another RP^2 and joined to a hollow triangle, with
+    1 500 seeded complexes on at most 8 vertices and ``_scan_corpus()``."""
+    rp2 = projective_plane()
+    triangle = SimplicialComplex([["x", "y"], ["y", "z"], ["x", "z"]])
+    suspension = join(rp2, SimplicialComplex([["n"], ["s"]]))
+    cases = [rp2, suspension,
+             join(suspension, SimplicialComplex([["N"], ["S"]])),
+             SimplicialComplex(rp2.facet_labels() + [["p"]]),
+             SimplicialComplex(rp2.facet_labels() + triangle.facet_labels()),
+             SimplicialComplex(rp2.facet_labels()
+                               + [["r" + v for v in f] for f in rp2.facet_labels()]),
+             join(rp2, triangle)]
+    rng = random.Random(32)
+
+    def piece(n, prefix, most):
+        verts = [f"{prefix}{i}" for i in range(n)]
+        return [rng.sample(verts, min(n, rng.choice((1, 2, 2, 3))))
+                for _ in range(rng.randint(1, most))]
+
+    # half are two pieces side by side, so that a cycle in either flanks
+    # the map from 1-chains with b_0
+    for k in range(1500):
+        facets = (piece(rng.randint(1, 8), "v", 10) if k % 2 else
+                  piece(rng.randint(1, 4), "a", 6) + piece(rng.randint(1, 4), "b", 6))
+        cases.append(SimplicialComplex(facets))
+    return cases + _scan_corpus()
+
+
+_REAL_Q_RANK = homology._q_rank
+
+
+def _all_q_betti(levels, monkeypatch):
+    """``_betti`` with every map ranked by the real ``_q_rank``."""
+    with monkeypatch.context() as m:
+        m.setattr(homology, "gf2_rank", _REAL_Q_RANK)
+        m.setattr(homology, "_q_rank", _REAL_Q_RANK)
+        return homology._betti(levels)
+
+
+def _flank_check(corpus, monkeypatch):
+    """The complexes of ``corpus`` whose ``_betti`` differs from the all-Q
+    one, as ``(complex, betti, all-Q betti)``; those on which ``_q_rank``
+    was handed other rows than the maps flanked by two nonzero GF(2)
+    entries (ranked by the dense oracle); and how many were handed any."""
+    wrong, misrouted, routed = [], [], 0
+    for cx in corpus:
+        levels = _levels(cx)
+        rows = [list(homology._boundary_rows(levels, i))
+                for i in range(len(levels) - 1)]
+        ranks = [bf.gf2_rank(r) for r in rows]
+        entries = [len(f) - r - s
+                   for f, r, s in zip(levels, [0] + ranks, ranks + [0])]
+        flanked = [rows[i] for i in range(len(ranks))
+                   if entries[i] and entries[i + 1]]
+        want = _all_q_betti(levels, monkeypatch)
+        fed = []
+        q_rank = homology._q_rank
+        with monkeypatch.context() as m:
+            m.setattr(homology, "_q_rank",
+                      lambda r: fed.append(list(r)) or q_rank(fed[-1]))
+            got = homology._betti(levels)
+        if got != want:
+            wrong.append((cx, got, want))
+        if fed != flanked:
+            misrouted.append(cx)
+        routed += bool(fed)
+    return wrong, misrouted, routed
+
+
+def test_flank_rule_agrees_with_the_all_q_ranks(monkeypatch):
+    corpus = _torsion_corpus()
+    rp2 = projective_plane()
+    wrong, misrouted, routed = _flank_check(corpus, monkeypatch)
+    assert wrong == misrouted == [] and routed > 80
+
+    # skipping the Q pass (ranking the flanked maps over GF(2) again) keeps
+    # RP^2's GF(2) entries, and the check sees it
+    with monkeypatch.context() as m:
+        m.setattr(homology, "_q_rank", linalg.gf2_rank)
+        wrong, _, _ = _flank_check(corpus, monkeypatch)
+    assert (rp2, (0, 0, 1, 1), (0, 0, 0, 0)) in wrong
+
+    # a GF(2) rank one short on the map from d-chains (rows of d + 1 bits)
+    # raises both of its neighbours, so that map goes to Q and is mended
+    for d in range(4):
+        short = []
+
+        def under_reporting(rows, d=d):
+            rows = list(rows)
+            rank = linalg.gf2_rank(rows)
+            if rank and rows[0].bit_count() == d + 1:
+                short.append(rows)
+                return rank - 1
+            return rank
+
+        with monkeypatch.context() as m:
+            m.setattr(homology, "gf2_rank", under_reporting)
+            wrong, _, _ = _flank_check(corpus, monkeypatch)
+        assert wrong == [] and short, d
 
 
 def test_over_reported_gf2_rank_is_caught(monkeypatch):

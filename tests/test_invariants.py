@@ -62,20 +62,20 @@ def test_one_verification_error_class():
 # ---------------------------------------------------------------------------
 
 def test_negative_betti_number(monkeypatch):
-    # an over-reported rank could hide homology; two disjoint edges have
-    # b_0 = 1 below the top over GF(2), so they are ranked again over Q,
-    # where a rank of 3 in degree 1 (the two edges' rows) leaves
-    # b_1 = 2 - 3 - 0 = -1
+    # an over-reported rank could hide homology; a hollow triangle and a
+    # point have GF(2) entries (0, 1, 1), which flank the map from 1-chains,
+    # so it is ranked again over Q, where a rank of 4 (the triangle's three
+    # edge rows) leaves b_0 = 4 - 1 - 4 = -1
     real = homology._q_rank
 
     def over_reporting(rows):
         rows = list(rows)
-        return 3 if len(rows) == 2 else real(rows)
+        return 4 if len(rows) == 3 else real(rows)
 
     monkeypatch.setattr(homology, "_q_rank", over_reporting)
-    two_edges = SimplicialComplex([["a", "b"], ["c", "d"]])
+    triangle_and_point = SimplicialComplex([["a", "b"], ["b", "c"], ["a", "c"], ["d"]])
     with pytest.raises(VerificationError, match="negative Betti number"):
-        reduced_betti(two_edges)
+        reduced_betti(triangle_and_point)
 
 
 def test_non_pure_complex_slipping_past_link_vanishing(monkeypatch):
