@@ -6,18 +6,27 @@ single canonical JSON line (sorted keys, no whitespace), which is
 byte-identical across replays of the same inputs and seed; the human format
 adds the elapsed time.  Exit codes: 0 ok, 1 verification mismatch (including
 a failed internal invariant), 2 input error.
+
+The command line is parsed by one pass over argv that reads the grammar from
+the ``COMMANDS`` table (see ``Parser``).  argparse is not used: building its
+parsers took most of a typical ``classify`` command's time.  ``--json`` and
+``--seed N`` go before or after the subcommand, ``--opt=value`` equals
+``--opt value``, a negative number is a value, ``-h``/``--help`` prints to
+stdout and exits 0, and a usage error, including an abbreviated option,
+prints the usage and the offender to stderr and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 from .balancing import CoverError, VerificationError, balanced_witness
 from .classify import (_cycle_graph, classify_girth5, embed_in_join,
@@ -259,7 +268,10 @@ def cmd_golden(args):
 _REQUIRED = {"required": True}
 _PATH = {"path": {}}
 
-# name: (handler, help line, {argument: add_argument keywords})
+# name: (handler, help line, {argument: keywords}).  An argument named
+# "--name" is an option that takes one value, any other is positional.  The
+# keywords are "type" (int; a string when absent), "nargs" ("+": one or
+# more values, for the last positional) and "required" (for an option).
 COMMANDS = {
     "fvector": (cmd_fvector, "f- and h-vector of a complex file", _PATH),
     "hvector": (cmd_hvector, "f-vector of a given h-vector",
@@ -280,44 +292,192 @@ COMMANDS = {
     "golden": (cmd_golden, "replay the bundled worked examples", {}),
 }
 
-
-def _with_shared_flags(parser):
-    parser.add_argument("--json", action="store_true",
-                        help="emit one canonical JSON line")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="specialization seed")
-    return parser
-
-
-class _Subcommand(argparse.Action):
-    """Build the parser of the named subcommand, and of no other, and parse
-    the rest of the command line with it into the same namespace."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name, *rest = values
-        func, description, arguments = COMMANDS[name]
-        sub = _with_shared_flags(argparse.ArgumentParser(
-            prog=f"{parser.prog} {name}", description=description))
-        for argument, keywords in arguments.items():
-            sub.add_argument(argument, **keywords)
-        namespace.subcommand, namespace.func = name, func
-        # the shared flags are accepted again after the subcommand; a parser
-        # sets a default only where the namespace has no value, so one given
-        # before the subcommand stands unless it is given again
-        sub.parse_args(rest, namespace)
+_DESCRIPTION = ("Face-number invariants, Cohen-Macaulay tests, and verified\n"
+                "d-colorable witnesses.")
+# the arguments before the subcommand, in the form of COMMANDS
+_TOP = {"subcommand": {"help": "one of the subcommands below, then its arguments"}}
+_HELP = ("-h", "--help")
+# the options of every parser besides -h/--help, before and after the
+# subcommand; --json takes no value
+_SHARED = {"--json": {"help": "emit one canonical JSON line"},
+           "--seed": {"type": int, "help": "specialization seed"}}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _with_shared_flags(argparse.ArgumentParser(
-        prog="facebalance", formatter_class=argparse.RawDescriptionHelpFormatter,
-        description="Face-number invariants, Cohen-Macaulay tests, and "
-                    "verified\nd-colorable witnesses.",
-        epilog="subcommands:\n" + "\n".join(
-            f"  {name:<13}{line}" for name, (_, line, _) in COMMANDS.items())))
-    parser.add_argument("subcommand", nargs=argparse.PARSER, choices=COMMANDS,
-                        action=_Subcommand, metavar="subcommand",
-                        help="one of the subcommands below, then its arguments")
-    return parser
+def _option(token: str, arguments: dict):
+    """``None`` when ``token`` is a value, else the option it names (``None``
+    when unknown here) and its ``=value`` (``None`` when not given).
+
+    As in argparse, an empty token, a lone ``-``, a negative number and a
+    token with a space are values.  An option is never abbreviated.
+    """
+    if not token.startswith("-"):
+        return None
+    if token in _HELP or token in _SHARED or token in arguments:
+        return token, None
+    if token == "-":
+        return None
+    name, sep, value = token.partition("=")
+    if sep and (name in _HELP or name in _SHARED or name in arguments):
+        return name, value
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _shown(name: str) -> str:
+    """An argument as the usage and the help show it: an option with its
+    value."""
+    if name.startswith("--") and name != "--json":
+        return f"{name} {name[2:].upper()}"
+    return name
+
+
+def _usage(prog: str, arguments: dict) -> str:
+    parts = ["usage:", prog, "[-h]"]
+    parts += [f"[{_shown(name)}]" for name in _SHARED]
+    for name, keywords in arguments.items():
+        if name.startswith("--") and not keywords.get("required"):
+            parts.append(f"[{_shown(name)}]")
+        elif keywords.get("nargs") == "+":
+            parts.append(f"{name} [{name} ...]")
+        else:
+            parts.append(_shown(name) + (" ..." if arguments is _TOP else ""))
+    return " ".join(parts)
+
+
+def _format_help(prog: str, description: str, arguments: dict) -> str:
+    options = [("-h, --help", "show this help message and exit")]
+    options += [(_shown(name), kw["help"]) for name, kw in _SHARED.items()]
+    options += [(_shown(name), kw.get("help", ""))
+                for name, kw in arguments.items() if name.startswith("--")]
+    positionals = [(name, kw.get("help", "")) for name, kw in arguments.items()
+                   if not name.startswith("--")]
+    width = max(len(shown) for shown, _ in options + positionals) + 2
+    sections = [_usage(prog, arguments), description]
+    for title, rows in (("positional arguments:", positionals),
+                        ("options:", options)):
+        if rows:
+            sections.append("\n".join([title] + [
+                f"  {shown:<{width}}{line}".rstrip() for shown, line in rows]))
+    if arguments is _TOP:
+        sections.append("subcommands:\n" + "\n".join(
+            f"  {name:<13}{line}" for name, (_, line, _) in COMMANDS.items()))
+    return "\n\n".join(sections) + "\n"
+
+
+def _fail(prog: str, arguments: dict, message: str):
+    """Exit 2 with the usage and the offender on stderr, as argparse does."""
+    sys.stderr.write(f"{_usage(prog, arguments)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _typed(prog: str, arguments: dict, name: str, token: str):
+    keywords = _SHARED.get(name) or arguments[name]
+    if keywords.get("type") is not int:
+        return token
+    try:
+        return int(token)
+    except ValueError:
+        _fail(prog, arguments, f"argument {name}: invalid int value: {token!r}")
+
+
+class Parser:
+    """The command line's grammar, read from ``COMMANDS`` in one pass over
+    argv.  It holds nothing between command lines."""
+
+    def format_help(self) -> str:
+        return _format_help("facebalance", _DESCRIPTION, _TOP)
+
+    def parse_args(self, argv: list[str]) -> SimpleNamespace:
+        """The namespace of ``argv``: ``func``, ``subcommand``, ``json``,
+        ``seed`` and each argument of the subcommand, named without its
+        leading dashes.  ``-h``/``--help`` prints the help and exits 0; a
+        usage error prints the usage and the offender to stderr and exits 2.
+
+        The tokens are read left to right, first in the grammar ``_TOP``
+        and, from the subcommand's name on, in that subcommand's, which
+        takes the shared options again; an option given twice keeps its
+        last value, and ``--`` makes every later token a value.  A bad
+        int or subcommand, an option with no value and a flag given one
+        fail where they stand.  At the end missing arguments fail, then
+        unknown tokens after the subcommand, then those before it: the
+        order in which argparse's nested parsers failed.
+        """
+        args = SimpleNamespace(json=False, seed=DEFAULT_SEED, subcommand=None)
+        prog, description, arguments = "facebalance", _DESCRIPTION, _TOP
+        positionals, seen, extras, outer = ["subcommand"], set(), [], []
+        more = None  # the values of the open "+" positional, ``name``
+        only_values = False
+        i = 0
+        while i < len(argv):
+            token = argv[i]
+            i += 1
+            if token == "--" and not only_values:
+                only_values = True
+                continue
+            option = None if only_values else _option(token, arguments)
+            if option is None and more is not None:
+                more.append(_typed(prog, arguments, name, token))
+            elif option is None and not positionals:
+                extras.append(token)
+            elif option is None and arguments is _TOP:
+                if token not in COMMANDS:
+                    _fail(prog, arguments,
+                          f"argument subcommand: invalid choice: {token!r} "
+                          f"(choose from {', '.join(map(repr, COMMANDS))})")
+                args.func, description, arguments = COMMANDS[token]
+                args.subcommand = token
+                prog, extras, outer = f"facebalance {token}", [], extras
+                positionals = [a for a in arguments if not a.startswith("--")]
+                for argument in arguments:
+                    setattr(args, argument.lstrip("-"), None)
+            elif option is None:
+                name = positionals.pop(0)
+                seen.add(name)
+                value = _typed(prog, arguments, name, token)
+                if arguments[name].get("nargs") == "+":
+                    value = more = [value]
+                setattr(args, name, value)
+            else:
+                more = None
+                name, value = option
+                if name is None:
+                    extras.append(token)
+                elif value is not None and (name in _HELP or name == "--json"):
+                    shown = "/".join(_HELP) if name in _HELP else name
+                    _fail(prog, arguments, f"argument {shown}: ignored "
+                                           f"explicit argument {value!r}")
+                elif name in _HELP:
+                    sys.stdout.write(_format_help(prog, description, arguments))
+                    raise SystemExit(0)
+                elif name == "--json":
+                    args.json = True
+                else:
+                    if value is None:
+                        if (i == len(argv) or argv[i] == "--"
+                                or _option(argv[i], arguments) is not None):
+                            _fail(prog, arguments,
+                                  f"argument {name}: expected one argument")
+                        value = argv[i]
+                        i += 1
+                    seen.add(name)
+                    setattr(args, name.lstrip("-"),
+                            _typed(prog, arguments, name, value))
+        missing = [a for a, kw in arguments.items() if a not in seen
+                   and (not a.startswith("--") or kw.get("required"))]
+        if missing:
+            _fail(prog, arguments, "the following arguments are required: "
+                                   + ", ".join(missing))
+        if extras:
+            _fail(prog, arguments, "unrecognized arguments: " + " ".join(extras))
+        if outer:
+            _fail("facebalance", _TOP, "unrecognized arguments: " + " ".join(outer))
+        return args
+
+
+def build_parser() -> Parser:
+    return Parser()
 
 
 def _emit(report: dict, as_json: bool, elapsed: float):

@@ -145,15 +145,17 @@ def _strong_core(facets: Iterable[int]) -> frozenset[int]:
     started from, is dominated by a vertex still present.  That domination
     survives the deletion of other vertices, because every facet of the
     deletion through ``v`` is a facet through ``v`` minus deleted vertices.
-    Passes repeat until one deletes nothing.
+    Passes repeat until one deletes nothing.  Each facet's vertices are
+    listed once per pass, and a cut facet's are the survivors among them.
     """
     facets = frozenset(facets)
     while True:
         present = alive = reduce(or_, facets)
+        verts = [(f, _bits(f)) for f in facets]
         # meet[v]: the vertices that every facet through v holds
         meet = [present] * present.bit_length()
-        for f in facets:
-            for v in _bits(f):
+        for f, vs in verts:
+            for v in vs:
                 meet[v] &= f
         for v in _bits(present):
             if meet[v] & alive & ~(1 << v):
@@ -162,16 +164,17 @@ def _strong_core(facets: Iterable[int]) -> frozenset[int]:
             return facets
         # a facet that lost no vertex stays maximal; a cut one is kept when
         # it lies in no other facet of the deletion: bit i of holds[v] is
-        # set when kept[i] holds v, so the faces holding all of a cut
-        # face's vertices are the AND of their masks
-        kept = list({f & alive for f in facets})
+        # set when the i-th kept face holds v, so the faces holding all of a
+        # cut face's vertices are the AND of their masks
+        kept = {f & alive: vs if f & alive == f else
+                [v for v in vs if alive >> v & 1] for f, vs in verts}
         holds = [0] * present.bit_length()
-        for i, f in enumerate(kept):
-            for v in _bits(f):
+        for i, vs in enumerate(kept.values()):
+            for v in vs:
                 holds[v] |= 1 << i
         facets = frozenset(
-            f for i, f in enumerate(kept)
-            if f in facets or reduce(and_, [holds[v] for v in _bits(f)]) == 1 << i)
+            f for i, (f, vs) in enumerate(kept.items())
+            if f in facets or reduce(and_, [holds[v] for v in vs]) == 1 << i)
 
 
 def _join_parts(core: frozenset[int]) -> list[int]:

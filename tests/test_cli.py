@@ -447,11 +447,11 @@ def test_seed_flag_after_subcommand(capsys):
     assert _json_out(capsys)["seed"] == 9
 
 
-def _sample_arguments(arguments):
+def _sample_arguments(arguments, number="1"):
     """Values for every argument of a command-table entry."""
     argv = []
     for argument, keywords in arguments.items():
-        value = "1" if keywords.get("type") is int else "x"
+        value = number if keywords.get("type") is int else "x"
         argv += [argument, value] if argument.startswith("--") else [value]
     return argv
 
@@ -476,20 +476,38 @@ def test_one_parse_args_returns_the_whole_namespace(name):
             assert hasattr(args, argument.lstrip("-")), (argv, argument)
 
 
-def test_only_the_invoked_subcommand_parser_is_built(monkeypatch, capsys):
-    import argparse
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_main_imports_neither_argparse_nor_gettext(flags):
+    # the grammar is one pass over argv, so a command line costs no import
+    # of argparse, nor of the gettext and locale that argparse brings
+    import facebalance
 
-    built = []
-    init = argparse.ArgumentParser.__init__
+    src = os.path.dirname(os.path.dirname(facebalance.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from facebalance.cli import main\n"
+            "code = main(['--json', 'turan', '7', '3'])\n"
+            "print([m for m in ('argparse', 'gettext') if m in sys.modules],"
+            " file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, *flags, "-c", code],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stderr) == (0, "[]\n")
+    assert json.loads(proc.stdout)["results"]["edges"] == 16
 
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert main(["--json", "turan", "7", "3"]) == 0
-    assert _json_out(capsys)["results"]["edges"] == 16
-    assert built == ["facebalance", "facebalance turan"]
+def test_no_parser_state_survives_a_main_call(capsys):
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second
+    first.parse_args = None  # bench/tracer.py wraps it on the instance
+    assert second.parse_args(["golden"]).subcommand == "golden"
+    assert main(["--json", "--seed", "5", "turan", "7", "3"]) == 0
+    assert _json_out(capsys)["seed"] == 5
+    assert main(["turan", "7", "3"]) == 0
+    out = capsys.readouterr().out
+    assert f"seed: {DEFAULT_SEED}" in out.splitlines()
+    assert not out.startswith("{")
 
 
 @pytest.mark.parametrize("argv, offender", [
@@ -499,8 +517,9 @@ def test_only_the_invoked_subcommand_parser_is_built(monkeypatch, capsys):
     (["cm", "a", "b"], "unrecognized arguments: b"),
     (["--bogus", "cm", "a"], "unrecognized arguments: --bogus"),
     (["turan", "x", "3"], "argument n: invalid int value: 'x'"),
+    (["classify", "--graph", "g", "--se", "3"], "unrecognized arguments: --se 3"),
 ], ids=["unknown_subcommand", "no_subcommand", "missing_positional",
-        "extra_positional", "unknown_flag", "not_an_int"])
+        "extra_positional", "unknown_flag", "not_an_int", "abbreviated_option"])
 def test_usage_error_exits_2_and_names_the_offender(capsys, argv, offender):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -516,6 +535,31 @@ def test_negative_ints_reach_the_command(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "input error: need 1 <= r <= n\n"
+
+
+def test_double_dash_ends_the_options(capsys):
+    args = cli.build_parser().parse_args(["cm", "--", "-x.cx"])
+    assert (args.subcommand, args.path) == ("cm", "-x.cx")
+    assert main(["fvector", "--", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["-h"], "usage: facebalance [-h] [--json] [--seed SEED] subcommand ..."),
+    (["classify", "--help"],
+     "usage: facebalance classify [-h] [--json] [--seed SEED] --graph GRAPH"),
+    (["--json", "hvector", "1", "-h", "x"], "usage: facebalance hvector [-h] "
+     "[--json] [--seed SEED] entries [entries ...]"),
+], ids=["top", "classify", "hvector"])
+def test_help_goes_to_stdout_and_exits_0(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[0] == usage
 
 
 def test_help_and_readme_list_every_subcommand():

@@ -1,7 +1,7 @@
 import itertools
 import random
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 
 import pytest
 
@@ -656,6 +656,46 @@ def test_strong_core_keeps_the_reduced_homology():
         assert b + (0,) * (len(full) - len(b)) == full, (cx, facets)
         collapsed += len(set().union(*core)) < len(set().union(*given))
     assert collapsed > 150
+
+
+def _strong_core_listing_each_facet_thrice(facets):
+    """``homology._strong_core`` as it was before each pass listed a
+    facet's vertices once: the same passes, listing them for ``meet``, for
+    ``holds`` and for the cut test."""
+    facets = frozenset(facets)
+    while True:
+        present = alive = reduce(or_, facets)
+        meet = [present] * present.bit_length()
+        for f in facets:
+            for v in homology._bits(f):
+                meet[v] &= f
+        for v in homology._bits(present):
+            if meet[v] & alive & ~(1 << v):
+                alive ^= 1 << v
+        if alive == present:
+            return facets
+        kept = list({f & alive for f in facets})
+        holds = [0] * present.bit_length()
+        for i, f in enumerate(kept):
+            for v in homology._bits(f):
+                holds[v] |= 1 << i
+        facets = frozenset(
+            f for i, f in enumerate(kept) if f in facets
+            or reduce(and_, [holds[v] for v in homology._bits(f)]) == 1 << i)
+
+
+def test_strong_core_agrees_with_the_thrice_listing_core():
+    rng = random.Random(97)
+    cases = [cx.facets for cx in _scan_corpus()]
+    cases += [_random_complex(rng, 8).facets for _ in range(300)]
+    cases += [_induced_masks(cx, verts) for _, cx, verts in _random_induced(300)]
+    cases += [cx.facets for cx in _chains(101, 6)]
+    collapsed = 0
+    for facets in cases:
+        core = homology._strong_core(facets)
+        assert core == _strong_core_listing_each_facet_thrice(facets), facets
+        collapsed += core != frozenset(facets)
+    assert collapsed > 500
 
 
 def _join_factors(core, order):
