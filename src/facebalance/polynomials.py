@@ -117,8 +117,8 @@ class LinearAutomorphism:
 
     def to_json_obj(self) -> dict:
         return {"variables": list(self.variables),
-                "matrix": [[f"{Fraction(x).numerator}/{Fraction(x).denominator}"
-                            for x in row] for row in self.matrix]}
+                "matrix": [[f"{x.numerator}/{x.denominator}" for x in row]
+                           for row in self.matrix]}
 
 
 def apply_automorphism(g: LinearAutomorphism, p: dict) -> dict:
@@ -216,12 +216,12 @@ def _uncovered_levels(mono_gens: Sequence[Monomial], n: int, width: int,
     return levels
 
 
-def _pivot_ranks(poly_gens: Sequence[dict], levels: list[list[int]],
-                 width: int) -> set[int]:
-    """Positions in ``levels[-1]`` of the pivots of the Macaulay rows that
-    the Koszul criterion keeps; the echelon is freed on return.  An
-    undivided multiple of LM(g_j) in level e is u + LM(g_j), u undivided
-    in level e - deg g_j: ascending u are bisected into the level."""
+def _pivot_rows(poly_gens: Sequence[dict], levels: list[list[int]],
+                width: int) -> dict[int, dict]:
+    """The stored pivot rows of the Macaulay rows that the Koszul criterion
+    keeps, keyed by their pivot's position in ``levels[-1]``.  An undivided
+    multiple of LM(g_j) in level e is u + LM(g_j), u undivided in level
+    e - deg g_j: ascending u are bisected into the level."""
     degree = len(levels) - 1
     rank_of = {m: r for r, m in enumerate(levels[degree])}
     ech = SparseEchelon()
@@ -260,28 +260,38 @@ def _pivot_ranks(poly_gens: Sequence[dict], levels: list[list[int]],
                     row[r] = c
             if row:
                 ech.add_row(row)
-    return set(ech.pivots)
+    return ech.pivots
 
 
 def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
-                            ) -> tuple[int, set]:
-    """``(rank, standard)`` of the degree-``degree`` monomials that no
-    monomial generator divides: ``rank`` of them lead a row of the reduced
-    span of the other generators' monomial multiples, and ``standard`` are
-    the rest.
+                            ) -> tuple[int, set, list]:
+    """``(rank, standard, found)`` of the degree-``degree`` monomials that
+    no monomial generator divides: ``rank`` of them lead a row of the
+    reduced span of the other generators' monomial multiples, ``standard``
+    are the rest, and ``found``, in column order, are the pivots whose
+    stored row has no other entry.
+
+    A found monomial m lies in the ideal I.  Its stored row is c m with
+    c != 0, a Q-combination of the rows u g, each with the terms removed
+    that a monomial generator divides; so c m is in I + M = I, M the ideal
+    of the monomial generators, which all lie in I.
+    :func:`standard_monomial_basis` adds each found monomial as a monomial
+    generator of the degrees above, whose columns and rows then skip its
+    multiples.
 
     The leading monomials of the ideal's degree-``degree`` piece are the
     divided monomials and the pivot columns under the descending revlex
-    column order, ``rank`` of them; neither kind is listed.  ``standard`` is
-    the degree's share of the standard monomial basis:
+    column order, ``rank`` of them; only the found pivots are listed.
+    ``standard`` is the degree's share of the standard monomial basis:
     :func:`standard_monomial_basis` calls this on each degree from 0 up,
     except a stop degree that the standard set below already proves empty,
-    and reads ``result[1]``, as does ``bench/tracer.py``, whose count
-    ``bench/run.py`` checks against the sum of the h-vector (a skipped
-    degree adds 0 to it, as its elimination would).  The undivided
-    monomials form an order ideal, built here degree by degree: the
-    elimination runs over its top degree only, with multipliers from its
-    lower degrees, and a divisible monomial is never enumerated.
+    and reads ``result[1]`` and ``result[2]``.  ``bench/tracer.py`` reads
+    ``result[1]``, whose count ``bench/run.py`` checks against the sum of
+    the h-vector (a skipped degree adds 0 to it, as its elimination
+    would).  The undivided monomials form an order ideal, built here
+    degree by degree: the elimination runs over its top degree only, with
+    multipliers from its lower degrees, and a divisible monomial is never
+    enumerated.
 
     Inside, an exponent tuple is packed into one int, ``degree.bit_length()
     + 1`` bits per variable with the last variable highest.  A product is
@@ -304,7 +314,10 @@ def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
     which are 0.  By induction on i, then on m from the largest packed
     down, every skipped row is in the span of the kept ones.  The pivot
     set depends only on the span, so (rank, standard) is unchanged.
-    With j = i the identity would use m g_i itself.
+    With j = i the identity would use m g_i itself.  The proof reads the
+    monomial generators only as an ideal M inside I that the rows are
+    taken modulo, so it holds for any such M, the found monomials of the
+    degrees below included.
     """
     mono_gens: list[Monomial] = []
     poly_gens: list[dict] = []
@@ -324,11 +337,16 @@ def initial_ideal_by_degree(gens: Sequence[dict], order: TermOrder, degree: int
 
     n, width = order.n, degree.bit_length() + 1
     levels = _uncovered_levels(mono_gens, n, width, degree)
-    pivot_ranks = _pivot_ranks(poly_gens, levels, width)
+    pivots = _pivot_rows(poly_gens, levels, width)
     mask = (1 << width) - 1
-    standard = {tuple(m >> (i * width) & mask for i in range(n))
-                for r, m in enumerate(levels[degree]) if r not in pivot_ranks}
-    return len(pivot_ranks), standard
+    top = levels[degree]
+
+    def unpack(m: int) -> Monomial:
+        return tuple(m >> (i * width) & mask for i in range(n))
+
+    standard = {unpack(m) for r, m in enumerate(top) if r not in pivots}
+    found = [unpack(top[r]) for r in sorted(pivots) if len(pivots[r]) == 1]
+    return len(pivots), standard, found
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +440,17 @@ def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
     an ideal, not the CM verdict, the h-vector or the twist, so a skipped
     degree is proved empty, not guessed.  A nonempty closure proves
     nothing, as its monomials may still lead rows, so that degree is
-    eliminated.  If standard monomials persist past degree ``d + 1`` (one
-    more than the tail size) the tail is not a linear system of parameters
-    for this twist and :class:`StandardBasisOverflow` is raised.  A basis
-    that lacks the unit or is not divisibility-closed raises
-    :class:`VerificationError`.
+    eliminated.
+
+    Each degree's found monomials (see :func:`initial_ideal_by_degree`)
+    join the generators of the degrees above as monomial generators.  Each
+    lies in I, so I, in(I) and every degree's standard set are unchanged,
+    while their multiples are no longer listed as columns or multipliers.
+
+    If standard monomials persist past degree ``d + 1`` (one more than the
+    tail size) the tail is not a linear system of parameters for this
+    twist and :class:`StandardBasisOverflow` is raised.  A basis that lacks
+    the unit or is not divisibility-closed raises :class:`VerificationError`.
     """
     if g.variables != order.variables:
         raise ValueError("matrix and order disagree on the variable sequence")
@@ -441,7 +465,7 @@ def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
         gens.append({m[:free.n]: c for m, c in image.items() if not any(m[free.n:])})
     collected = set()
     degree = 0
-    _, std = initial_ideal_by_degree(gens, free, degree)
+    _, std, found = initial_ideal_by_degree(gens, free, degree)
     while std:
         collected |= {m + (0,) * d for m in std}
         degree += 1
@@ -452,7 +476,10 @@ def standard_monomial_basis(delta: SimplicialComplex, g: LinearAutomorphism,
                 f"twist/specialization")
         if not _has_closed_successor(std, free.n):
             break
-        _, std = initial_ideal_by_degree(gens, free, degree)
+        # a new list: a caller that recorded the generators of a degree
+        # below keeps them as they were
+        gens = gens + [{m: 1} for m in found]
+        _, std, found = initial_ideal_by_degree(gens, free, degree)
     basis = Multicomplex(order.variables, frozenset(collected))
     if order.unit() not in collected or not basis.is_divisibility_closed():
         raise VerificationError("standard set not divisibility-closed from the unit")

@@ -19,33 +19,41 @@ from facebalance.samples import pg_sample_graph
 
 
 def check_sweep(result, gens, order, degree: int) -> None:
-    """``result``, the package's ``(rank, standard)`` in one degree,
+    """``result``, the package's ``(rank, standard, found)`` in one degree,
     against the covered-filter oracle's ``(leading, standard)``: the same
     standard monomials, as many pivots as the oracle's leading ones that no
     monomial generator divides, and together as many as the undivided
     monomials.  The package splits the undivided monomials into pivots and
-    standard ones, so equal standard sets already force equal pivots."""
-    rank, standard = result
+    standard ones, so equal standard sets already force equal pivots.  The
+    found monomials are pivots, none listed twice."""
+    rank, standard, found = result
     leading, expected = bf.initial_ideal_by_degree(gens, order, degree)
     undivided = bf.undivided_monomials(gens, order.n, degree)
     divided = set(bf.monomials(order.n, degree)) - undivided
     assert standard == expected
     assert rank == len(leading - divided)
     assert rank + len(standard) == len(undivided)
+    assert len(set(found)) == len(found)
+    assert set(found) <= undivided - standard
 
 
 def check_against_unskipped_sweep(delta, g, order):
     """``standard_monomial_basis(delta, g, order)`` against a sweep that
     eliminates every degree, from 0 up to the first one with no standard
     monomials: the same basis, or ``StandardBasisOverflow`` from both (a
-    standard monomial in degree ``d + 1``).  Returns the package's basis,
-    None on overflow, and the degrees it eliminated, in order."""
+    standard monomial in degree ``d + 1``).  The oracle sweep reads the
+    generators of the first call only, so it never sees the monomials the
+    package's eliminations find and carry upward.  Returns the package's
+    basis, None on overflow, the degrees it eliminated, in order, and how
+    many monomials each of those eliminations found; all but the last
+    degree's are carried into the next one."""
     real = polynomials.initial_ideal_by_degree
     calls = []
 
     def recording(gens, free, degree):
-        calls.append((gens, free, degree))
-        return real(gens, free, degree)
+        result = real(gens, free, degree)
+        calls.append((gens, free, degree, len(result[2])))
+        return result
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polynomials, "initial_ideal_by_degree", recording)
@@ -53,7 +61,7 @@ def check_against_unskipped_sweep(delta, g, order):
             basis = standard_monomial_basis(delta, g, order)
         except StandardBasisOverflow:
             basis = None
-    gens, free, _ = calls[0]
+    gens, free, _, _ = calls[0]
     expected, degree = set(), 0
     while expected is not None:
         standard = real(gens, free, degree)[1]
@@ -65,7 +73,8 @@ def check_against_unskipped_sweep(delta, g, order):
             expected |= {m + (0,) * order.d for m in standard}
         degree += 1
     assert (None if basis is None else basis.monomials) == expected
-    return basis, [degree for _, _, degree in calls]
+    return (basis, [degree for _, _, degree, _ in calls],
+            [found for *_, found in calls])
 
 
 def cycle_graph(n: int, prefix: str = "") -> Graph:

@@ -476,7 +476,7 @@ def test_witness_sweep_never_eliminates_its_stop_degree(monkeypatch, make):
     sweeps = []
 
     def checked(delta, g, order):
-        basis, eliminated = check_against_unskipped_sweep(delta, g, order)
+        basis, eliminated, _ = check_against_unskipped_sweep(delta, g, order)
         sweeps.append((len(basis.f_vector()), eliminated))
         return real(delta, g, order)
 

@@ -94,11 +94,11 @@ def test_standard_set_missing_a_divisor(monkeypatch):
     real = polynomials.initial_ideal_by_degree
 
     def dropping(gens, order, degree):
-        rank, standard = real(gens, order, degree)
+        rank, standard, found = real(gens, order, degree)
         if degree == 1:
             (top,) = real(gens, order, 2)[1]  # h_2 = 1
             standard = {m for m in standard if not bf.monomial_divides(m, top)}
-        return rank, standard
+        return rank, standard, found
 
     monkeypatch.setattr(polynomials, "initial_ideal_by_degree", dropping)
     with pytest.raises(VerificationError, match="divisibility-closed"):
@@ -119,8 +119,8 @@ def test_standard_set_missing_the_unit(monkeypatch, cover):
     real = polynomials.initial_ideal_by_degree
 
     def unitless(gens, order, degree):
-        rank, standard = real(gens, order, degree)
-        return rank, standard if degree else set()
+        rank, standard, found = real(gens, order, degree)
+        return rank, standard if degree else set(), found
 
     monkeypatch.setattr(polynomials, "initial_ideal_by_degree", unitless)
     with pytest.raises(VerificationError, match="divisibility-closed from the unit"):

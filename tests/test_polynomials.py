@@ -191,6 +191,16 @@ def test_automorphism_json_uses_rational_strings():
     assert g.to_json_obj()["matrix"] == [["1/2"]]
 
 
+def test_automorphism_json_prints_int_and_fraction_entries_alike():
+    # each entry as the Fraction it equals: lowest terms, sign on top
+    g = LinearAutomorphism(("x", "y", "z"), ((0, -3, Fraction(-4, 6)),
+                                             (Fraction(5), 1, Fraction(7, -2)),
+                                             (Fraction(0), Fraction(2, 4), 12)))
+    assert g.to_json_obj()["matrix"] == [["0/1", "-3/1", "-2/3"],
+                                         ["5/1", "1/1", "-7/2"],
+                                         ["0/1", "1/2", "12/1"]]
+
+
 # ---------------------------------------------------------------------------
 # per-degree initial ideal
 # ---------------------------------------------------------------------------
@@ -200,14 +210,14 @@ def test_all_variables_leave_nothing_standard():
     gens = [{order.variable(v): Fraction(1)} for v in order.variables]
     result = initial_ideal_by_degree(gens, order, 1)
     # every monomial is divided, so none is a column at all
-    assert result == (0, set())
+    assert result == (0, set(), [])
     check_sweep(result, gens, order, 1)
 
 
 def test_no_generators_leave_everything_standard():
     order = TermOrder(("x", "y"), 0)
     result = initial_ideal_by_degree([], order, 2)
-    assert result == (0, set(bf.monomials(order.n, 2)))
+    assert result == (0, set(bf.monomials(order.n, 2)), [])
     check_sweep(result, [], order, 2)
 
 
@@ -238,7 +248,7 @@ def test_initial_ideal_matches_dense_macaulay_oracle():
             if p:
                 gens.append(p)
         for degree in (1, 2, 3):
-            _, standard = initial_ideal_by_degree(gens, order, degree)
+            _, standard, _ = initial_ideal_by_degree(gens, order, degree)
             expected = bf.macaulay_standard(gens, order.variables, degree, key_desc)
             assert standard == expected
 
@@ -271,10 +281,10 @@ def test_a_square_generator_does_not_cover_its_variable():
     order = TermOrder(("x", "y", "z", "w"), 0)
     gens = [{(0, 0, 2, 0): Fraction(3)}]
     result = initial_ideal_by_degree(gens, order, 1)
-    assert result == (0, set(bf.monomials(order.n, 1)))
+    assert result == (0, set(bf.monomials(order.n, 1)), [])
     check_sweep(result, gens, order, 1)
     result = initial_ideal_by_degree(gens, order, 2)
-    rank, standard = result
+    rank, standard, _ = result
     # z^2 is divided, not a pivot; the other nine are standard
     assert rank == 0 and (0, 0, 2, 0) not in standard
     assert (1, 0, 1, 0) in standard and len(standard) == 9
@@ -290,13 +300,15 @@ def test_pivot_set_invariant_under_generator_shuffles():
         {(0, 0, 2, 0): Fraction(3)},
         {(1, 0, 1, 0): Fraction(1), (0, 1, 1, 0): Fraction(1), (0, 0, 0, 2): Fraction(5)},
     ]
-    reference = initial_ideal_by_degree(gens, order, 3)
+    # (rank, standard) only: which pivot rows are stored with one entry
+    # depends on the order the rows are fed in
+    reference = initial_ideal_by_degree(gens, order, 3)[:2]
     for _ in range(6):
         shuffled = gens[:]
         rng.shuffle(shuffled)
         scaled = [{m: c * rng.choice([1, 2, -3]) for m, c in p.items()}
                   for p in shuffled]
-        assert initial_ideal_by_degree(scaled, order, 3) == reference
+        assert initial_ideal_by_degree(scaled, order, 3)[:2] == reference
 
 
 def _koszul_generators(order, rng):
@@ -346,8 +358,8 @@ def test_koszul_pruned_sweep_matches_the_covered_filter_oracle():
     assert shared > 20
 
 
-def _fed_rows(sweep, gens, order, degree):
-    """``sweep(gens, order, degree)`` and the number of rows it handed to
+def _fed_rows(sweep, *args):
+    """``sweep(*args)`` and the number of rows it handed to
     ``SparseEchelon.add_row``."""
     fed = []
     real = linalg.SparseEchelon.add_row
@@ -358,16 +370,14 @@ def _fed_rows(sweep, gens, order, degree):
 
     linalg.SparseEchelon.add_row = add_row
     try:
-        return sweep(gens, order, degree), len(fed)
+        return sweep(*args), len(fed)
     finally:
         linalg.SparseEchelon.add_row = real
 
 
-def test_koszul_criterion_feeds_fewer_rows_for_the_same_pivots():
-    # the sweep's generators for Ind(C5 + C5) under the composed pentagon
-    # twist, at its stop degree 5: 296 rows are undivided, 60 of them are
-    # multiples m g_i with LM(g_j) | m for an earlier g_j, and the 236 left
-    # span the same rows
+def _c5_c5_sweep():
+    """Ind(C5 + C5), the composed pentagon pair, and the generators the
+    sweep eliminates over its free variables."""
     spec = Specialization()
     pentagons = [base_pair_near_bipartite(
         independence_complex(cycle_graph(5, tag)).one_skeleton(), None, spec)
@@ -375,18 +385,72 @@ def test_koszul_criterion_feeds_fewer_rows_for_the_same_pivots():
     pair = compose_pairs(*pentagons)
     delta = independence_complex(disjoint_union(cycle_graph(5),
                                                 cycle_graph(5, "q")))
-    order, free = pair.order, TermOrder(pair.order.free(), 0)
+    free = TermOrder(pair.order.free(), 0)
     gens = []
-    for nu in stanley_reisner_generators(delta, order):
+    for nu in stanley_reisner_generators(delta, pair.order):
         image = apply_automorphism(pair.matrix, {nu: Fraction(1)})
         gens.append({m[:free.n]: c for m, c in image.items()
                      if not any(m[free.n:])})
+    return delta, pair, gens, free
+
+
+def test_koszul_criterion_feeds_fewer_rows_for_the_same_pivots():
+    # the sweep's generators for Ind(C5 + C5) under the composed pentagon
+    # twist, at its stop degree 5: 296 rows are undivided, 60 of them are
+    # multiples m g_i with LM(g_j) | m for an earlier g_j, and the 236 left
+    # span the same rows
+    _, _, gens, free = _c5_c5_sweep()
     result, rows = _fed_rows(initial_ideal_by_degree, gens, free, 5)
     _, oracle_rows = _fed_rows(bf.initial_ideal_by_degree, gens, free, 5)
     assert (rows, oracle_rows) == (236, 296)
     # the same pivots as the oracle's: all 146 undivided monomials
     check_sweep(result, gens, free, 5)
-    assert result == (146, set())
+    assert result[:2] == (146, set())
+
+
+def _check_found_monomials(gens, order, degree) -> int:
+    """Each monomial the sweep finds in ``degree`` lies in the ideal: as
+    one more monomial generator it leaves the covered-filter oracle's
+    standard set of the degree unchanged, which a monomial outside the
+    ideal would shrink.  It is neither standard nor divided by a monomial
+    generator.  Returns how many were found."""
+    _, standard, found = initial_ideal_by_degree(gens, order, degree)
+    undivided = bf.undivided_monomials(gens, order.n, degree)
+    expected = bf.initial_ideal_by_degree(gens, order, degree)[1]
+    for m in found:
+        assert m in undivided and m not in standard
+        widened = gens + [{m: 1}]
+        assert bf.initial_ideal_by_degree(widened, order, degree)[1] == expected
+    return len(found)
+
+
+def test_found_monomials_lie_in_the_ideal():
+    rng = random.Random(67)
+    order = TermOrder(("x", "y", "z", "w"), 0)
+    found = 0
+    for _ in range(40):
+        gens = _koszul_generators(order, rng)
+        found += sum(_check_found_monomials(gens, order, degree)
+                     for degree in range(5))
+    assert found > 0
+    # the pipeline's generators find monomials from degree 2, where the
+    # first rows are fed, to the stop degree 5
+    _, _, gens, free = _c5_c5_sweep()
+    pipeline = [_check_found_monomials(gens, free, d) for d in range(6)]
+    assert pipeline[:2] == [0, 0] and all(pipeline[2:])
+
+
+def test_found_monomials_cut_the_rows_the_sweep_feeds():
+    # Ind(C5 + C5) through the whole sweep, which eliminates degrees 0 to 4
+    # (h = 1, 6, 11, 6, 1): 57 rows with each degree's found monomials
+    # carried upward, against 8 + 44 + 118 with none carried
+    delta, pair, gens, free = _c5_c5_sweep()
+    basis, rows = _fed_rows(standard_monomial_basis, delta, pair.matrix,
+                            pair.order)
+    assert basis.f_vector() == (1, 6, 11, 6, 1)
+    uncarried = sum(_fed_rows(initial_ideal_by_degree, gens, free, degree)[1]
+                    for degree in range(5))
+    assert (rows, uncarried) == (57, 170)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +482,7 @@ def test_points_squares_are_leading_terms():
     for nu in stanley_reisner_generators(pts, order):
         gens.append(apply_automorphism(pair.matrix, {nu: Fraction(1)}))
     result = initial_ideal_by_degree(gens, order, 2)
-    _, standard = result
+    _, standard, _ = result
     # a pivot is an undivided monomial that is not standard
     undivided = bf.undivided_monomials(gens, order.n, 2)
     for v in order.free():
@@ -465,20 +529,21 @@ def test_basis_with_universe_larger_than_the_complex():
 
 
 def _stop(delta, g, order):
-    """Checks the basis against the unskipped sweep: "overflow", or
-    whether the package's sweep stopped without eliminating its stop
-    degree, the one above the basis's top degree."""
-    basis, eliminated = check_against_unskipped_sweep(delta, g, order)
+    """Checks the basis against the unskipped sweep.  Returns "overflow",
+    or whether the package's sweep stopped without eliminating its stop
+    degree, the one above the basis's top degree; and how many monomials
+    each elimination found."""
+    basis, eliminated, found = check_against_unskipped_sweep(delta, g, order)
     if basis is None:
-        return "overflow"
-    return len(eliminated) == len(basis.f_vector())
+        return "overflow", found
+    return len(eliminated) == len(basis.f_vector()), found
 
 
 def test_basis_matches_the_unskipped_sweep_on_random_pairs():
     # full-dimensional subcomplexes, CM or not, of seeded joins of point
     # sets and pentagons, each with the pair its cover gives
     rng = random.Random(59)
-    skipped = []
+    skipped, founds = [], []
     for _ in range(40):
         parts = []
         for k in range(rng.randint(1, 3)):
@@ -496,9 +561,14 @@ def test_basis_matches_the_unskipped_sweep_on_random_pairs():
         delta = SimplicialComplex(facets or gamma.facet_labels()[:1])
         pair = inherit_to_subcomplex(reduce(compose_pairs, [p for _, p in parts]),
                                      delta)
-        skipped.append(_stop(delta, pair.matrix, pair.order))
+        stop, found = _stop(delta, pair.matrix, pair.order)
+        skipped.append(stop)
+        founds.append(found)
     # both branches of the sweep's stop are taken
     assert 0 < sum(skipped) < len(skipped)
+    # 35 of the 40 sweeps find monomials, 17 carry some into a degree above
+    assert 2 * sum(map(any, founds)) > len(founds)
+    assert any(any(found[:-1]) for found in founds)
 
 
 def test_basis_matches_the_unskipped_sweep_under_random_twists():
@@ -506,7 +576,7 @@ def test_basis_matches_the_unskipped_sweep_under_random_twists():
     # block shape: standard monomials that are not squarefree, and tails
     # that are not a parameter system, so that both sweeps overflow
     rng = random.Random(61)
-    outcomes = set()
+    outcomes, founds = set(), []
     for _ in range(60):
         verts = [f"v{i}" for i in range(rng.randint(2, 6))]
         facets = [rng.sample(verts, rng.randint(1, min(3, len(verts))))
@@ -516,8 +586,14 @@ def test_basis_matches_the_unskipped_sweep_under_random_twists():
         matrix = tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in verts)
                        for _ in verts)
         g = LinearAutomorphism(order.variables, matrix)
-        outcomes.add(_stop(delta, g, order))
+        stop, found = _stop(delta, g, order)
+        outcomes.add(stop)
+        founds.append(found)
     assert outcomes == {True, False, "overflow"}
+    # small complexes with few degrees: 23 of the 60 sweeps find
+    # monomials, 2 carry some into a degree above
+    assert 3 * sum(map(any, founds)) > len(founds)
+    assert any(any(found[:-1]) for found in founds)
 
 
 # ---------------------------------------------------------------------------
